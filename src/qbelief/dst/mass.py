@@ -55,6 +55,7 @@ class MassFunction:
         if abs(total - 1.0) > MASS_SUM_TOL:
             raise MassSumViolation(f"masses sum to {total!r}, expected 1")
         masses = masses.copy()
+        masses[masses < 0.0] = 0.0  # tolerated dust would make sqrt(m) NaN
         masses.flags.writeable = False
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "masses", masses)

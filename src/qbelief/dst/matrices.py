@@ -8,7 +8,6 @@ against, and the evolution operators fed to the quantum pipelines.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from ..errors import DimensionMismatch
 from .frame import Frame, popcounts
@@ -16,8 +15,20 @@ from .mass import MassFunction
 from .transforms import b_from_mass, q_from_mass
 
 KINDS = (
-    "bel", "pl", "q", "q_inv", "fractal", "b", "bet", "jaccard", "cred", "card_inv", "diag",
+    "bel", "pl", "q", "q_inv", "fractal", "b", "b_inv", "bet", "jaccard", "cred", "card_inv",
+    "diag",
 )
+
+#: per-element 2x2 blocks (rows: element in F, columns: element in G) whose
+#: n-fold Kronecker powers are the lattice matrices; ``pl`` is 1 minus the
+#: power of ``disjoint``
+_BLOCKS = {
+    "q": [[1, 1], [0, 1]],
+    "q_inv": [[1, -1], [0, 1]],
+    "b": [[1, 0], [1, 1]],
+    "b_inv": [[1, 0], [-1, 1]],
+    "disjoint": [[1, 1], [1, 0]],
+}
 
 
 def _subset_masks(n: int):
@@ -25,6 +36,17 @@ def _subset_masks(n: int):
     F = idx[:, None]
     G = idx[None, :]
     return F, G
+
+
+def _kron_power(block: str, n: int) -> np.ndarray:
+    # integer products, so no -0.0 entries reach the float matrix; the
+    # broadcast product is np.kron(factor, out) without its call overhead
+    factor = np.array(_BLOCKS[block], dtype=np.int8)
+    out = np.ones((1, 1), dtype=np.int8)
+    for _ in range(n):
+        size = 2 * out.shape[0]
+        out = (factor[:, None, :, None] * out[None, :, None, :]).reshape(size, size)
+    return out.astype(np.float64)
 
 
 def transform_matrix(kind: str, frame_or_n: Frame | int, v: np.ndarray | None = None) -> np.ndarray:
@@ -35,8 +57,8 @@ def transform_matrix(kind: str, frame_or_n: Frame | int, v: np.ndarray | None = 
       - ``b``:   1 iff G is a subset of F (maps masses to b)
       - ``pl``:  1 iff F and G intersect (maps masses to Pl)
       - ``q``:   1 iff F is a subset of G (maps masses to q)
-      - ``q_inv``: inverse of ``q``, by back-substitution on the
-        unit-triangular ``q`` matrix
+      - ``q_inv``: inverse of ``q``, (-1)^|G - F| iff F is a subset of G
+      - ``b_inv``: inverse of ``b``, (-1)^|F - G| iff G is a subset of F
       - ``fractal``: fractal reallocation; identity on the empty set,
         1/(2^|G| - 1) on non-empty F <= G
       - ``bet``: pignistic spread ``cred @ card_inv``, |F & G| / |G| with a
@@ -46,6 +68,9 @@ def transform_matrix(kind: str, frame_or_n: Frame | int, v: np.ndarray | None = 
       - ``jaccard``: |F & G| / |F | G| with the empty/empty entry set to 1
         so the matrix stays positive semidefinite
       - ``diag``: diagonal of the supplied vector ``v``
+
+    ``q``, ``b``, their inverses, ``bel``, ``pl`` and ``fractal`` are built
+    from n-fold Kronecker powers of 2x2 blocks, one factor per element.
     """
     n = frame_or_n.n if isinstance(frame_or_n, Frame) else int(frame_or_n)
     size = 1 << n
@@ -57,27 +82,24 @@ def transform_matrix(kind: str, frame_or_n: Frame | int, v: np.ndarray | None = 
             raise DimensionMismatch(f"diag vector has shape {v.shape}, expected ({size},)")
         return np.diag(v)
 
-    F, G = _subset_masks(n)
+    if kind in ("q", "q_inv", "b", "b_inv"):
+        return _kron_power(kind, n)
     if kind == "bel":
-        return (((G & F) == G) & (G != 0)).astype(np.float64)
-    if kind == "b":
-        return ((G & F) == G).astype(np.float64)
+        out = _kron_power("b", n)
+        out[:, 0] = 0.0
+        return out
     if kind == "pl":
-        return ((F & G) != 0).astype(np.float64)
-    if kind == "q":
-        return ((F & G) == F).astype(np.float64)
-    if kind == "q_inv":
-        mq = ((F & G) == F).astype(np.float64)
-        return scipy.linalg.solve_triangular(mq, np.eye(size), lower=False, unit_diagonal=True)
+        out = _kron_power("disjoint", n)
+        return np.subtract(1.0, out, out=out)
     if kind == "fractal":
         pc = popcounts(n)
-        out = np.zeros((size, size))
-        sub = ((F & G) == F) & (F != 0) & (G != 0)
         weights = np.ones(size)
         weights[1:] = 1.0 / (np.exp2(pc[1:]) - 1.0)
-        out[sub] = np.broadcast_to(weights[None, :], (size, size))[sub]
-        out[0, 0] = 1.0
+        out = _kron_power("q", n)
+        out *= weights
+        out[0, 1:] = 0.0
         return out
+    F, G = _subset_masks(n)
     if kind == "cred":
         return np.bitwise_count((F & G).astype(np.uint32)).astype(np.float64)
     if kind == "card_inv":
@@ -116,9 +138,7 @@ def disjunctive_matrix(m: MassFunction) -> np.ndarray:
     """
     n = m.frame.n
     mb = transform_matrix("b", n)
-    mb_inv = scipy.linalg.solve_triangular(
-        mb, np.eye(mb.shape[0]), lower=True, unit_diagonal=True
-    )
+    mb_inv = transform_matrix("b_inv", n)
     return mb_inv @ np.diag(b_from_mass(m).values) @ mb
 
 

@@ -7,7 +7,7 @@ import numpy as np
 from ..errors import DegenerateEmptyMass, ZeroPlausibility
 from .frame import popcounts, singleton_indices
 from .mass import BeliefVector, MassFunction
-from .transforms import pl_from_mass
+from .transforms import pl_from_mass, subset_sum, superset_sum
 
 _EMPTY_TOL = 1e-12
 
@@ -25,19 +25,14 @@ def betp(m: MassFunction) -> np.ndarray:
     pc = popcounts(n).astype(np.float64)
     shares = np.zeros(m.frame.size)
     shares[1:] = m.masses[1:] / (pc[1:] * (1.0 - empty))
-    idx = np.arange(m.frame.size)
-    out = np.empty(n)
-    for k in range(n):
-        out[k] = shares[(idx >> k & 1) == 1].sum()
-    return out
+    return superset_sum(shares)[singleton_indices(n)]
 
 
 def bet_m(m: MassFunction) -> BeliefVector:
     """Pignistic spread extended to every subset (additive over elements)."""
-    p = betp(m)
-    idx = np.arange(m.frame.size)
-    bits = (idx[:, None] >> np.arange(m.frame.n)[None, :]) & 1
-    return BeliefVector(m.frame, "BetM", bits.astype(np.float64) @ p)
+    on_singletons = np.zeros(m.frame.size)
+    on_singletons[singleton_indices(m.frame.n)] = betp(m)
+    return BeliefVector(m.frame, "BetM", subset_sum(on_singletons))
 
 
 def pl_p(m: MassFunction) -> np.ndarray:

@@ -21,48 +21,41 @@ def _nbits(size: int) -> int:
     return n
 
 
+def _sweep(values: np.ndarray, upward: bool, sign: int) -> np.ndarray:
+    """Add (sign +1) or subtract (sign -1) one half of every bit's pair into
+    the other: the bit-clear half into the bit-set half when ``upward``
+    (subset direction), the bit-set half into the bit-clear half otherwise.
+
+    Bit k of an index is the middle axis of the (-1, 2, 2^k) view, so each
+    pass is one in-place whole-array operation on two strided halves.
+    """
+    out = np.asarray(values, dtype=np.float64).copy()
+    op = np.add if sign > 0 else np.subtract
+    for k in range(_nbits(out.size)):
+        view = out.reshape(-1, 2, 1 << k)
+        src, dst = (view[:, 0], view[:, 1]) if upward else (view[:, 1], view[:, 0])
+        op(dst, src, out=dst)
+    return out
+
+
 def subset_sum(values: np.ndarray) -> np.ndarray:
     """out[F] = sum of values[G] over G contained in F (zeta transform)."""
-    out = np.asarray(values, dtype=np.float64).copy()
-    n = _nbits(out.size)
-    idx = np.arange(out.size)
-    for k in range(n):
-        hi = (idx >> k & 1) == 1
-        out[hi] += out[idx[hi] ^ (1 << k)]
-    return out
+    return _sweep(values, upward=True, sign=1)
 
 
 def subset_sum_inverse(values: np.ndarray) -> np.ndarray:
     """Inverse of :func:`subset_sum` (Moebius transform on subsets)."""
-    out = np.asarray(values, dtype=np.float64).copy()
-    n = _nbits(out.size)
-    idx = np.arange(out.size)
-    for k in range(n):
-        hi = (idx >> k & 1) == 1
-        out[hi] -= out[idx[hi] ^ (1 << k)]
-    return out
+    return _sweep(values, upward=True, sign=-1)
 
 
 def superset_sum(values: np.ndarray) -> np.ndarray:
     """out[F] = sum of values[G] over G containing F."""
-    out = np.asarray(values, dtype=np.float64).copy()
-    n = _nbits(out.size)
-    idx = np.arange(out.size)
-    for k in range(n):
-        lo = (idx >> k & 1) == 0
-        out[lo] += out[idx[lo] | (1 << k)]
-    return out
+    return _sweep(values, upward=False, sign=1)
 
 
 def superset_sum_inverse(values: np.ndarray) -> np.ndarray:
     """Inverse of :func:`superset_sum` (alternating-sign superset sum)."""
-    out = np.asarray(values, dtype=np.float64).copy()
-    n = _nbits(out.size)
-    idx = np.arange(out.size)
-    for k in range(n):
-        lo = (idx >> k & 1) == 0
-        out[lo] -= out[idx[lo] | (1 << k)]
-    return out
+    return _sweep(values, upward=False, sign=-1)
 
 
 # --- belief / plausibility / commonality ------------------------------------

@@ -1,4 +1,4 @@
-"""Dense state vectors and bit-masked gate application.
+"""Dense state vectors and gate application on their tensor view.
 
 Basis-state index bit j corresponds to qubit j (qubit 0 is the least
 significant bit), so an n-qubit register prepared from an n-element
@@ -84,18 +84,23 @@ class StateVector:
 
     # --- gate application ---
 
-    def _control_masks(self, controls: ControlSpec, busy: set[int]) -> tuple[int, int]:
-        cmask = 0
-        cval = 0
+    def _control_index(self, controls: ControlSpec, targets: tuple[int, ...]) -> list[slice]:
+        """Index into the (2,)*k view selecting the control-matching block.
+
+        Qubit q is axis k - 1 - q; a control keeps its axis as a length-1
+        slice, so every axis number stays valid in the selected view.
+        """
+        index = [slice(None)] * self.k
+        seen = set(targets)
         for q, pol in controls:
             self._check_qubit(q)
-            if q in busy or (cmask >> q) & 1:
+            if q in seen:
                 raise IndexOverlap(f"qubit {q} used twice in one operation")
             if pol not in (0, 1):
                 raise ValidationError(f"control polarity must be 0 or 1, got {pol}")
-            cmask |= 1 << q
-            cval |= pol << q
-        return cmask, cval
+            seen.add(q)
+            index[self.k - 1 - q] = slice(pol, pol + 1)
+        return index
 
     def _check_qubit(self, q: int) -> None:
         if not 0 <= q < self.k:
@@ -131,41 +136,34 @@ class StateVector:
             self._check_qubit(q)
         if len(set(targets)) != len(targets):
             raise IndexOverlap(f"duplicate target qubits {targets}")
-        cmask, cval = self._control_masks(controls, set(targets))
-
-        idx = np.arange(self.amps.size)
-        tmask = 0
-        for q in targets:
-            tmask |= 1 << q
-        base = idx[((idx & cmask) == cval) & ((idx & tmask) == 0)]
+        index = self._control_index(controls, targets)
+        view = self.amps.reshape((2,) * self.k)
+        axes = [self.k - 1 - q for q in targets]
 
         if u.shape == (2, 2):
-            i0 = base
-            i1 = base | (1 << targets[0])
-            a0 = self.amps[i0]
-            a1 = self.amps[i1]
-            self.amps[i0] = u[0, 0] * a0 + u[0, 1] * a1
-            self.amps[i1] = u[1, 0] * a0 + u[1, 1] * a1
+            index[axes[0]] = slice(0, 1)
+            a0 = view[tuple(index)]
+            index[axes[0]] = slice(1, 2)
+            a1 = view[tuple(index)]
+            new0 = u[0, 0] * a0 + u[0, 1] * a1
+            a1[...] = u[1, 0] * a0 + u[1, 1] * a1
+            a0[...] = new0
             return self
 
-        offsets = np.zeros(u.shape[0], dtype=np.int64)
-        for local in range(u.shape[0]):
-            o = 0
-            for j, q in enumerate(targets):
-                if local >> j & 1:
-                    o |= 1 << q
-            offsets[local] = o
-        group = base[:, None] | offsets[None, :]
-        self.amps[group] = self.amps[group] @ u.T
+        # target j lands on axis -1 - j, so the trailing axes read as the
+        # unitary's local index with targets[0] as its lowest bit
+        moved = np.moveaxis(view[tuple(index)], axes, [-1 - j for j in range(len(axes))])
+        moved[...] = (moved.reshape(-1, u.shape[0]) @ u.T).reshape(moved.shape)
         return self
 
     # --- measurement ---
 
     def probability(self, qubit: int, outcome: int) -> float:
         self._check_qubit(qubit)
-        idx = np.arange(self.amps.size)
-        sel = ((idx >> qubit) & 1) == outcome
-        return float(np.sum(np.abs(self.amps[sel]) ** 2))
+        if outcome not in (0, 1):
+            raise ValidationError(f"outcome must be 0 or 1, got {outcome}")
+        kept = self.amps.reshape(-1, 2, 1 << qubit)[:, outcome]
+        return float(np.sum(np.abs(kept) ** 2))
 
     def postselect(self, qubit: int, outcome: int) -> tuple["StateVector", float]:
         """Project one qubit onto an outcome and renormalize, in place.
@@ -178,8 +176,7 @@ class StateVector:
             raise ImpossibleOutcome(
                 f"outcome {outcome} on qubit {qubit} has probability {p:.3g}"
             )
-        idx = np.arange(self.amps.size)
-        self.amps[((idx >> qubit) & 1) != outcome] = 0.0
+        self.amps.reshape(-1, 2, 1 << qubit)[:, 1 - outcome] = 0.0
         self.amps /= np.sqrt(p)
         return self, p
 

@@ -59,15 +59,13 @@ class MEoBConfig:
 
     t: clock-register width (1..12).  t0: evolution time per unit
     eigenvalue; default 0.9 pi / max|lambda|.  C: rotation constant with
-    |C lambda| <= 1; default 0.99 / max|lambda|.  epsilon: advisory
-    eigenvalue-error target, recorded but not enforced.
+    |C lambda| <= 1; default 0.99 / max|lambda|.
     """
 
     t: int = 8
     t0: float | None = None
     C: float | None = None
     backend: str = "oracle"
-    epsilon: float = 1e-2
 
     def __post_init__(self):
         if not 1 <= self.t <= 12:

@@ -71,21 +71,20 @@ def belief_functions_qc(m: MassFunction, kind: str, config: MEoBConfig) -> State
     return state
 
 
-def ccr_qc(m1: MassFunction, m2: MassFunction, config: MEoBConfig) -> MassFunction:
-    """Conjunctive combination by matrix evolution.
-
-    Chain diag(sqrt(m1)) -> q-transform -> diag(q2) -> inverse q-transform;
-    the surviving magnitudes are proportional to the combined masses,
-    whose true total is 1, so dividing by the measured sum recovers the
-    combination (possibly with conflict mass on the empty set).
-    """
+def _combination_chain(
+    m1: MassFunction, m2: MassFunction, kind: str, lattice, config: MEoBConfig
+) -> MassFunction:
+    """Chain diag(sqrt(m1)) -> M -> diag(lattice(m2)) -> M^-1 with M the
+    ``kind`` transform; the surviving magnitudes are proportional to the
+    combined masses, whose true total is 1, so dividing by the measured
+    sum recovers the combination."""
     require_same_frame(m1, m2)
     n = m1.frame.n
     mats = [
         transform_matrix("diag", n, np.sqrt(m1.masses)),
-        transform_matrix("q", n),
-        transform_matrix("diag", n, q_from_mass(m2).values),
-        transform_matrix("q_inv", n),
+        transform_matrix(kind, n),
+        transform_matrix("diag", n, lattice(m2).values),
+        transform_matrix(kind + "_inv", n),
     ]
     state, _ = _chain(m1, mats, config)
     mags = np.abs(state.amps)
@@ -93,22 +92,15 @@ def ccr_qc(m1: MassFunction, m2: MassFunction, config: MEoBConfig) -> MassFuncti
     return MassFunction(m1.frame, mags / mags.sum())
 
 
+def ccr_qc(m1: MassFunction, m2: MassFunction, config: MEoBConfig) -> MassFunction:
+    """Conjunctive combination by matrix evolution over the q-transform
+    (possibly with conflict mass on the empty set)."""
+    return _combination_chain(m1, m2, "q", q_from_mass, config)
+
+
 def dcr_qc(m1: MassFunction, m2: MassFunction, config: MEoBConfig) -> MassFunction:
     """Disjunctive combination by the mirrored chain over the b-transform."""
-    require_same_frame(m1, m2)
-    n = m1.frame.n
-    mb = transform_matrix("b", n)
-    mb_inv = np.linalg.inv(mb)
-    mats = [
-        transform_matrix("diag", n, np.sqrt(m1.masses)),
-        mb,
-        transform_matrix("diag", n, b_from_mass(m2).values),
-        mb_inv,
-    ]
-    state, _ = _chain(m1, mats, config)
-    mags = np.abs(state.amps)
-    mags[mags < 1e-9] = 0.0
-    return MassFunction(m1.frame, mags / mags.sum())
+    return _combination_chain(m1, m2, "b", b_from_mass, config)
 
 
 def dempster_qc(m1: MassFunction, m2: MassFunction, config: MEoBConfig) -> MassFunction:

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_bbas
+import qbelief
 from qbelief.cli import main
 from qbelief.dst import validate_bba
 from qbelief.documents import dump_bba_document
@@ -298,3 +303,21 @@ class TestDemo:
         assert "Pl(C) = 0.666667" in out
         assert "q(BC) = 0.444444" in out
         assert "{B,C}" in out
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(qbelief.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, qbelief.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"

@@ -79,6 +79,30 @@ class TestStructure:
                 expect = (-1.0) ** popcount(g & ~f & 7) if f & g == f else 0.0
                 assert mq_inv[f, g] == pytest.approx(expect, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_b_inverse_identity(self, n):
+        mb = transform_matrix("b", n)
+        mb_inv = transform_matrix("b_inv", n)
+        np.testing.assert_array_equal(mb @ mb_inv, np.eye(1 << n))
+        np.testing.assert_array_equal(mb_inv @ mb, np.eye(1 << n))
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_kronecker_kinds_match_set_definitions(self, n):
+        # bit for bit, including the sign of every zero
+        idx = np.arange(1 << n)
+        F, G = idx[:, None], idx[None, :]
+        sign = (-1.0) ** np.bitwise_count(F ^ G)
+        expect = {
+            "q": ((F & G) == F).astype(np.float64),
+            "q_inv": np.where((F & G) == F, sign, 0.0),
+            "b": ((F & G) == G).astype(np.float64),
+            "b_inv": np.where((F & G) == G, sign, 0.0),
+            "bel": (((F & G) == G) & (G != 0)).astype(np.float64),
+            "pl": ((F & G) != 0).astype(np.float64),
+        }
+        for kind, want in expect.items():
+            assert transform_matrix(kind, n).tobytes() == want.tobytes(), kind
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_jaccard_positive_semidefinite(self, n):
         eigs = np.linalg.eigvalsh(transform_matrix("jaccard", n))

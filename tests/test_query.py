@@ -3,9 +3,9 @@ import pytest
 
 from conftest import random_bbas
 from oracles import b_oracle, bel_oracle, pl_oracle, q_oracle
-from qbelief.dst import validate_bba
+from qbelief.dst import MassFunction, validate_bba
 from qbelief.errors import EmptyFocal
-from qbelief.quantum import BeliefQuery, belief_query_circuit, estimate_belief
+from qbelief.quantum import BeliefQuery, belief_query_circuit, encode_state, estimate_belief
 
 
 class TestCircuitShape:
@@ -92,3 +92,13 @@ class TestOracleAgreement:
     def test_empty_set_query_reads_conflict_mass(self, frame2):
         m = validate_bba(frame2, {(): 0.3, ("A",): 0.7})
         assert estimate_belief(m, BeliefQuery("b", 0)) == pytest.approx(0.3, abs=1e-10)
+
+
+class TestNegativeDust:
+    def test_tolerated_negative_mass_gives_finite_amplitudes(self, frame2):
+        # -1e-10 is within the ingestion tolerance; sqrt of it was NaN
+        m = MassFunction(frame2, np.array([0.0, 0.5, 0.5 + 1e-10, -1e-10]))
+        assert m.masses[3] == 0.0
+        assert m.masses[2] == 0.5 + 1e-10
+        assert np.all(np.isfinite(encode_state(m).amps))
+        assert np.isfinite(estimate_belief(m, BeliefQuery("pl", 1)))

@@ -7,6 +7,7 @@ from qbelief.errors import (
     IndexOverlap,
     NotUnitary,
     QubitCountMismatch,
+    ValidationError,
 )
 from qbelief.qsim import RY, SWAP, H, StateVector, X, new_state, product_state
 
@@ -14,6 +15,37 @@ from qbelief.qsim import RY, SWAP, H, StateVector, X, new_state, product_state
 def random_state(k, rng):
     amps = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
     return StateVector(k, amps / np.linalg.norm(amps))
+
+
+def controlled_operator(k, u, targets, controls):
+    """Dense 2^k matrix of u on ``targets`` (targets[j] = bit j of u's index),
+    applied where every (qubit, polarity) control matches, built column by column."""
+    big = np.zeros((1 << k, 1 << k), dtype=complex)
+    tmask = sum(1 << t for t in targets)
+    for col in range(1 << k):
+        if any((col >> q & 1) != pol for q, pol in controls):
+            big[col, col] = 1.0
+            continue
+        local = sum((col >> t & 1) << j for j, t in enumerate(targets))
+        for local2 in range(u.shape[0]):
+            row = (col & ~tmask) | sum((local2 >> j & 1) << t for j, t in enumerate(targets))
+            big[row, col] = u[local2, local]
+    return big
+
+
+# the first three ids are the original closed-control case; the rest vary
+# target order, control polarity and controls on both sides of the targets
+CONTROLLED_TWO_QUBIT_CASES = [pytest.param(k, [0, 2], [(3, 1)], id=str(k)) for k in (4, 5, 6)] + [
+    pytest.param(k, targets, controls, id=f"{k}-{name}")
+    for k in (4, 5, 6)
+    for name, targets, controls in [
+        ("t20", [2, 0], [(3, 1)]),
+        ("t02-open", [0, 2], [(3, 0)]),
+        ("t20-open", [2, 0], [(3, 0)]),
+        ("t12-below-above", [1, 2], [(0, 1), (3, 0)]),
+        ("t21-above-below", [2, 1], [(3, 1), (0, 0)]),
+    ]
+]
 
 
 class TestNewState:
@@ -91,32 +123,29 @@ class TestDenseUnitaries:
         with pytest.raises(QubitCountMismatch):
             new_state(2, 0).apply_dense_unitary(np.eye(4), [0])
 
-    @pytest.mark.parametrize("k", [4, 5, 6])
-    def test_controlled_dense_equals_explicit_operator(self, k, rng):
+    @pytest.mark.parametrize("k, targets, controls", CONTROLLED_TWO_QUBIT_CASES)
+    def test_controlled_dense_equals_explicit_operator(self, k, targets, controls, rng):
         # controlled application vs the dense 2^k controlled matrix
         for _ in range(10):
             s1 = random_state(k, rng)
             s2 = s1.copy()
             u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
-            targets, ctrl = [0, 2], 3
-            s1.apply_dense_unitary(u, targets, [(ctrl, 1)])
+            s1.apply_dense_unitary(u, targets, controls)
+            expect = controlled_operator(k, u, targets, controls) @ s2.amps
+            np.testing.assert_allclose(s1.amps, expect, atol=1e-10)
 
-            # build the full controlled operator column by column
-            big = np.zeros((1 << k, 1 << k), dtype=complex)
-            for col in range(1 << k):
-                if col >> ctrl & 1:
-                    local = (col >> targets[0] & 1) | ((col >> targets[1] & 1) << 1)
-                    base = col & ~(1 << targets[0]) & ~(1 << targets[1])
-                    for local2 in range(4):
-                        row = base
-                        if local2 & 1:
-                            row |= 1 << targets[0]
-                        if local2 >> 1 & 1:
-                            row |= 1 << targets[1]
-                        big[row, col] = u[local2, local]
-                else:
-                    big[col, col] = 1.0
-            expect = big @ s2.amps
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    @pytest.mark.parametrize(
+        "target, controls",
+        [(2, [(0, 0), (3, 1)]), (1, [(3, 0), (0, 1)]), (2, [(0, 1), (1, 0), (3, 0)])],
+    )
+    def test_controlled_gate_equals_explicit_operator(self, k, target, controls, rng):
+        for _ in range(10):
+            s1 = random_state(k, rng)
+            s2 = s1.copy()
+            gate = RY(float(rng.uniform(0, 2 * np.pi)))
+            s1.apply(gate, target, controls)
+            expect = controlled_operator(k, gate.matrix(), [target], controls) @ s2.amps
             np.testing.assert_allclose(s1.amps, expect, atol=1e-10)
 
 
@@ -140,6 +169,13 @@ class TestPostselect:
     def test_impossible(self):
         with pytest.raises(ImpossibleOutcome):
             new_state(1, 0).postselect(0, 1)
+
+    @pytest.mark.parametrize("outcome", [-1, 2])
+    def test_outcome_must_be_a_bit(self, outcome):
+        with pytest.raises(ValidationError):
+            new_state(2, 0).probability(1, outcome)
+        with pytest.raises(ValidationError):
+            new_state(2, 0).postselect(1, outcome)
 
     def test_bell_state(self):
         s = new_state(2, 0).apply(H(), 0).apply(X(), 1, [(0, 1)])
