@@ -18,7 +18,7 @@ import numpy as np
 
 from .dst.frame import Frame
 from .dst.mass import MassFunction, validate_bba
-from .errors import ValidationError
+from .errors import DuplicateFocalSet, ValidationError
 
 RESULT_SCHEMA = "qbelief/result-v1"
 
@@ -62,8 +62,6 @@ def parse_bba_document(doc: dict) -> MassFunction:
             raise ValidationError('each mass entry needs "focal" and "mass"')
         idx = frame.index_of(entry["focal"])
         if idx in focal_masses:
-            from .errors import DuplicateFocalSet
-
             raise DuplicateFocalSet(f"subset {frame.format_subset(idx)} listed twice")
         focal_masses[idx] = float(entry["mass"])
     return validate_bba(frame, focal_masses)

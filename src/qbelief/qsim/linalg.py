@@ -14,18 +14,22 @@ def hermiticity_defect(h: np.ndarray) -> float:
     return float(np.abs(h - h.conj().T).max())
 
 
-def matrix_exponential(h: np.ndarray, t: float) -> np.ndarray:
+def matrix_exponential(h: np.ndarray, t: float | np.ndarray) -> np.ndarray:
     """exp(i h t) for Hermitian h, via eigendecomposition.
 
-    Diagonalizing once keeps repeated powers exp(i h t 2^j) free of the
-    error accumulation a squared-product scheme would introduce.
+    A scalar t gives one d x d matrix; a 1-D array of times gives one
+    matrix per time, stacked along a leading axis, from a single
+    diagonalization.  Diagonalizing once keeps repeated powers
+    exp(i h t 2^j) free of the error accumulation a squared-product
+    scheme would introduce.
     """
     h = np.asarray(h, dtype=np.complex128)
     defect = hermiticity_defect(h)
     if defect > _HERMITIAN_TOL:
         raise NotHermitian(f"matrix deviates from Hermiticity by {defect:.3g}")
     evals, evecs = np.linalg.eigh(h)
-    return (evecs * np.exp(1j * evals * t)) @ evecs.conj().T
+    phases = np.exp(1j * np.multiply.outer(t, evals))
+    return (evecs * phases[..., None, :]) @ evecs.conj().T
 
 
 __all__ = ["matrix_exponential", "hermiticity_defect"]

@@ -9,16 +9,17 @@ absorbed into the success probability).
 
 Two interchangeable backends:
 
-- ``oracle``: exact linear algebra on the amplitudes, with the success
-  probability evaluated from the spectrum.  This isolates pipeline
-  correctness from discretization.
+- ``oracle``: computes A psi directly, with success probability
+  C^2 ||A psi||^2, which is what ideal phase estimation postselects.
+  This isolates pipeline correctness from discretization.
 - ``circuit``: the full register-level simulation (Hadamards, controlled
   evolution powers, inverse Fourier transform, clock-conditioned
   rotations, uncomputation, postselection).
 
-Non-Hermitian matrices are evolved through the block embedding
-[[0, A^T], [A, 0]] with the input padded as [psi; 0]; the result then
-sits in the embedding-bit-1 half and is postselected out.
+Both backends take the spectral radius as A's spectral norm.  Only the
+circuit backend embeds: it evolves a non-Hermitian matrix through the
+block embedding [[0, A^dagger], [A, 0]] with the input widened as
+[psi; 0], and postselects the embedding bit to 1, where the result sits.
 
 Eigenvalue decoding is two's-complement: clock values below 2^{t-1} are
 positive phases, the rest negative, which covers the +/- singular-value
@@ -42,9 +43,9 @@ from ..errors import (
 )
 from ..qsim.circuit import Circuit
 from ..qsim.gates import RY, H
-from ..qsim.linalg import hermiticity_defect
+from ..qsim.linalg import hermiticity_defect, matrix_exponential
 from ..qsim.qft import qft_circuit
-from ..qsim.state import StateVector
+from ..qsim.state import StateVector, new_state, product_state
 from .prepare import encode_state
 
 _HERMITIAN_TOL = 1e-10
@@ -76,9 +77,8 @@ class MEoBConfig:
 
 @dataclass(frozen=True)
 class HermitianEmbedding:
-    """A matrix together with its Hermitian block embedding, if one was needed."""
+    """The Hermitian matrix the circuit evolves, and whether it is a block embedding."""
 
-    original: np.ndarray
     embedded: np.ndarray
     was_embedded: bool
 
@@ -95,26 +95,18 @@ def hermitian_embed(matrix: np.ndarray) -> HermitianEmbedding:
     if d & (d - 1) or d == 0:
         raise BadDimension(f"dimension {d} is not a power of two")
     if hermiticity_defect(a) <= _HERMITIAN_TOL:
-        return HermitianEmbedding(a, a, False)
+        return HermitianEmbedding(a, False)
     zero = np.zeros((d, d), dtype=np.complex128)
     embedded = np.block([[zero, a.conj().T], [a, zero]])
-    return HermitianEmbedding(a, embedded, True)
+    return HermitianEmbedding(embedded, True)
 
 
-def _spectral_setup(matrix: np.ndarray, config: MEoBConfig):
-    """Embedding, optional spectrum, and the t0 / C constants.
+def _evolution_constants(lam_max: float, config: MEoBConfig) -> tuple[float, float]:
+    """The t0 / C constants for a spectral radius ``lam_max``.
 
-    The embedded spectrum is the +/- singular values of the original, so
-    max|lambda| equals the original's spectral norm; the oracle backend
-    gets away without the full eigendecomposition.
+    A block embedding's spectrum is the +/- singular values of A, so
+    both backends take ``lam_max`` as A's spectral norm.
     """
-    emb = hermitian_embed(matrix)
-    if config.backend == "circuit":
-        evals, evecs = np.linalg.eigh(emb.embedded)
-        lam_max = float(np.abs(evals).max())
-    else:
-        evals = evecs = None
-        lam_max = float(np.linalg.norm(emb.original, 2))
     if lam_max == 0.0:
         raise SingularMatrix("zero matrix cannot be evolved")
     t0 = config.t0 if config.t0 is not None else 0.9 * np.pi / lam_max
@@ -125,18 +117,7 @@ def _spectral_setup(matrix: np.ndarray, config: MEoBConfig):
         )
     if c * lam_max > 1.0 + 1e-12:
         raise ValidationError(f"C * max|lambda| = {c * lam_max:.4g} exceeds 1")
-    return emb, evals, evecs, t0, c
-
-
-def _pad_input(state: StateVector, emb: HermitianEmbedding) -> np.ndarray:
-    d = emb.original.shape[0]
-    if state.amps.size != d:
-        raise BadDimension(
-            f"state dimension {state.amps.size} does not match matrix dimension {d}"
-        )
-    if not emb.was_embedded:
-        return state.amps.copy()
-    return np.concatenate([state.amps, np.zeros(d, dtype=np.complex128)])
+    return t0, c
 
 
 def meob_apply(
@@ -148,12 +129,14 @@ def meob_apply(
     pipeline performs; for the oracle backend it equals
     sum_j beta_j^2 C^2 lambda_j^2 = C^2 ||A psi||^2 exactly.
     """
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    emb, evals, evecs, t0, c = _spectral_setup(matrix, config)
-    padded = _pad_input(state, emb)
+    a = np.asarray(matrix, dtype=np.complex128)
+    d = state.amps.size
+    if a.shape != (d, d):
+        raise BadDimension(f"matrix shape {a.shape} does not match state dimension {d}")
+    t0, c = _evolution_constants(float(np.linalg.norm(a, 2)), config)
 
     if config.backend == "oracle":
-        out = emb.embedded @ padded
+        out = a @ state.amps
         success = float(c * c * np.real(np.vdot(out, out)))
         if success < _MIN_SUCCESS:
             raise PostselectionFailed(
@@ -161,18 +144,8 @@ def meob_apply(
             )
         out = out / np.linalg.norm(out)
     else:
-        out, success = _run_circuit(emb.embedded, padded, evals, evecs, t0, c, config.t)
-
-    if emb.was_embedded:
-        d = emb.original.shape[0]
-        bot = out[d:]
-        p_half = float(np.real(np.vdot(bot, bot)))
-        if p_half < _MIN_SUCCESS:
-            raise PostselectionFailed("no amplitude in the embedded output half")
-        out = bot / np.sqrt(p_half)
-        success *= p_half
-    n_out = int(out.size).bit_length() - 1
-    return StateVector(n_out, out), success
+        out, success = _run_circuit(a, state.amps, t0, c, config.t)
+    return StateVector(state.k, out), success
 
 
 def meob(matrix: np.ndarray, m, config: MEoBConfig) -> tuple[StateVector, float]:
@@ -194,38 +167,32 @@ def decode_eigenvalue(clock_value: int, t: int, t0: float) -> float:
 
 
 def _run_circuit(
-    h_eff: np.ndarray,
-    padded: np.ndarray,
-    evals: np.ndarray,
-    evecs: np.ndarray,
-    t0: float,
-    c: float,
-    t: int,
+    a: np.ndarray, psi: np.ndarray, t0: float, c: float, t: int
 ) -> tuple[np.ndarray, float]:
     """Full register-level simulation of the evolution pipeline.
 
-    Register layout, low bits first: input (s qubits), clock (t qubits,
-    clock qubit j = bit j of the readout), rotation ancilla.  The clock
-    is postselected back to |0> after uncomputation so the returned
-    output is a pure state on the input register; with exactly
-    representable eigenphases that projection is lossless.
+    Register layout, low bits first: evolved register (s qubits: the n
+    input qubits, plus the embedding bit s - 1 when A is not Hermitian),
+    clock (t qubits, clock qubit j = bit j of the readout), rotation
+    ancilla.  The clock is postselected back to |0> after uncomputation
+    and the embedding bit to |1>, so the returned output is a pure state
+    on the input register; with exactly representable eigenphases the
+    clock projection is lossless.
     """
-    s = int(h_eff.shape[0]).bit_length() - 1
+    emb = hermitian_embed(a)
+    h = emb.embedded
+    n = int(psi.size).bit_length() - 1
+    s = int(h.shape[0]).bit_length() - 1
     k = s + t + 1
     anc = s + t
-
-    amps = np.zeros(1 << k, dtype=np.complex128)
-    amps[: 1 << s] = padded
-    state = StateVector(k, amps)
+    state = product_state([StateVector(n, psi), new_state(k - n)])
 
     circ = Circuit(k)
     for j in range(t):
         circ.append(H(), s + j)
-    powers = []
+    powers = matrix_exponential(h, t0 * 2.0 ** np.arange(t))
     for j in range(t):
-        u = (evecs * np.exp(1j * evals * t0 * (1 << j))) @ evecs.conj().T
-        powers.append(u)
-        circ.append_unitary(u, list(range(s)), [(s + j, 1)], label=f"evo^{1 << j}")
+        circ.append_unitary(powers[j], list(range(s)), [(s + j, 1)], label=f"evo^{1 << j}")
     circ.append_circuit(qft_circuit(t).inverse(), [s + j for j in range(t)])
 
     for kv in range(1 << t):
@@ -244,17 +211,18 @@ def _run_circuit(
 
     circ.run(state)
 
+    fixed = {anc: 1, **{s + j: 0 for j in range(t)}}
+    if emb.was_embedded:
+        fixed[s - 1] = 1
+    success = 1.0
     try:
-        state, p_anc = state.postselect(anc, 1)
-        success = p_anc
-        for j in range(t):
-            state, p_clk = state.postselect(s + j, 0)
-            success *= p_clk
+        for q, v in fixed.items():
+            state, p = state.postselect(q, v)
+            success *= p
     except ImpossibleOutcome as exc:
         raise PostselectionFailed(str(exc)) from exc
 
-    fixed = {anc: 1, **{s + j: 0 for j in range(t)}}
-    out = state.extract_register(list(range(s)), fixed)
+    out = state.extract_register(list(range(n)), fixed)
     return out.amps, success
 
 

@@ -18,13 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..dst.mass import MassFunction
 from ..errors import EmptyFocal, IndexOutOfRange, ValidationError
 from ..qsim.circuit import Circuit
 from ..qsim.gates import X
-from ..qsim.state import StateVector
+from ..qsim.state import StateVector, new_state, product_state
 from .prepare import prepare_bba_state
 
 KINDS = ("bel", "pl", "q", "b")
@@ -69,12 +67,8 @@ def belief_query_circuit(query: BeliefQuery, n: int) -> Circuit:
 
 def _queried_state(m: MassFunction, query: BeliefQuery) -> StateVector:
     """Prepared register widened by the |0> ancilla, query applied."""
-    n = m.frame.n
-    prepared = prepare_bba_state(m)
-    widened = np.zeros(1 << (n + 1), dtype=np.complex128)
-    widened[: 1 << n] = prepared.amps
-    full = StateVector(n + 1, widened)
-    return belief_query_circuit(query, n).run(full)
+    full = product_state([prepare_bba_state(m), new_state(1)])
+    return belief_query_circuit(query, m.frame.n).run(full)
 
 
 def estimate_belief(

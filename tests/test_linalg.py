@@ -34,3 +34,15 @@ class TestMatrixExponential:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             matrix_exponential(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+
+    def test_array_of_times_matches_scalar_calls(self, rng):
+        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        h = a + a.conj().T
+        times = 0.3 * 2.0 ** np.arange(6)
+        batched = matrix_exponential(h, times)
+        stacked = np.stack([matrix_exponential(h, t) for t in times])
+        assert batched.shape == (6, 8, 8)
+        assert batched.tobytes() == stacked.tobytes()
+
+    def test_scalar_time_gives_one_matrix(self):
+        assert matrix_exponential(np.eye(4), 0.5).shape == (4, 4)

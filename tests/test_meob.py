@@ -139,6 +139,12 @@ class TestConfigGuards:
         with pytest.raises(ValidationError):
             meob(np.eye(4), m, MEoBConfig(backend="oracle", C=1.5))
 
+    @pytest.mark.parametrize("backend", ["oracle", "circuit"])
+    @pytest.mark.parametrize("shape", [(8, 8), (4, 2)])
+    def test_meob_apply_rejects_mismatched_matrix(self, backend, shape):
+        with pytest.raises(BadDimension):
+            meob_apply(np.ones(shape), StateVector(2), MEoBConfig(backend=backend, t=3))
+
 
 class TestEigenvalueDecoding:
     def test_positive_and_twos_complement(self):
@@ -228,3 +234,17 @@ class TestOracleCircuitAgreement:
                 out_o, p_o = meob(matrix, m, MEoBConfig(backend="oracle", **cfg_kw))
                 assert fidelity(out_c, out_o) >= 1.0 - 1e-6
                 assert p_c == pytest.approx(p_o, rel=1e-6)
+
+    def test_non_hermitian_embedded_success_matches_oracle(self, rng):
+        # the embedded circuit's success equals the oracle's C^2 ||A psi||^2:
+        # singular values 1/2 and 1/4 put the embedding's +/- spectrum on
+        # exact 4-bit clock readouts at t0 = pi
+        u, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+        v, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+        a = (u * [0.5, 0.25]) @ v.T
+        psi = normalized(rng.normal(size=2))
+        cfg_kw = dict(t0=np.pi, C=0.99 / 0.5)
+        out_c, p_c = meob_apply(a, StateVector(1, psi), MEoBConfig(backend="circuit", t=4, **cfg_kw))
+        out_o, p_o = meob_apply(a, StateVector(1, psi), MEoBConfig(backend="oracle", **cfg_kw))
+        assert fidelity(out_c, out_o) >= 1.0 - 1e-9
+        assert p_c == pytest.approx(p_o, abs=1e-12)
