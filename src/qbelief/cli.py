@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import click
@@ -25,6 +24,7 @@ from .documents import (
     load_bba_document,
     result_document,
 )
+from .dst.mass import demo_mass_function, trend_mass_functions
 from .errors import ComputationError, QBeliefError, ValidationError
 from .qasm import circuit_to_json, circuit_to_qasm
 from .quantum import MEoBConfig
@@ -272,10 +272,10 @@ def prepare(emit_kind, shots, seed, out, timing: bool, path: str) -> None:
     """
     started = time.perf_counter()
     m = load_bba_document(path)
-    circuit = synthesize_preparation_circuit(build_preparation_tree(m))
     if emit_kind is not None:
         if shots is not None and out is None:
             raise ValidationError("--emit plus --shots needs --out for the circuit file")
+        circuit = synthesize_preparation_circuit(build_preparation_tree(m))
         text = circuit_to_qasm(circuit) if emit_kind == "qasm" else circuit_to_json(circuit)
         if out:
             Path(out).write_text(text, encoding="utf-8")
@@ -370,48 +370,6 @@ def trend_fb(out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
     else:
         click.echo(text, nl=False)
-
-
-# --- fixtures shared with the test suite -------------------------------------
-
-
-def demo_mass_function() -> dst.MassFunction:
-    """The three-element showcase assignment used by the demo command."""
-    frame = dst.Frame(["A", "B", "C"])
-    ninth = Fraction(1, 9)
-    masses = {
-        ("A",): Fraction(1, 18),
-        ("B",): Fraction(1, 6),
-        ("C",): Fraction(1, 6),
-        ("A", "B"): ninth,
-        ("A", "C"): Fraction(1, 18),
-        ("B", "C"): 2 * ninth,
-        ("A", "B", "C"): 2 * ninth,
-    }
-    return dst.validate_bba(frame, {k: float(v) for k, v in masses.items()})
-
-
-def trend_mass_functions() -> tuple[dst.Frame, list[tuple[str, dst.MassFunction]], dst.MassFunction]:
-    """Ten-element trend fixtures: nested variable focal set vs a fixed
-    certainty on the first five elements."""
-    labels = [f"t{i}" for i in range(1, 11)]
-    frame = dst.Frame(labels)
-    fixed = dst.validate_bba(frame, {tuple(labels[:5]): 1.0})
-    variants = []
-    for k in range(1, 11):
-        # masses accumulate when the moving set reaches the whole frame
-        focal_masses: dict[int, float] = {}
-        for focal, mass in [
-            (tuple(labels[:k]), 0.8),
-            (("t7",), 0.05),
-            (("t2", "t3", "t4"), 0.05),
-            (tuple(labels), 0.1),
-        ]:
-            idx = frame.index_of(focal)
-            focal_masses[idx] = focal_masses.get(idx, 0.0) + mass
-        moving = dst.validate_bba(frame, focal_masses)
-        variants.append(("+".join(labels[:k]), moving))
-    return frame, variants, fixed
 
 
 def trend_rows() -> list[tuple[str, tuple[float, float, float, float, float]]]:

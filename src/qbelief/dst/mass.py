@@ -9,6 +9,7 @@ Sparse focal-set maps are accepted only at the ingestion boundary
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -180,6 +181,45 @@ def random_mass_function(
     return MassFunction(frame, dense)
 
 
+def demo_mass_function() -> MassFunction:
+    """The three-element showcase assignment used by the demo command."""
+    frame = Frame(["A", "B", "C"])
+    ninth = Fraction(1, 9)
+    masses = {
+        ("A",): Fraction(1, 18),
+        ("B",): Fraction(1, 6),
+        ("C",): Fraction(1, 6),
+        ("A", "B"): ninth,
+        ("A", "C"): Fraction(1, 18),
+        ("B", "C"): 2 * ninth,
+        ("A", "B", "C"): 2 * ninth,
+    }
+    return validate_bba(frame, {k: float(v) for k, v in masses.items()})
+
+
+def trend_mass_functions() -> tuple[Frame, list[tuple[str, MassFunction]], MassFunction]:
+    """Ten-element trend fixtures: nested variable focal set vs a fixed
+    certainty on the first five elements."""
+    labels = [f"t{i}" for i in range(1, 11)]
+    frame = Frame(labels)
+    fixed = validate_bba(frame, {tuple(labels[:5]): 1.0})
+    variants = []
+    for k in range(1, 11):
+        # masses accumulate when the moving set reaches the whole frame
+        focal_masses: dict[int, float] = {}
+        for focal, mass in [
+            (tuple(labels[:k]), 0.8),
+            (("t7",), 0.05),
+            (("t2", "t3", "t4"), 0.05),
+            (tuple(labels), 0.1),
+        ]:
+            idx = frame.index_of(focal)
+            focal_masses[idx] = focal_masses.get(idx, 0.0) + mass
+        moving = validate_bba(frame, focal_masses)
+        variants.append(("+".join(labels[:k]), moving))
+    return frame, variants, fixed
+
+
 __all__ = [
     "MASS_SUM_TOL",
     "MassFunction",
@@ -187,6 +227,8 @@ __all__ = [
     "validate_bba",
     "require_same_frame",
     "random_mass_function",
+    "demo_mass_function",
+    "trend_mass_functions",
     "popcounts",
     "singleton_indices",
 ]

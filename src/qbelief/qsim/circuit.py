@@ -7,7 +7,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..errors import IndexOutOfRange, IndexOverlap
+from ..errors import IndexOutOfRange, IndexOverlap, ValidationError
 from .gates import Gate
 from .state import StateVector, new_state
 
@@ -72,6 +72,9 @@ class Circuit:
                 raise IndexOutOfRange(f"qubit {q} out of range for k={self.k}")
         if len(set(used)) != len(used):
             raise IndexOverlap(f"overlapping qubits in {targets} / {controls}")
+        for q, pol in controls:
+            if pol not in (0, 1):
+                raise ValidationError(f"control polarity must be 0 or 1, got {pol} on qubit {q}")
 
     # --- metadata ---
 

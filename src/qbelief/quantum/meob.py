@@ -12,9 +12,12 @@ Two interchangeable backends:
 - ``oracle``: computes A psi directly, with success probability
   C^2 ||A psi||^2, which is what ideal phase estimation postselects.
   This isolates pipeline correctness from discretization.
-- ``circuit``: the full register-level simulation (Hadamards, controlled
-  evolution powers, inverse Fourier transform, clock-conditioned
-  rotations, uncomputation, postselection).
+- ``circuit``: the full register-level simulation.  A phase-estimation
+  circuit ``pe`` (Hadamards, controlled evolution powers, inverse
+  Fourier transform) writes the eigenphases into the clock; one
+  multiplexed RY on the ancilla applies all 2^t clock-conditioned
+  rotations in one pass; ``pe.inverse()`` uncomputes the clock; then
+  postselection.
 
 Both backends take the spectral radius as A's spectral norm.  Only the
 circuit backend embeds: it evolves a non-Hermitian matrix through the
@@ -42,7 +45,7 @@ from ..errors import (
     ValidationError,
 )
 from ..qsim.circuit import Circuit
-from ..qsim.gates import RY, H
+from ..qsim.gates import H
 from ..qsim.linalg import hermiticity_defect, matrix_exponential
 from ..qsim.qft import qft_circuit
 from ..qsim.state import StateVector, new_state, product_state
@@ -159,10 +162,13 @@ def meob(matrix: np.ndarray, m, config: MEoBConfig) -> tuple[StateVector, float]
     return meob_apply(matrix, encode_state(m), config)
 
 
-def decode_eigenvalue(clock_value: int, t: int, t0: float) -> float:
-    """Two's-complement phase decoding of a clock readout."""
+def decode_eigenvalue(clock_value, t: int, t0: float):
+    """Two's-complement phase decoding of a clock readout.
+
+    Takes an int (returns a float) or an int array (returns an array).
+    """
     size = 1 << t
-    k = clock_value if clock_value < size // 2 else clock_value - size
+    k = clock_value - size * (clock_value >= size // 2)
     return 2.0 * np.pi * k / (size * t0)
 
 
@@ -185,33 +191,27 @@ def _run_circuit(
     s = int(h.shape[0]).bit_length() - 1
     k = s + t + 1
     anc = s + t
+    clock = range(s, s + t)
     state = product_state([StateVector(n, psi), new_state(k - n)])
 
-    circ = Circuit(k)
-    for j in range(t):
-        circ.append(H(), s + j)
+    pe = Circuit(k)
+    for j in clock:
+        pe.append(H(), j)
     powers = matrix_exponential(h, t0 * 2.0 ** np.arange(t))
     for j in range(t):
-        circ.append_unitary(powers[j], list(range(s)), [(s + j, 1)], label=f"evo^{1 << j}")
-    circ.append_circuit(qft_circuit(t).inverse(), [s + j for j in range(t)])
+        pe.append_unitary(powers[j], list(range(s)), [(s + j, 1)], label=f"evo^{1 << j}")
+    pe.append_circuit(qft_circuit(t).inverse(), list(clock))
 
-    for kv in range(1 << t):
-        lam = decode_eigenvalue(kv, t, t0)
-        # far grid points can exceed the C window by design headroom; they
-        # carry (near-)zero amplitude, so saturating the rotation is safe
-        angle = 2.0 * np.arcsin(np.clip(c * lam, -1.0, 1.0))
-        controls = [(s + j, (kv >> j) & 1) for j in range(t)]
-        circ.append(RY(angle), anc, controls)
+    lam = decode_eigenvalue(np.arange(1 << t), t, t0)
+    # far grid points can exceed the C window by design headroom; they
+    # carry (near-)zero amplitude, so saturating the rotation is safe
+    angles = 2.0 * np.arcsin(np.clip(c * lam, -1.0, 1.0))
 
-    circ.append_circuit(qft_circuit(t), [s + j for j in range(t)])
-    for j in reversed(range(t)):
-        circ.append_unitary(powers[j].conj().T, list(range(s)), [(s + j, 1)])
-    for j in range(t):
-        circ.append(H(), s + j)
+    pe.run(state)
+    state.apply_multiplexed_ry(angles, anc, clock)
+    pe.inverse().run(state)
 
-    circ.run(state)
-
-    fixed = {anc: 1, **{s + j: 0 for j in range(t)}}
+    fixed = {anc: 1, **{j: 0 for j in clock}}
     if emb.was_embedded:
         fixed[s - 1] = 1
     success = 1.0

@@ -25,8 +25,8 @@ from ..errors import (
 )
 from ..qsim.state import StateVector
 from .meob import MEoBConfig, meob_apply
-from .prepare import encode_state
-from .query import BeliefQuery, estimate_belief
+from .prepare import encode_state, prepare_bba_state
+from .query import BeliefQuery, _estimate_prepared
 from .swap import swap_test
 
 
@@ -136,12 +136,14 @@ def ptm_qc(
     shots: int | None = None,
     seed: int | None = None,
 ) -> np.ndarray:
-    """Normalized singleton plausibilities from n extraction circuits."""
+    """Normalized singleton plausibilities from n extraction circuits, all
+    run on one prepared state."""
     n = m.frame.n
+    prepared = prepare_bba_state(m)
     values = np.empty(n)
     for j in range(n):
         shot_seed = None if seed is None else seed + 2 * j
-        values[j] = estimate_belief(m, BeliefQuery("pl", 1 << j), mode, shots, shot_seed)
+        values[j] = _estimate_prepared(prepared, BeliefQuery("pl", 1 << j), mode, shots, shot_seed)
     total = values.sum()
     if total <= 1e-12:
         raise ZeroPlausibility("every singleton has zero plausibility")

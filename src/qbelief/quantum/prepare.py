@@ -4,8 +4,11 @@ The target state puts amplitude +sqrt(m(F_i)) on basis state |i> with
 the focal-set bitmask as basis index.  A binary tree of mass sums drives
 one multi-controlled Y-rotation per node: level l (0-based from the
 root) splits on qubit n-1-l, the |0> branch is the "left" child, and
-leaf order therefore equals focal-index order.  The whole circuit uses
-exactly 2^n - 1 controlled rotations, 2^{l} of them at level l.
+leaf order therefore equals focal-index order.  The exported circuit
+keeps exactly 2^n - 1 native controlled rotations, 2^{l} of them at
+level l; the simulator applies each level as one multiplexed RY (one
+angle per control pattern) from the same angles, amplitude for
+amplitude the same arithmetic.
 """
 
 from __future__ import annotations
@@ -63,24 +66,27 @@ def build_preparation_tree(m: MassFunction) -> PreparationTree:
     return PreparationTree(n, tuple(values), tuple(angles))
 
 
-def synthesize_preparation_circuit(tree: PreparationTree) -> Circuit:
-    """One multi-controlled RY per tree node.
+def _ry_angles(tree: PreparationTree, level: int) -> np.ndarray:
+    """RY angle of every node at ``level``, indexed by path.
 
-    The rotation angle is chosen so that, starting from |0...0>, the
-    |0>/|1> split of qubit n-1-l reproduces the left/right mass ratio of
-    the node; controls pin the already-prepared higher qubits to the
-    node's path.  Empty subtrees still emit their (identity-angle) gates
-    so the gate count stays exactly 2^n - 1.
+    Starting from |0...0>, the |0>/|1> split of qubit n-1-level becomes
+    cos(a/2) / sin(a/2), reproducing each node's left/right mass ratio.
+    """
+    child = tree.values[level + 1]
+    return 2.0 * np.arctan2(np.sqrt(child[1::2]), np.sqrt(child[0::2]))
+
+
+def synthesize_preparation_circuit(tree: PreparationTree) -> Circuit:
+    """One multi-controlled RY per tree node, for export.
+
+    Controls pin the already-prepared higher qubits to the node's path.
+    Empty subtrees still emit their (identity-angle) gates so the gate
+    count stays exactly 2^n - 1.
     """
     n = tree.n
     circ = Circuit(n)
     for level in range(n):
-        child = tree.values[level + 1]
-        left = child[0::2]
-        right = child[1::2]
-        for path in range(1 << level):
-            # amplitude split: cos(a/2) on |0>, sin(a/2) on |1>
-            alpha = 2.0 * np.arctan2(np.sqrt(right[path]), np.sqrt(left[path]))
+        for path, alpha in enumerate(_ry_angles(tree, level)):
             controls = [
                 (n - 1 - j, (path >> (level - 1 - j)) & 1) for j in range(level)
             ]
@@ -89,9 +95,17 @@ def synthesize_preparation_circuit(tree: PreparationTree) -> Circuit:
 
 
 def prepare_bba_state(m: MassFunction) -> StateVector:
-    """Run the synthesized circuit; amplitudes come out as +sqrt(mass)."""
-    circ = synthesize_preparation_circuit(build_preparation_tree(m))
-    return circ.run(new_state(m.frame.n, 0))
+    """Apply the tree level by level; amplitudes come out as +sqrt(mass).
+
+    Level l is one multiplexed RY on qubit n-1-l, controlled by the
+    higher qubits n-l..n-1 whose pattern is the node's path.
+    """
+    tree = build_preparation_tree(m)
+    n = tree.n
+    state = new_state(n, 0)
+    for level in range(n):
+        state.apply_multiplexed_ry(_ry_angles(tree, level), n - 1 - level, range(n - level, n))
+    return state
 
 
 def encode_state(m: MassFunction) -> StateVector:

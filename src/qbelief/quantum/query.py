@@ -65,12 +65,6 @@ def belief_query_circuit(query: BeliefQuery, n: int) -> Circuit:
     return circ
 
 
-def _queried_state(m: MassFunction, query: BeliefQuery) -> StateVector:
-    """Prepared register widened by the |0> ancilla, query applied."""
-    full = product_state([prepare_bba_state(m), new_state(1)])
-    return belief_query_circuit(query, m.frame.n).run(full)
-
-
 def estimate_belief(
     m: MassFunction,
     query: BeliefQuery,
@@ -83,16 +77,29 @@ def estimate_belief(
     ``statevector`` mode reads the exact ancilla-1 probability; ``shots``
     mode samples the ancilla with a seeded generator and returns the
     count ratio.  A ``bel`` query runs the b-circuit and the empty-set
-    circuit and subtracts.
+    circuit on one prepared state and subtracts.
     """
+    return _estimate_prepared(prepare_bba_state(m), query, mode, shots, seed)
+
+
+def _estimate_prepared(
+    prepared: StateVector,
+    query: BeliefQuery,
+    mode: str,
+    shots: int | None,
+    seed: int | None,
+) -> float:
+    """:func:`estimate_belief` on an already-prepared register, which it
+    leaves unchanged (the query runs on a widened copy)."""
     if query.kind == "bel":
-        b_val = estimate_belief(m, BeliefQuery("b", query.focal), mode, shots, seed)
+        b_val = _estimate_prepared(prepared, BeliefQuery("b", query.focal), mode, shots, seed)
         seed2 = None if seed is None else seed + 1
-        empty = estimate_belief(m, BeliefQuery("b", 0), mode, shots, seed2)
+        empty = _estimate_prepared(prepared, BeliefQuery("b", 0), mode, shots, seed2)
         return b_val - empty
 
-    n = m.frame.n
-    full = _queried_state(m, query)
+    n = prepared.k
+    full = product_state([prepared, new_state(1)])
+    belief_query_circuit(query, n).run(full)
     if mode == "statevector":
         return full.probability(n, 1)
     if mode == "shots":

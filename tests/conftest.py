@@ -65,3 +65,21 @@ def random_bbas(count: int, n: int, seed: int, allow_empty: bool = False):
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def preparation_calls(monkeypatch) -> list:
+    """Records every prepare_bba_state call made through the quantum modules."""
+    from qbelief.quantum import pipelines, prepare, query
+
+    calls = []
+    original = prepare.prepare_bba_state
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    for module in (prepare, query, pipelines):
+        if hasattr(module, "prepare_bba_state"):
+            monkeypatch.setattr(module, "prepare_bba_state", counted)
+    return calls

@@ -154,6 +154,15 @@ class TestEigenvalueDecoding:
         assert decode_eigenvalue(15, t, t0) == pytest.approx(-2 * np.pi / 16)
         assert decode_eigenvalue(8, t, t0) == pytest.approx(-2 * np.pi * 8 / 16)
 
+    def test_int_array_matches_scalar_calls(self):
+        t, t0 = 5, 0.7
+        values = decode_eigenvalue(np.arange(1 << t), t, t0)
+        assert values.shape == (1 << t,)
+        for kv in range(1 << t):
+            scalar = decode_eigenvalue(kv, t, t0)
+            assert type(scalar) is float
+            assert values[kv] == scalar
+
 
 class TestCircuitBackend:
     def test_halving_diagonal_exact_at_three_clock_bits(self):

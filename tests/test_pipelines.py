@@ -16,11 +16,13 @@ from qbelief.dst import (
 )
 from qbelief.errors import DegenerateEmptyMass, TotalConflict
 from qbelief.quantum import (
+    BeliefQuery,
     MEoBConfig,
     belief_functions_qc,
     ccr_qc,
     dcr_qc,
     dempster_qc,
+    estimate_belief,
     evolve_mass,
     fb_inner_product_qc,
     ppt_qc,
@@ -194,6 +196,17 @@ class TestProbabilityPipelines:
         exact = pl_p(showcase)
         # normalization mixes the three estimates; 4 sigma of the raw read
         assert np.abs(est - exact).max() <= 4 * np.sqrt(0.25 / shots)
+
+    @pytest.mark.parametrize("mode, shots, seed", [("statevector", None, None), ("shots", 400, 3)])
+    def test_ptm_prepares_once(self, showcase, preparation_calls, mode, shots, seed):
+        est = ptm_qc(showcase, mode, shots, seed)
+        assert len(preparation_calls) == 1
+        seeds = [None] * 3 if seed is None else [seed + 2 * j for j in range(3)]
+        raw = [
+            estimate_belief(showcase, BeliefQuery("pl", 1 << j), mode, shots, seeds[j])
+            for j in range(3)
+        ]
+        np.testing.assert_array_equal(est, np.array(raw) / sum(raw))
 
 
 class TestSimilarityPipeline:

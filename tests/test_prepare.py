@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import make_frame, random_bbas
-from qbelief.dst import validate_bba
+from qbelief.dst import random_mass_function, validate_bba
+from qbelief.qsim import new_state
 from qbelief.quantum import (
     build_preparation_tree,
     prepare_bba_state,
@@ -107,3 +108,22 @@ class TestPreparedAmplitudes:
         assert circ.gate_count == 7
         state = circ.simulate(0)
         np.testing.assert_allclose(state.amps.real, np.sqrt(m.masses), atol=1e-12)
+
+
+class TestSimulatedEqualsExported:
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_prepared_state_is_the_synthesized_circuit_bytewise(self, n):
+        # the level-wise multiplexed path and the 2^n - 1 exported RYs are
+        # one construction, down to the last bit of every amplitude
+        frame = make_frame(n)
+        rng = np.random.default_rng(1200 + n)
+        masses = [
+            random_mass_function(frame, rng, allow_empty=True),
+            random_mass_function(frame, rng, max_focal=3),  # mostly empty subtrees
+            validate_bba(frame, {int(rng.integers(0, 1 << n)): 1.0}),
+            validate_bba(frame, {tuple(frame.elements): 1.0}),
+        ]
+        for m in masses:
+            circ = synthesize_preparation_circuit(build_preparation_tree(m))
+            expect = circ.run(new_state(n)).amps.tobytes()
+            assert prepare_bba_state(m).amps.tobytes() == expect

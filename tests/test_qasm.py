@@ -1,13 +1,15 @@
 """Decomposed-emission correctness: the flattened circuit must reproduce
 the native preparation exactly, and oversized registers must refuse."""
 
+import json
+
 import numpy as np
 import pytest
 
 from conftest import make_frame, random_bbas
 from qbelief.dst import validate_bba
-from qbelief.errors import TooManyControls
-from qbelief.qasm import circuit_to_qasm
+from qbelief.errors import TooManyControls, ValidationError
+from qbelief.qasm import circuit_from_json, circuit_to_qasm
 from qbelief.qsim import decompose_circuit
 from qbelief.quantum import build_preparation_tree, synthesize_preparation_circuit
 
@@ -44,3 +46,15 @@ class TestDecomposedPreparation:
         circ = synthesize_preparation_circuit(build_preparation_tree(m))
         with pytest.raises(TooManyControls):
             circuit_to_qasm(circ)
+
+
+class TestCircuitJSON:
+    def test_control_polarity_outside_bits_refused_on_load(self):
+        # polarity 2 used to load and export as a plain cx; only run refused it
+        doc = {
+            "schema": "qbelief/circuit-v1",
+            "qubits": 2,
+            "ops": [{"gate": "x", "params": [], "targets": [1], "controls": [[0, 2]]}],
+        }
+        with pytest.raises(ValidationError):
+            circuit_from_json(json.dumps(doc))

@@ -94,6 +94,17 @@ class TestOracleAgreement:
         assert estimate_belief(m, BeliefQuery("b", 0)) == pytest.approx(0.3, abs=1e-10)
 
 
+
+class TestPreparedOnce:
+    @pytest.mark.parametrize("mode, shots, seed", [("statevector", None, None), ("shots", 400, 5)])
+    def test_bel_query_prepares_once(self, showcase, preparation_calls, mode, shots, seed):
+        value = estimate_belief(showcase, BeliefQuery("bel", 0b011), mode, shots, seed)
+        assert len(preparation_calls) == 1
+        seed2 = None if seed is None else seed + 1
+        b_val = estimate_belief(showcase, BeliefQuery("b", 0b011), mode, shots, seed)
+        empty = estimate_belief(showcase, BeliefQuery("b", 0), mode, shots, seed2)
+        assert value == b_val - empty
+
 class TestNegativeDust:
     def test_tolerated_negative_mass_gives_finite_amplitudes(self, frame2):
         # -1e-10 is within the ingestion tolerance; sqrt of it was NaN

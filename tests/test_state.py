@@ -149,6 +149,48 @@ class TestDenseUnitaries:
             np.testing.assert_allclose(s1.amps, expect, atol=1e-10)
 
 
+
+# (k, target, controls): k = 1, c = 0..3, controls out of order and with
+# gaps, the target below, between and above them
+MULTIPLEXED_CASES = [
+    (1, 0, []),
+    (3, 1, []),
+    (3, 0, [2]),
+    (3, 2, [0]),
+    (4, 1, [3, 0]),
+    (5, 4, [0, 2]),
+    (5, 0, [4, 1, 3]),
+    (6, 3, [5, 0, 2]),
+    (6, 0, [1, 2, 3]),
+]
+
+
+class TestMultiplexedRY:
+    @pytest.mark.parametrize("k, target, controls", MULTIPLEXED_CASES)
+    def test_equals_one_controlled_ry_per_pattern(self, k, target, controls, rng):
+        for _ in range(5):
+            s1 = random_state(k, rng)
+            s2 = s1.copy()
+            angles = rng.uniform(-2 * np.pi, 2 * np.pi, size=1 << len(controls))
+            s1.apply_multiplexed_ry(angles, target, controls)
+            for p, angle in enumerate(angles):
+                pattern = [(q, p >> b & 1) for b, q in enumerate(controls)]
+                s2.apply(RY(float(angle)), target, pattern)
+            np.testing.assert_allclose(s1.amps, s2.amps, atol=1e-13)
+
+    def test_rejects_wrong_angle_count(self):
+        with pytest.raises(QubitCountMismatch):
+            new_state(3).apply_multiplexed_ry(np.zeros(2), 0, [1, 2])
+
+    def test_rejects_target_among_controls(self):
+        with pytest.raises(IndexOverlap):
+            new_state(3).apply_multiplexed_ry(np.zeros(4), 1, [1, 2])
+
+    @pytest.mark.parametrize("target, controls", [(3, [0]), (0, [1, 3]), (-1, [])])
+    def test_rejects_qubit_out_of_range(self, target, controls):
+        with pytest.raises(IndexOutOfRange):
+            new_state(3).apply_multiplexed_ry(np.zeros(1 << len(controls)), target, controls)
+
 class TestSwapGate:
     def test_swap_exchanges_bits(self):
         s = new_state(2, 0b01).apply(SWAP(), (0, 1))
