@@ -106,12 +106,7 @@ def transform(kind: str, backend: str, out: str | None, timing: bool, path: str)
             }[kind](m).values
         payload = {"subsets": labels, "values": values}
     else:
-        cfg = _meob_config(backend)
-        if kind in ("bel", "pl", "q"):
-            state = quantum.belief_functions_qc(m, kind, cfg)
-        else:
-            matrix = dst.transform_matrix("fractal" if kind == "fbba" else "bet", m.frame.n)
-            state, _ = quantum.evolve_mass(m, matrix, cfg)
+        state = quantum.belief_functions_qc(m, kind, _meob_config(backend))
         payload = {
             "subsets": labels,
             "values": np.abs(state.amps),

@@ -3,7 +3,7 @@
 from .circuit import Circuit, CircuitOp
 from .decompose import MAX_CONTROLS, decompose_circuit, decompose_multicontrolled
 from .gates import RY, RZ, SWAP, U3, Gate, H, X, gate_matrix
-from .linalg import hermiticity_defect, matrix_exponential
+from .linalg import hermiticity_defect, hermitian_eigh, matrix_exponential
 from .qft import inverse_qft_circuit, qft_circuit
 from .state import (
     ControlSpec,
@@ -31,6 +31,7 @@ __all__ = [
     "CircuitOp",
     "qft_circuit",
     "inverse_qft_circuit",
+    "hermitian_eigh",
     "matrix_exponential",
     "hermiticity_defect",
     "decompose_multicontrolled",

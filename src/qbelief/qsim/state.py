@@ -220,25 +220,35 @@ class StateVector:
                 f"outcome {outcome} on qubit {qubit} has probability {p:.3g}"
             )
         self.amps.reshape(-1, 2, 1 << qubit)[:, 1 - outcome] = 0.0
-        self.amps /= np.sqrt(p)
+        self.amps *= 1.0 / np.sqrt(p)
         return self, p
 
     def extract_register(self, qubits: Sequence[int], fixed: dict[int, int]) -> "StateVector":
         """Pull out the sub-state on ``qubits`` given every other qubit is
-        fixed to a basis value (after postselection)."""
+        fixed to a basis value (after postselection).
+
+        qubits[j] carries bit j of the sub-state's index; a qubit in
+        neither ``qubits`` nor ``fixed`` reads 0.
+        """
         qubits = list(qubits)
-        base = 0
-        for q, v in fixed.items():
-            base |= v << q
-        sub = np.zeros(1 << len(qubits), dtype=np.complex128)
-        for local in range(sub.size):
-            g = base
-            for j, q in enumerate(qubits):
-                if local >> j & 1:
-                    g |= 1 << q
-            sub[local] = self.amps[g]
+        for q in [*qubits, *fixed]:
+            self._check_qubit(q)
+        if len(set(qubits)) != len(qubits) or set(qubits) & set(fixed):
+            raise IndexOverlap(f"qubits {qubits} repeat or overlap fixed {sorted(fixed)}")
+        if any(v not in (0, 1) for v in fixed.values()):
+            raise ValidationError(f"fixed values must be 0 or 1, got {fixed}")
+        m = len(qubits)
+        # qubits[m-1] leads, so the first m axes read the local index
+        # row-major; the other axes keep their order, highest qubit first
+        view = np.moveaxis(
+            self.amps.reshape((2,) * self.k),
+            [self.k - 1 - q for q in reversed(qubits)],
+            range(m),
+        )
+        rest = sorted(set(range(self.k)) - set(qubits), reverse=True)
+        sub = view[(slice(None),) * m + tuple(fixed.get(q, 0) for q in rest)].reshape(-1)
         norm = np.linalg.norm(sub)
-        return StateVector(len(qubits), sub / norm)
+        return StateVector(m, sub / norm)
 
     def sample(self, shots: int, seed: int) -> MeasurementRecord:
         """Seeded inverse-CDF sampling of the basis-state distribution.

@@ -12,12 +12,17 @@ Two interchangeable backends:
 - ``oracle``: computes A psi directly, with success probability
   C^2 ||A psi||^2, which is what ideal phase estimation postselects.
   This isolates pipeline correctness from discretization.
-- ``circuit``: the full register-level simulation.  A phase-estimation
-  circuit ``pe`` (Hadamards, controlled evolution powers, inverse
-  Fourier transform) writes the eigenphases into the clock; one
-  multiplexed RY on the ancilla applies all 2^t clock-conditioned
-  rotations in one pass; ``pe.inverse()`` uncomputes the clock; then
-  postselection.
+- ``circuit``: the full register-level simulation, with each stage of
+  phase estimation applied as the exact operator it is on the
+  (ancilla, clock, system) view of the amplitudes (Cleve, Ekert,
+  Macchiavello and Mosca, quant-ph/9708016).  The clock Hadamard layer
+  is H on each clock qubit.  The t controlled powers of exp(i H t0)
+  together apply exp(i H t0 x) wherever the clock reads x; in the
+  eigenbasis of H, from one ``eigh``, that is the phase
+  exp(i t0 x lambda_j).  The inverse Fourier transform is an orthonormal
+  FFT along the clock axis.  One multiplexed RY on the ancilla applies
+  all 2^t clock-conditioned rotations; the same stages in reverse, with
+  conjugate phases, uncompute the clock; then postselection.
 
 Both backends take the spectral radius as A's spectral norm.  Only the
 circuit backend embeds: it evolves a non-Hermitian matrix through the
@@ -33,6 +38,7 @@ spectrum of embeddings.  The evolution time is capped so that
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,15 +46,13 @@ from ..errors import (
     BadDimension,
     ClockOverflow,
     ImpossibleOutcome,
+    NotUnitary,
     PostselectionFailed,
     SingularMatrix,
     ValidationError,
 )
-from ..qsim.circuit import Circuit
-from ..qsim.gates import H
-from ..qsim.linalg import hermiticity_defect, matrix_exponential
-from ..qsim.qft import qft_circuit
-from ..qsim.state import StateVector, new_state, product_state
+from ..qsim.linalg import hermiticity_defect, hermitian_eigh
+from ..qsim.state import StateVector
 from .prepare import encode_state
 
 _HERMITIAN_TOL = 1e-10
@@ -172,6 +176,32 @@ def decode_eigenvalue(clock_value, t: int, t0: float):
     return 2.0 * np.pi * k / (size * t0)
 
 
+@lru_cache(maxsize=None)
+def _sylvester(m: int) -> np.ndarray:
+    """H^{(x) m} as a real 2^m x 2^m matrix (m <= 6)."""
+    w = np.ones((1, 1))
+    for _ in range(m):
+        w = np.kron(w, [[1.0, 1.0], [1.0, -1.0]])
+    w /= np.sqrt(2.0) ** m
+    w.flags.writeable = False
+    return w
+
+
+def _hadamard_clock(view: np.ndarray) -> None:
+    """H on every clock qubit of the (2, 2^t, d) amplitude view, in place.
+
+    H^{(x) t} = H^{(x) a} (x) H^{(x) t-a} with a = t // 2 acts on the high
+    and the low clock bits in turn, as two real matmuls on the float view
+    of the amplitudes (H is real); each factor is at most 64 x 64.
+    """
+    size = view.shape[1]
+    t = size.bit_length() - 1
+    a = t // 2
+    f = view.view(np.float64)
+    high = np.matmul(_sylvester(a), f.reshape(2, 1 << a, -1))
+    f[...] = np.matmul(_sylvester(t - a), high.reshape(2 << a, size >> a, -1)).reshape(f.shape)
+
+
 def _run_circuit(
     a: np.ndarray, psi: np.ndarray, t0: float, c: float, t: int
 ) -> tuple[np.ndarray, float]:
@@ -180,36 +210,43 @@ def _run_circuit(
     Register layout, low bits first: evolved register (s qubits: the n
     input qubits, plus the embedding bit s - 1 when A is not Hermitian),
     clock (t qubits, clock qubit j = bit j of the readout), rotation
-    ancilla.  The clock is postselected back to |0> after uncomputation
-    and the embedding bit to |1>, so the returned output is a pure state
-    on the input register; with exactly representable eigenphases the
-    clock projection is lossless.
+    ancilla; the amplitudes read as a (2, 2^t, 2^s) array.  The clock is
+    postselected back to |0> after uncomputation and the embedding bit
+    to |1>, so the returned output is a pure state on the input register;
+    with exactly representable eigenphases the clock projection is
+    lossless.
     """
     emb = hermitian_embed(a)
-    h = emb.embedded
+    lam, vecs = hermitian_eigh(emb.embedded)
+    defect = np.abs(vecs.conj().T @ vecs - np.eye(lam.size)).max()
+    if defect > 1e-9:
+        raise NotUnitary(f"eigenbasis deviates from unitarity by {defect:.3g}")
     n = int(psi.size).bit_length() - 1
-    s = int(h.shape[0]).bit_length() - 1
+    s = int(lam.size).bit_length() - 1
     k = s + t + 1
     anc = s + t
     clock = range(s, s + t)
-    state = product_state([StateVector(n, psi), new_state(k - n)])
+    amps = np.zeros(1 << k, dtype=np.complex128)
+    amps[: psi.size] = psi  # |psi> on the low qubits, every other qubit |0>
+    state = StateVector(k, amps)
+    view = state.amps.reshape(2, 1 << t, lam.size)
 
-    pe = Circuit(k)
-    for j in clock:
-        pe.append(H(), j)
-    powers = matrix_exponential(h, t0 * 2.0 ** np.arange(t))
-    for j in range(t):
-        pe.append_unitary(powers[j], list(range(s)), [(s + j, 1)], label=f"evo^{1 << j}")
-    pe.append_circuit(qft_circuit(t).inverse(), list(clock))
-
-    lam = decode_eigenvalue(np.arange(1 << t), t, t0)
+    # exp(i H t0 x) on clock value x, in the eigenbasis of H
+    phases = np.exp(1j * t0 * np.multiply.outer(np.arange(1 << t), lam))
+    lam_grid = decode_eigenvalue(np.arange(1 << t), t, t0)
     # far grid points can exceed the C window by design headroom; they
     # carry (near-)zero amplitude, so saturating the rotation is safe
-    angles = 2.0 * np.arcsin(np.clip(c * lam, -1.0, 1.0))
+    angles = 2.0 * np.arcsin(np.clip(c * lam_grid, -1.0, 1.0))
 
-    pe.run(state)
+    _hadamard_clock(view)
+    view[...] = view @ vecs.conj()
+    view *= phases
+    view[...] = np.fft.fft(view, axis=1, norm="ortho")
     state.apply_multiplexed_ry(angles, anc, clock)
-    pe.inverse().run(state)
+    view[...] = np.fft.ifft(view, axis=1, norm="ortho")
+    view *= phases.conj()
+    view[...] = view @ vecs.T
+    _hadamard_clock(view)
 
     fixed = {anc: 1, **{j: 0 for j in clock}}
     if emb.was_embedded:

@@ -58,16 +58,20 @@ def evolve_mass(
     return _chain(m, [diag, matrix], config)
 
 
+_TRANSFORM_MATRIX = {"bel": "bel", "pl": "pl", "q": "q", "fbba": "fractal", "betm": "bet"}
+
+
 def belief_functions_qc(m: MassFunction, kind: str, config: MEoBConfig) -> StateVector:
-    """Normalized belief/plausibility/commonality vector as a quantum state.
+    """Normalized belief, plausibility, commonality, fractal-reallocation
+    (``fbba``) or cardinality-spread (``betm``) vector as a quantum state.
 
     The result is meant for further quantum processing only: the vector's
     total is not an observable, so the classical scale cannot be
     recovered from measurements.
     """
-    if kind not in ("bel", "pl", "q"):
-        raise ValidationError(f"kind must be bel, pl or q, got {kind!r}")
-    state, _ = evolve_mass(m, transform_matrix(kind, m.frame.n), config)
+    if kind not in _TRANSFORM_MATRIX:
+        raise ValidationError(f"kind must be one of {sorted(_TRANSFORM_MATRIX)}, got {kind!r}")
+    state, _ = evolve_mass(m, transform_matrix(_TRANSFORM_MATRIX[kind], m.frame.n), config)
     return state
 
 

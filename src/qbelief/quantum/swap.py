@@ -4,6 +4,14 @@ Hadamard on an ancilla, one controlled SWAP per qubit pair, Hadamard
 again: Pr(ancilla = 0) = 1/2 + 1/2 |<s1|s2>|^2, so 2 Pr(0) - 1 estimates
 the squared overlap.  The informative outcome is ancilla 0; the |1>
 branch carries the antisymmetrized remainder.
+
+``swap_test`` runs the circuit as register operators on the
+(ancilla, s2, s1) = (2, 2^k, 2^k) view of the amplitudes: the k
+controlled SWAPs together exchange the two registers wherever the
+ancilla reads 1, which is one transpose of that (2^k, 2^k) block.  The
+two Hadamards are applied as the gate itself, so the state, and every
+estimate and sampled count drawn from it, is bit-identical to replaying
+``swap_test_circuit(k)``.
 """
 
 from __future__ import annotations
@@ -25,6 +33,18 @@ def swap_test_circuit(k: int) -> Circuit:
     return circ
 
 
+def swap_test_state(s1: StateVector, s2: StateVector) -> StateVector:
+    """The joint state ``swap_test_circuit(k)`` leaves on |s1>|s2>|0>."""
+    if s1.k != s2.k:
+        raise QubitCountMismatch(f"register sizes differ: {s1.k} vs {s2.k}")
+    k = s1.k
+    joint = product_state([s1, s2, new_state(1, 0)])
+    joint.apply(H(), 2 * k)
+    swapped = joint.amps.reshape(2, 1 << k, 1 << k)[1]
+    swapped[...] = swapped.T.copy()
+    return joint.apply(H(), 2 * k)
+
+
 def swap_test(
     s1: StateVector,
     s2: StateVector,
@@ -33,12 +53,8 @@ def swap_test(
     seed: int | None = None,
 ) -> float:
     """Squared-overlap estimate 2 Pr(ancilla=0) - 1 of two equal-size states."""
-    if s1.k != s2.k:
-        raise QubitCountMismatch(f"register sizes differ: {s1.k} vs {s2.k}")
-    k = s1.k
-    joint = product_state([s1, s2, new_state(1, 0)])
-    swap_test_circuit(k).run(joint)
-    anc = 2 * k
+    joint = swap_test_state(s1, s2)
+    anc = 2 * s1.k
     if mode == "statevector":
         p0 = joint.probability(anc, 0)
     elif mode == "shots":
@@ -52,4 +68,4 @@ def swap_test(
     return 2.0 * p0 - 1.0
 
 
-__all__ = ["swap_test", "swap_test_circuit"]
+__all__ = ["swap_test", "swap_test_circuit", "swap_test_state"]

@@ -83,3 +83,20 @@ def preparation_calls(monkeypatch) -> list:
         if hasattr(module, "prepare_bba_state"):
             monkeypatch.setattr(module, "prepare_bba_state", counted)
     return calls
+
+
+@pytest.fixture
+def gate_calls(monkeypatch) -> dict:
+    """Counts calls of the gate kernel and of the dense-unitary entry point."""
+    from qbelief.qsim.state import StateVector
+
+    counts = {"_apply_matrix": 0, "apply_dense_unitary": 0}
+    for name in counts:
+        original = getattr(StateVector, name)
+
+        def counted(self, *args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(StateVector, name, counted)
+    return counts

@@ -4,6 +4,11 @@ Everything here is a direct transcription of the defining sums, written
 with explicit loops over the power set.  Deliberately slow and entirely
 independent of the library's fast transforms, so the two sides of every
 comparison cannot share a bug.
+
+The phase-estimation references are the closed form of the circuit
+(``fejer_meob_oracle``) and the circuit itself replayed gate by gate on
+the simulator (``phase_estimation_replay``); the library applies the
+same circuit as fused register operators.
 """
 
 from __future__ import annotations
@@ -11,6 +16,16 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from qbelief.qsim import (
+    Circuit,
+    H,
+    StateVector,
+    matrix_exponential,
+    new_state,
+    product_state,
+    qft_circuit,
+)
 
 
 def popcount(x: int) -> int:
@@ -111,3 +126,109 @@ def jaccard_oracle(n: int) -> np.ndarray:
 def jousselme_oracle(m1: np.ndarray, m2: np.ndarray, n: int) -> float:
     d = m1 - m2
     return math.sqrt(max(0.5 * d @ jaccard_oracle(n) @ d, 0.0))
+
+
+def extract_register_oracle(amps: np.ndarray, qubits, fixed: dict[int, int]) -> np.ndarray:
+    """Sub-state on ``qubits`` with every other qubit fixed, one basis index
+    at a time: local bit j sets qubit qubits[j] on top of the fixed bits."""
+    base = 0
+    for q, v in fixed.items():
+        base |= v << q
+    sub = np.zeros(1 << len(qubits), dtype=np.complex128)
+    for local in range(sub.size):
+        g = base
+        for j, q in enumerate(qubits):
+            if local >> j & 1:
+                g |= 1 << q
+        sub[local] = amps[g]
+    return sub / np.linalg.norm(sub)
+
+
+def _embedding(a: np.ndarray) -> tuple[np.ndarray, bool]:
+    a = np.asarray(a, dtype=np.complex128)
+    if np.abs(a - a.conj().T).max() <= 1e-10:
+        return a, False
+    zero = np.zeros_like(a)
+    return np.block([[zero, a.conj().T], [a, zero]]), True
+
+
+def fejer_meob_oracle(
+    a: np.ndarray, psi: np.ndarray, t: int, t0: float, c: float
+) -> tuple[np.ndarray, float]:
+    """Closed form of the phase-estimation evolution: (normalized output,
+    success probability).
+
+    An eigenvector of H with eigenvalue lambda leaves the t-qubit clock
+    reading k with probability given by the Fejer kernel
+    sin^2(N th / 2) / (N sin(th / 2))^2, th = lambda t0 - 2 pi k / N,
+    N = 2^t (Cleve et al., quant-ph/9708016).  The ancilla rotation
+    scales readout k by clip(C lambda_k), and uncomputing the clock
+    averages over readouts, so the kept branch is f(H) v with
+    f(lambda) = sum_k fejer(lambda, k) clip(C lambda_k).  A non-Hermitian
+    A is embedded as [[0, A^dagger], [A, 0]] with v = [psi; 0]; P keeps the
+    lower half, and the success probability is ||P f(H) v||^2.
+    """
+    h, embedded = _embedding(a)
+    d = psi.size
+    v = np.concatenate([psi, np.zeros(d)]) if embedded else np.asarray(psi, dtype=complex)
+    lam, vecs = np.linalg.eigh(h)
+    size = 1 << t
+    k = np.arange(size)
+    decoded = 2.0 * np.pi * np.where(k < size // 2, k, k - size) / (size * t0)
+    half = (lam[:, None] * t0 - 2.0 * np.pi * k[None, :] / size) / 2.0
+    den = size * np.sin(half)
+    on_grid = np.abs(den) < 1e-12
+    fejer = np.where(on_grid, 1.0, np.sin(size * half) ** 2 / np.where(on_grid, 1.0, den) ** 2)
+    f = fejer @ np.clip(c * decoded, -1.0, 1.0)
+    out = vecs @ (f * (vecs.conj().T @ v))
+    if embedded:
+        out = out[d:]
+    success = float(np.vdot(out, out).real)
+    return out / np.sqrt(success), success
+
+
+def phase_estimation_replay(
+    a: np.ndarray, psi: np.ndarray, t0: float, c: float, t: int
+) -> tuple[np.ndarray, float]:
+    """The evolution pipeline replayed gate by gate on the simulator.
+
+    A circuit ``pe`` puts H on each clock qubit, applies exp(i H t0 2^j)
+    to the evolved register under clock qubit j, and ends with the
+    inverse QFT; one multiplexed RY on the ancilla follows, then
+    ``pe.inverse()``, then postselection of the ancilla to 1, the clock
+    to 0 and, for an embedded A, the embedding bit to 1.
+    """
+    h, embedded = _embedding(a)
+    n = int(psi.size).bit_length() - 1
+    s = int(h.shape[0]).bit_length() - 1
+    k = s + t + 1
+    anc = s + t
+    clock = range(s, s + t)
+    state = product_state([StateVector(n, psi), new_state(k - n)])
+
+    pe = Circuit(k)
+    for j in clock:
+        pe.append(H(), j)
+    powers = matrix_exponential(h, t0 * 2.0 ** np.arange(t))
+    for j in range(t):
+        pe.append_unitary(powers[j], list(range(s)), [(s + j, 1)], label=f"evo^{1 << j}")
+    pe.append_circuit(qft_circuit(t).inverse(), list(clock))
+
+    size = 1 << t
+    x = np.arange(size)
+    lam = 2.0 * np.pi * (x - size * (x >= size // 2)) / (size * t0)
+    angles = 2.0 * np.arcsin(np.clip(c * lam, -1.0, 1.0))
+
+    pe.run(state)
+    state.apply_multiplexed_ry(angles, anc, clock)
+    pe.inverse().run(state)
+
+    fixed = {anc: 1, **{j: 0 for j in clock}}
+    if embedded:
+        fixed[s - 1] = 1
+    success = 1.0
+    for q, v in fixed.items():
+        state, p = state.postselect(q, v)
+        success *= p
+    out = extract_register_oracle(state.amps, list(range(n)), fixed)
+    return out, success

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qbelief.errors import NotHermitian
-from qbelief.qsim import matrix_exponential
+from qbelief.qsim import hermitian_eigh, matrix_exponential
 
 
 class TestMatrixExponential:
@@ -46,3 +46,16 @@ class TestMatrixExponential:
 
     def test_scalar_time_gives_one_matrix(self):
         assert matrix_exponential(np.eye(4), 0.5).shape == (4, 4)
+
+
+class TestHermitianEigh:
+    def test_reconstructs_the_matrix(self, rng):
+        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        h = a + a.conj().T
+        lam, vecs = hermitian_eigh(h)
+        assert np.all(np.diff(lam) >= 0)
+        np.testing.assert_allclose((vecs * lam) @ vecs.conj().T, h, atol=1e-12)
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(NotHermitian):
+            hermitian_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))

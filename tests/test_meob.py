@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import make_frame, random_bbas
-from qbelief.dst import validate_bba
+from oracles import fejer_meob_oracle, phase_estimation_replay
+from qbelief.dst import transform_matrix, validate_bba
 from qbelief.errors import (
     BadDimension,
     ClockOverflow,
@@ -12,6 +13,7 @@ from qbelief.errors import (
 from qbelief.qsim import StateVector
 from qbelief.quantum import (
     MEoBConfig,
+    ccr_qc,
     decode_eigenvalue,
     hermitian_embed,
     meob,
@@ -257,3 +259,55 @@ class TestOracleCircuitAgreement:
         out_o, p_o = meob_apply(a, StateVector(1, psi), MEoBConfig(backend="oracle", **cfg_kw))
         assert fidelity(out_c, out_o) >= 1.0 - 1e-9
         assert p_c == pytest.approx(p_o, abs=1e-12)
+
+
+def default_constants(a: np.ndarray) -> tuple[float, float]:
+    """The t0 and C that meob_apply derives from A's spectral norm."""
+    lam_max = np.linalg.norm(a, 2)
+    return 0.9 * np.pi / lam_max, 0.99 / lam_max
+
+
+class TestCircuitClosedForm:
+    """The circuit backend against the Fejer-kernel closed form of its circuit."""
+
+    @pytest.mark.parametrize("t", [4, 8])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["q", "q_inv", "b", "b_inv", "fractal", "bet", "diag"])
+    def test_output_and_success_to_1e12(self, kind, n, t):
+        (m,) = random_bbas(1, n, seed=4100 + 10 * n + t)
+        psi = np.sqrt(m.masses)
+        extra = (psi,) if kind == "diag" else ()
+        a = transform_matrix(kind, n, *extra)
+        out, p = meob_apply(a, StateVector(n, psi), MEoBConfig(backend="circuit", t=t))
+        t0, c = default_constants(a)
+        expect, p_expect = fejer_meob_oracle(a, psi, t, t0, c)
+        np.testing.assert_allclose(out.amps, expect, rtol=0, atol=1e-12)
+        assert p == pytest.approx(p_expect, rel=1e-12, abs=0)
+
+
+class TestFusedEqualsGateReplay:
+    """Each fused register operator against the gate-level circuit it replaces."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_replay_matches_to_1e12(self, n, hermitian, rng):
+        a = rng.normal(size=(1 << n, 1 << n))
+        if hermitian:
+            a = a + a.T
+        psi = normalized(rng.normal(size=1 << n))
+        t = 5
+        t0, c = default_constants(a)
+        out, p = meob_apply(
+            a, StateVector(n, psi), MEoBConfig(backend="circuit", t=t, t0=t0, C=c)
+        )
+        expect, p_expect = phase_estimation_replay(a, psi, t0, c, t)
+        np.testing.assert_allclose(out.amps, expect, rtol=0, atol=1e-12)
+        assert p == pytest.approx(p_expect, rel=1e-12, abs=0)
+
+    def test_circuit_combination_applies_no_gates(self, gate_calls):
+        m1, m2 = random_bbas(2, 3, seed=4207)
+        ccr_qc(m1, m2, MEoBConfig(backend="circuit"))
+        assert gate_calls == {"_apply_matrix": 0, "apply_dense_unitary": 0}
+        # the counter sees a gate when one is applied
+        StateVector(1).apply_dense_unitary(np.eye(2), [0])
+        assert gate_calls == {"_apply_matrix": 1, "apply_dense_unitary": 1}

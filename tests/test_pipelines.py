@@ -14,7 +14,7 @@ from qbelief.dst import (
     transform_matrix,
     validate_bba,
 )
-from qbelief.errors import DegenerateEmptyMass, TotalConflict
+from qbelief.errors import DegenerateEmptyMass, TotalConflict, ValidationError
 from qbelief.quantum import (
     BeliefQuery,
     MEoBConfig,
@@ -90,6 +90,18 @@ class TestBeliefFunctionStates:
         state = belief_functions_qc(showcase, "q", ORACLE)
         expect = normalized(q_from_mass(showcase).values)
         np.testing.assert_allclose(state.amps.real, expect, atol=1e-10)
+
+    @pytest.mark.parametrize("backend", ["oracle", "circuit"])
+    @pytest.mark.parametrize("kind, matrix", [("fbba", "fractal"), ("betm", "bet")])
+    def test_reallocation_kinds_evolve_their_matrix(self, showcase, kind, matrix, backend):
+        cfg = MEoBConfig(backend=backend)
+        state = belief_functions_qc(showcase, kind, cfg)
+        expect, _ = evolve_mass(showcase, transform_matrix(matrix, 3), cfg)
+        assert state.amps.tobytes() == expect.amps.tobytes()
+
+    def test_unknown_kind(self, showcase):
+        with pytest.raises(ValidationError):
+            belief_functions_qc(showcase, "fractal", ORACLE)
 
 
 class TestConjunctivePipeline:

@@ -9,6 +9,7 @@ from qbelief.errors import (
     QubitCountMismatch,
     ValidationError,
 )
+from oracles import extract_register_oracle
 from qbelief.qsim import RY, SWAP, H, StateVector, X, new_state, product_state
 
 
@@ -224,6 +225,38 @@ class TestPostselect:
         out, p = s.postselect(0, 1)
         assert p == pytest.approx(0.5, abs=1e-12)
         np.testing.assert_allclose(out.amps, [0, 0, 0, 1], atol=1e-12)
+
+
+class TestExtractRegister:
+    @pytest.mark.parametrize(
+        "k, qubits, fixed",
+        [
+            (3, [0, 1], {2: 1}),
+            (6, [4, 1], {0: 1, 2: 0, 3: 1, 5: 1}),
+            (7, [5, 0, 3], {1: 1, 6: 0}),  # qubits 2 and 4 read 0
+            (8, [7, 2, 5, 1], {0: 0, 3: 1, 4: 1, 6: 0}),
+            (5, [3, 4, 0, 2, 1], {}),
+        ],
+    )
+    def test_equals_basis_index_loop(self, k, qubits, fixed, rng):
+        s = random_state(k, rng)
+        out = s.extract_register(qubits, fixed)
+        assert out.k == len(qubits)
+        assert out.amps.tobytes() == extract_register_oracle(s.amps, qubits, fixed).tobytes()
+
+    @pytest.mark.parametrize(
+        "qubits, fixed, error",
+        [
+            ([0, 3], {1: 0}, IndexOutOfRange),
+            ([0], {1: 0, 4: 1}, IndexOutOfRange),
+            ([0, 0], {1: 0}, IndexOverlap),
+            ([0, 1], {1: 0}, IndexOverlap),
+            ([0], {1: 2}, ValidationError),
+        ],
+    )
+    def test_rejects_bad_selection(self, qubits, fixed, error, rng):
+        with pytest.raises(error):
+            random_state(3, rng).extract_register(qubits, fixed)
 
 
 class TestSampling:

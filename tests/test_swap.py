@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from qbelief.errors import QubitCountMismatch
-from qbelief.qsim import H, StateVector, new_state
+from qbelief.qsim import H, StateVector, new_state, product_state
 from qbelief.quantum import swap_test, swap_test_circuit
+from qbelief.quantum.swap import swap_test_state
 
 
 def random_state(k, rng):
@@ -52,3 +53,10 @@ class TestSwapTest:
         kinds = [op.gate.kind for op in circ.ops]
         assert kinds == ["h", "swap", "swap", "swap", "h"]
         assert all(op.controls == ((6, 1),) for op in circ.ops if op.gate.kind == "swap")
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_fused_state_equals_circuit_replay(self, k, rng):
+        s1, s2 = random_state(k, rng), random_state(k, rng)
+        joint = product_state([s1, s2, new_state(1, 0)])
+        swap_test_circuit(k).run(joint)
+        assert swap_test_state(s1, s2).amps.tobytes() == joint.amps.tobytes()
