@@ -17,14 +17,8 @@ import click
 import numpy as np
 
 from . import dst, quantum
-from .documents import (
-    dump_bba_document,
-    dumps_result,
-    inputs_digest,
-    load_bba_document,
-    result_document,
-)
-from .dst.mass import demo_mass_function, trend_mass_functions
+from .documents import dumps_result, inputs_digest, load_bba_document, result_document
+from .dst.mass import MassFunction, demo_mass_function, trend_mass_functions
 from .errors import ComputationError, QBeliefError, ValidationError
 from .qasm import circuit_to_json, circuit_to_qasm
 from .quantum import MEoBConfig
@@ -32,21 +26,43 @@ from .quantum.prepare import build_preparation_tree, synthesize_preparation_circ
 
 BACKENDS = ("classical", "quantum-oracle", "quantum-circuit")
 
+_backend_option = click.option(
+    "--backend", type=click.Choice(BACKENDS), default="classical", show_default=True
+)
+_out_option = click.option("--out", type=click.Path(dir_okay=False), default=None)
+_timing_option = click.option(
+    "--timing", is_flag=True, help="Attach wall time (breaks byte-identity)."
+)
 
-def _meob_config(backend: str, t: int = 8) -> MEoBConfig:
-    return MEoBConfig(backend="circuit" if backend == "quantum-circuit" else "oracle", t=t)
+
+def _meob_config(backend: str) -> MEoBConfig:
+    return MEoBConfig(backend="circuit" if backend == "quantum-circuit" else "oracle")
 
 
-def _emit(doc: dict, out: str | None) -> None:
-    text = dumps_result(doc)
+def _write(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
         click.echo(text, nl=False)
 
 
-def _maybe_time(started: float, timing: bool) -> float | None:
-    return (time.perf_counter() - started) if timing else None
+def _respond(
+    inputs: tuple[str | int | MassFunction | None, ...],
+    operation: str,
+    backend: str | None,
+    payload: dict,
+    out: str | None,
+    timing: bool,
+    started: float,
+    shots: int | None = None,
+    seed: int | None = None,
+) -> None:
+    """Shared tail of the result commands: digest the inputs, attach the
+    ``--timing`` wall time, build the result document and write it."""
+    digest = inputs_digest(*inputs)
+    wall_time_s = time.perf_counter() - started if timing else None
+    doc = result_document(operation, digest, backend, payload, shots, seed, wall_time_s)
+    _write(dumps_result(doc), out)
 
 
 @click.group()
@@ -78,9 +94,9 @@ def validate(path: str) -> None:
 
 @cli.command()
 @click.option("--kind", type=click.Choice(["bel", "pl", "q", "fbba", "betm"]), required=True)
-@click.option("--backend", type=click.Choice(BACKENDS), default="classical", show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--timing", is_flag=True, help="Attach wall time (breaks byte-identity).")
+@_backend_option
+@_out_option
+@_timing_option
 @click.argument("path", type=click.Path(dir_okay=False))
 def transform(kind: str, backend: str, out: str | None, timing: bool, path: str) -> None:
     """Belief-function transform of one mass function.
@@ -90,7 +106,6 @@ def transform(kind: str, backend: str, out: str | None, timing: bool, path: str)
     """
     started = time.perf_counter()
     m = load_bba_document(path)
-    digest = inputs_digest("transform", kind, backend, dump_bba_document(m))
     labels = [m.frame.format_subset(i) for i in range(m.frame.size)]
 
     if backend == "classical":
@@ -113,18 +128,15 @@ def transform(kind: str, backend: str, out: str | None, timing: bool, path: str)
             "normalized_only": True,
             "note": "amplitudes carry the vector up to scale; totals are not observable",
         }
-    _emit(
-        result_document("transform." + kind, digest, backend, payload,
-                        wall_time_s=_maybe_time(started, timing)),
-        out,
-    )
+    _respond(("transform", kind, backend, m), "transform." + kind, backend, payload,
+             out, timing, started)
 
 
 @cli.command()
 @click.option("--rule", type=click.Choice(["ccr", "dcr", "dempster"]), required=True)
-@click.option("--backend", type=click.Choice(BACKENDS), default="classical", show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--timing", is_flag=True)
+@_backend_option
+@_out_option
+@_timing_option
 @click.argument("path1", type=click.Path(dir_okay=False))
 @click.argument("path2", type=click.Path(dir_okay=False))
 def combine(rule: str, backend: str, out: str | None, timing: bool, path1: str, path2: str) -> None:
@@ -133,7 +145,6 @@ def combine(rule: str, backend: str, out: str | None, timing: bool, path1: str, 
     started = time.perf_counter()
     m1 = load_bba_document(path1)
     m2 = load_bba_document(path2)
-    digest = inputs_digest("combine", rule, backend, dump_bba_document(m1), dump_bba_document(m2))
     if backend == "classical":
         combined = {
             "ccr": dst.combine_conjunctive,
@@ -151,11 +162,8 @@ def combine(rule: str, backend: str, out: str | None, timing: bool, path1: str, 
         "subsets": [m1.frame.format_subset(i) for i in range(m1.frame.size)],
         "masses": combined.masses,
     }
-    _emit(
-        result_document("combine." + rule, digest, backend, payload,
-                        wall_time_s=_maybe_time(started, timing)),
-        out,
-    )
+    _respond(("combine", rule, backend, m1, m2), "combine." + rule, backend, payload,
+             out, timing, started)
 
 
 @cli.command()
@@ -164,9 +172,9 @@ def combine(rule: str, backend: str, out: str | None, timing: bool, path1: str, 
     type=click.Choice(["jousselme", "fb-inner", "fidelity", "euclidean", "inner-bba"]),
     required=True,
 )
-@click.option("--backend", type=click.Choice(BACKENDS), default="classical", show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--timing", is_flag=True)
+@_backend_option
+@_out_option
+@_timing_option
 @click.argument("path1", type=click.Path(dir_okay=False))
 @click.argument("path2", type=click.Path(dir_okay=False))
 def similarity(measure: str, backend: str, out: str | None, timing: bool, path1: str, path2: str) -> None:
@@ -179,7 +187,6 @@ def similarity(measure: str, backend: str, out: str | None, timing: bool, path1:
     started = time.perf_counter()
     m1 = load_bba_document(path1)
     m2 = load_bba_document(path2)
-    digest = inputs_digest("similarity", measure, backend, dump_bba_document(m1), dump_bba_document(m2))
     if backend == "classical":
         value = {
             "jousselme": dst.jousselme_distance,
@@ -195,44 +202,35 @@ def similarity(measure: str, backend: str, out: str | None, timing: bool, path1:
         value = float(np.sqrt(max(est, 0.0)))
     else:
         raise ValidationError(f"measure {measure!r} has no quantum backend")
-    _emit(
-        result_document("similarity." + measure, digest, backend, {"value": value},
-                        wall_time_s=_maybe_time(started, timing)),
-        out,
-    )
+    _respond(("similarity", measure, backend, m1, m2), "similarity." + measure, backend,
+             {"value": value}, out, timing, started)
 
 
 @cli.command()
 @click.option("--kind", type=click.Choice(["js", "fb"]), required=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--timing", is_flag=True)
+@_out_option
+@_timing_option
 @click.argument("path", type=click.Path(dir_okay=False))
 def entropy(kind: str, out: str | None, timing: bool, path: str) -> None:
     """Total-uncertainty measure of a mass function, in bits."""
     started = time.perf_counter()
     m = load_bba_document(path)
-    digest = inputs_digest("entropy", kind, dump_bba_document(m))
     value = dst.js_entropy(m) if kind == "js" else dst.fb_entropy(m)
-    _emit(
-        result_document("entropy." + kind, digest, None, {"bits": value},
-                        wall_time_s=_maybe_time(started, timing)),
-        out,
-    )
+    _respond(("entropy", kind, m), "entropy." + kind, None, {"bits": value}, out, timing, started)
 
 
 @cli.command()
 @click.option("--method", type=click.Choice(["ppt", "ptm"]), required=True)
-@click.option("--backend", type=click.Choice(BACKENDS), default="classical", show_default=True)
+@_backend_option
 @click.option("--shots", type=int, default=None, help="Sample PTM extraction circuits.")
 @click.option("--seed", type=int, default=None)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--timing", is_flag=True)
+@_out_option
+@_timing_option
 @click.argument("path", type=click.Path(dir_okay=False))
 def prob(method: str, backend: str, shots, seed, out: str | None, timing: bool, path: str) -> None:
     """Probability transform of a mass function over the frame elements."""
     started = time.perf_counter()
     m = load_bba_document(path)
-    digest = inputs_digest("prob", method, backend, dump_bba_document(m), shots, seed)
     if backend == "classical":
         values = dst.betp(m) if method == "ppt" else dst.pl_p(m)
     elif method == "ppt":
@@ -245,19 +243,16 @@ def prob(method: str, backend: str, shots, seed, out: str | None, timing: bool, 
         else:
             values = quantum.ptm_qc(m, mode="statevector")
     payload = {"elements": list(m.frame.elements), "probabilities": values}
-    _emit(
-        result_document("prob." + method, digest, backend, payload, shots=shots, seed=seed,
-                        wall_time_s=_maybe_time(started, timing)),
-        out,
-    )
+    _respond(("prob", method, backend, m, shots, seed), "prob." + method, backend, payload,
+             out, timing, started, shots, seed)
 
 
 @cli.command()
 @click.option("--emit", "emit_kind", type=click.Choice(["qasm", "circuit-json"]), default=None)
 @click.option("--shots", type=int, default=None)
 @click.option("--seed", type=int, default=None)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--timing", is_flag=True)
+@_out_option
+@_timing_option
 @click.argument("path", type=click.Path(dir_okay=False))
 def prepare(emit_kind, shots, seed, out, timing: bool, path: str) -> None:
     """Synthesize the state-preparation circuit for a mass function.
@@ -271,11 +266,7 @@ def prepare(emit_kind, shots, seed, out, timing: bool, path: str) -> None:
         if shots is not None and out is None:
             raise ValidationError("--emit plus --shots needs --out for the circuit file")
         circuit = synthesize_preparation_circuit(build_preparation_tree(m))
-        text = circuit_to_qasm(circuit) if emit_kind == "qasm" else circuit_to_json(circuit)
-        if out:
-            Path(out).write_text(text, encoding="utf-8")
-        else:
-            click.echo(text, nl=False)
+        _write(circuit_to_qasm(circuit) if emit_kind == "qasm" else circuit_to_json(circuit), out)
         if shots is None:
             return
         out = None  # the measurement record goes to stdout
@@ -285,18 +276,14 @@ def prepare(emit_kind, shots, seed, out, timing: bool, path: str) -> None:
         raise ValidationError("--shots needs --seed for reproducibility")
     state = quantum.prepare_bba_state(m)
     record = state.sample(shots, seed)
-    digest = inputs_digest("prepare", dump_bba_document(m), shots, seed)
     payload = {
         "counts": {m.frame.format_subset(i): c for i, c in sorted(record.counts.items())},
         "frequencies": {
             m.frame.format_subset(i): c / shots for i, c in sorted(record.counts.items())
         },
     }
-    _emit(
-        result_document("prepare.sample", digest, "quantum-circuit", payload,
-                        shots=shots, seed=seed, wall_time_s=_maybe_time(started, timing)),
-        out,
-    )
+    _respond(("prepare", m, shots, seed), "prepare.sample", "quantum-circuit", payload,
+             out, timing, started, shots, seed)
 
 
 @cli.command()
@@ -347,7 +334,7 @@ def demo(shots: int, seed: int) -> None:
 
 
 @cli.command(name="trend-fb")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_out_option
 def trend_fb(out: str | None) -> None:
     """Similarity trend over a growing focal set, as CSV.
 
@@ -360,11 +347,7 @@ def trend_fb(out: str | None) -> None:
     lines = [header]
     for label, values in rows:
         lines.append(label + "," + ",".join(f"{v:.12g}" for v in values))
-    text = "\n".join(lines) + "\n"
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        click.echo(text, nl=False)
+    _write("\n".join(lines) + "\n", out)
 
 
 def trend_rows() -> list[tuple[str, tuple[float, float, float, float, float]]]:
@@ -404,7 +387,7 @@ def main(argv: list[str] | None = None) -> None:
         _diagnostic(exc)
         sys.exit(1)
     except (OSError, json.JSONDecodeError) as exc:
-        click.echo(json.dumps({"error": type(exc).__name__, "message": str(exc)}), err=True)
+        _diagnostic(exc)
         sys.exit(3)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -24,7 +25,10 @@ RESULT_SCHEMA = "qbelief/result-v1"
 
 
 def _round_real(x: float) -> float:
-    return float(f"{float(x):.12g}")
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValidationError("payload contains a non-finite value")
+    return float(f"{x:.12g}")
 
 
 def _round_payload(value: Any) -> Any:
@@ -77,10 +81,23 @@ def dump_bba_document(m: MassFunction) -> dict:
     }
 
 
-def inputs_digest(*parts: Any) -> str:
-    """Stable digest of the operation inputs (documents, flags, seeds)."""
-    canon = json.dumps(_round_payload(parts), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+def inputs_digest(*parts: str | int | MassFunction | None) -> str:
+    """Stable digest of the operation inputs: names, flags, seeds and mass
+    functions, each mass function in its canonical document form.
+
+    The document form already carries 12-digit masses, and that rounding
+    is idempotent, so the canonical text needs no second rounding walk.
+    """
+    canon = []
+    for part in parts:
+        if isinstance(part, MassFunction):
+            canon.append(dump_bba_document(part))
+        elif part is None or isinstance(part, (str, int)):
+            canon.append(part)
+        else:
+            raise ValidationError(f"cannot digest an input part of type {type(part)}")
+    text = json.dumps(canon, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def result_document(
@@ -92,13 +109,13 @@ def result_document(
     seed: int | None = None,
     wall_time_s: float | None = None,
 ) -> dict:
-    """Assemble a result document; payload reals get 12 significant digits.
+    """Assemble a result document; payload reals get 12 significant digits,
+    and a non-finite one is refused.
 
     Timing is optional: identical inputs must serialize byte-identically,
     so wall time is only attached when explicitly requested.
     """
     payload = _round_payload(payload)
-    _check_finite(payload)
     doc: dict[str, Any] = {
         "schema": RESULT_SCHEMA,
         "operation": operation,
@@ -112,17 +129,6 @@ def result_document(
     if wall_time_s is not None:
         doc["wall_time_s"] = _round_real(wall_time_s)
     return doc
-
-
-def _check_finite(value: Any) -> None:
-    if isinstance(value, float) and not np.isfinite(value):
-        raise ValidationError("payload contains a non-finite value")
-    if isinstance(value, list):
-        for v in value:
-            _check_finite(v)
-    if isinstance(value, dict):
-        for v in value.values():
-            _check_finite(v)
 
 
 def dumps_result(doc: dict) -> str:

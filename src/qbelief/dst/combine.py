@@ -47,13 +47,19 @@ def combine_dempster(m1: MassFunction, m2: MassFunction) -> MassFunction:
     i.e. the two inputs share no compatible focal sets.
     """
     cap = combine_conjunctive(m1, m2)
+    return MassFunction(m1.frame, renormalize_conflict(cap, _CONFLICT_TOL))
+
+
+def renormalize_conflict(cap: MassFunction, tol: float) -> np.ndarray:
+    """Masses of a conjunctive combination divided by 1 - m({}), with the
+    empty set zeroed.  Raises :class:`TotalConflict` when the conflict
+    m({}) is within ``tol`` of 1."""
     conflict = float(cap.masses[0])
-    if conflict >= 1.0 - _CONFLICT_TOL:
+    if conflict >= 1.0 - tol:
         raise TotalConflict(f"conjunctive conflict {conflict} leaves nothing to renormalize")
     masses = cap.masses / (1.0 - conflict)
-    masses = masses.copy()
     masses[0] = 0.0
-    return MassFunction(m1.frame, masses)
+    return masses
 
 
-__all__ = ["combine_conjunctive", "combine_disjunctive", "combine_dempster"]
+__all__ = ["combine_conjunctive", "combine_disjunctive", "combine_dempster", "renormalize_conflict"]

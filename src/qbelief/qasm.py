@@ -44,18 +44,15 @@ def circuit_to_qasm(circuit: Circuit) -> str:
 
 
 def circuit_to_json(circuit: Circuit) -> str:
-    ops = []
-    for op in circuit.ops:
-        if op.gate is None:
-            raise ValidationError("explicit-unitary ops have no JSON form")
-        ops.append(
-            {
-                "gate": op.gate.kind,
-                "params": list(op.gate.params),
-                "targets": list(op.targets),
-                "controls": [[q, pol] for q, pol in op.controls],
-            }
-        )
+    ops = [
+        {
+            "gate": op.gate.kind,
+            "params": list(op.gate.params),
+            "targets": list(op.targets),
+            "controls": [[q, pol] for q, pol in op.controls],
+        }
+        for op in circuit.ops
+    ]
     return json.dumps({"schema": "qbelief/circuit-v1", "qubits": circuit.k, "ops": ops}, indent=2) + "\n"
 
 

@@ -14,13 +14,11 @@ from .state import StateVector, new_state
 
 @dataclass(frozen=True)
 class CircuitOp:
-    """One application: a named gate or an explicit unitary on listed targets."""
+    """One application of a named gate on listed targets."""
 
-    gate: Gate | None
+    gate: Gate
     targets: tuple[int, ...]
     controls: tuple[tuple[int, int], ...] = ()
-    matrix: np.ndarray | None = None
-    label: str = ""
 
     def qubits(self) -> tuple[int, ...]:
         return self.targets + tuple(q for q, _ in self.controls)
@@ -42,18 +40,6 @@ class Circuit:
         self.ops.append(CircuitOp(gate, targets, controls))
         return self
 
-    def append_unitary(
-        self,
-        matrix: np.ndarray,
-        targets: Sequence[int],
-        controls: Iterable[tuple[int, int]] = (),
-        label: str = "",
-    ) -> "Circuit":
-        targets = tuple(targets)
-        self._check(targets, controls := tuple(controls))
-        self.ops.append(CircuitOp(None, targets, controls, np.asarray(matrix), label))
-        return self
-
     def append_circuit(self, other: "Circuit", qubit_map: Sequence[int] | None = None) -> "Circuit":
         """Splice another circuit in, wire j of ``other`` -> qubit_map[j]."""
         if qubit_map is None:
@@ -62,7 +48,7 @@ class Circuit:
             targets = tuple(qubit_map[q] for q in op.targets)
             controls = tuple((qubit_map[q], pol) for q, pol in op.controls)
             self._check(targets, controls)
-            self.ops.append(CircuitOp(op.gate, targets, controls, op.matrix, op.label))
+            self.ops.append(CircuitOp(op.gate, targets, controls))
         return self
 
     def _check(self, targets: tuple[int, ...], controls: tuple[tuple[int, int], ...]) -> None:
@@ -100,10 +86,7 @@ class Circuit:
     def run(self, state: StateVector) -> StateVector:
         """Replay onto an existing state, mutating it."""
         for op in self.ops:
-            if op.gate is not None:
-                state.apply(op.gate, op.targets if len(op.targets) > 1 else op.targets[0], op.controls)
-            else:
-                state.apply_dense_unitary(op.matrix, op.targets, op.controls)
+            state.apply(op.gate, op.targets if len(op.targets) > 1 else op.targets[0], op.controls)
         return state
 
     def simulate(self, basis_index: int = 0) -> StateVector:
@@ -113,12 +96,7 @@ class Circuit:
         """Adjoint circuit: reversed order, conjugated parameters."""
         inv = Circuit(self.k)
         for op in reversed(self.ops):
-            if op.gate is not None:
-                inv.ops.append(CircuitOp(_inverse_gate(op.gate), op.targets, op.controls))
-            else:
-                inv.ops.append(
-                    CircuitOp(None, op.targets, op.controls, op.matrix.conj().T, op.label)
-                )
+            inv.ops.append(CircuitOp(_inverse_gate(op.gate), op.targets, op.controls))
         return inv
 
 

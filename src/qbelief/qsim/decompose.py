@@ -61,8 +61,6 @@ def decompose_circuit(circuit: Circuit) -> Circuit:
         )
     out = Circuit(circuit.k)
     for op in circuit.ops:
-        if op.gate is None:
-            raise ValidationError("cannot decompose explicit-unitary ops")
         tgt = op.targets if len(op.targets) > 1 else op.targets[0]
         out.ops.extend(decompose_multicontrolled(op.gate, tgt, op.controls))
     return out

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..dst.combine import renormalize_conflict
 from ..dst.frame import singleton_indices
 from ..dst.mass import MassFunction, require_same_frame
 from ..dst.matrices import transform_matrix
 from ..dst.transforms import b_from_mass, q_from_mass
 from ..errors import (
     DegenerateEmptyMass,
-    TotalConflict,
     ValidationError,
     ZeroPlausibility,
 )
@@ -110,13 +110,7 @@ def dcr_qc(m1: MassFunction, m2: MassFunction, config: MEoBConfig) -> MassFuncti
 def dempster_qc(m1: MassFunction, m2: MassFunction, config: MEoBConfig) -> MassFunction:
     """Dempster's rule: quantum conjunctive combination, then the classical
     renormalization step (the normalization itself has no unitary form)."""
-    cap = ccr_qc(m1, m2, config)
-    conflict = float(cap.masses[0])
-    if conflict >= 1.0 - 1e-9:
-        raise TotalConflict("recovered conjunctive combination is all conflict")
-    masses = cap.masses / (1.0 - conflict)
-    masses = masses.copy()
-    masses[0] = 0.0
+    masses = renormalize_conflict(ccr_qc(m1, m2, config), 1e-9)
     return MassFunction(m1.frame, masses / masses.sum())
 
 

@@ -25,12 +25,12 @@ from ..qsim.state import StateVector, new_state
 
 @dataclass(frozen=True)
 class PreparationTree:
-    """Subtree mass sums and branch angles, leaves in focal-index order.
+    """Subtree mass sums and RY angles, leaves in focal-index order.
 
     ``values[l][p]`` is the total mass of the focal sets whose top ``l``
-    index bits equal ``p``; ``angles[l][p]`` is arctan(sqrt(left/right))
-    for the split below that node, with angle 0 where both children are
-    empty.
+    index bits equal ``p``; ``angles[l][p]`` is the RY angle
+    2 arctan(sqrt(right/left)) applied for the split below that node,
+    with angle 0 where both children are empty.
     """
 
     n: int
@@ -49,7 +49,11 @@ class PreparationTree:
 
 
 def build_preparation_tree(m: MassFunction) -> PreparationTree:
-    """Aggregate masses bottom-up and derive one branch angle per node."""
+    """Aggregate masses bottom-up and derive one RY angle per node.
+
+    Starting from |0...0>, the |0>/|1> split of qubit n-1-level becomes
+    cos(a/2) / sin(a/2), reproducing each node's left/right mass ratio.
+    """
     n = m.frame.n
     values = [np.empty(0)] * (n + 1)
     values[n] = m.masses.copy()
@@ -57,23 +61,10 @@ def build_preparation_tree(m: MassFunction) -> PreparationTree:
         child = values[level + 1]
         values[level] = child[0::2] + child[1::2]
 
-    angles = []
-    for level in range(n):
-        child = values[level + 1]
-        left = child[0::2]
-        right = child[1::2]
-        angles.append(np.arctan2(np.sqrt(left), np.sqrt(right)))
-    return PreparationTree(n, tuple(values), tuple(angles))
-
-
-def _ry_angles(tree: PreparationTree, level: int) -> np.ndarray:
-    """RY angle of every node at ``level``, indexed by path.
-
-    Starting from |0...0>, the |0>/|1> split of qubit n-1-level becomes
-    cos(a/2) / sin(a/2), reproducing each node's left/right mass ratio.
-    """
-    child = tree.values[level + 1]
-    return 2.0 * np.arctan2(np.sqrt(child[1::2]), np.sqrt(child[0::2]))
+    angles = tuple(
+        2.0 * np.arctan2(np.sqrt(child[1::2]), np.sqrt(child[0::2])) for child in values[1:]
+    )
+    return PreparationTree(n, tuple(values), angles)
 
 
 def synthesize_preparation_circuit(tree: PreparationTree) -> Circuit:
@@ -86,7 +77,7 @@ def synthesize_preparation_circuit(tree: PreparationTree) -> Circuit:
     n = tree.n
     circ = Circuit(n)
     for level in range(n):
-        for path, alpha in enumerate(_ry_angles(tree, level)):
+        for path, alpha in enumerate(tree.angles[level]):
             controls = [
                 (n - 1 - j, (path >> (level - 1 - j)) & 1) for j in range(level)
             ]
@@ -104,7 +95,7 @@ def prepare_bba_state(m: MassFunction) -> StateVector:
     n = tree.n
     state = new_state(n, 0)
     for level in range(n):
-        state.apply_multiplexed_ry(_ry_angles(tree, level), n - 1 - level, range(n - level, n))
+        state.apply_multiplexed_ry(tree.angles[level], n - 1 - level, range(n - level, n))
     return state
 
 

@@ -5,6 +5,10 @@ with explicit loops over the power set.  Deliberately slow and entirely
 independent of the library's fast transforms, so the two sides of every
 comparison cannot share a bug.
 
+``inputs_digest_oracle`` is the input digest composed the long way:
+every mass function dumped to its document form, then the whole tuple
+rounded value by value before hashing.
+
 The phase-estimation references are the closed form of the circuit
 (``fejer_meob_oracle``) and the circuit itself replayed gate by gate on
 the simulator (``phase_estimation_replay``); the library applies the
@@ -13,10 +17,14 @@ same circuit as fused register operators.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import numpy as np
 
+from qbelief.documents import dump_bba_document
+from qbelief.dst import MassFunction
 from qbelief.qsim import (
     Circuit,
     H,
@@ -128,6 +136,29 @@ def jousselme_oracle(m1: np.ndarray, m2: np.ndarray, n: int) -> float:
     return math.sqrt(max(0.5 * d @ jaccard_oracle(n) @ d, 0.0))
 
 
+def round_payload_oracle(value):
+    """Every real rounded to 12 significant digits, walking the whole value."""
+    if isinstance(value, (float, np.floating)):
+        return float(f"{float(value):.12g}")
+    if isinstance(value, (int, np.integer, str, bool)) or value is None:
+        return value
+    if isinstance(value, np.ndarray):
+        return [round_payload_oracle(v) for v in value.tolist()]
+    if isinstance(value, (list, tuple)):
+        return [round_payload_oracle(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): round_payload_oracle(v) for k, v in value.items()}
+    raise TypeError(f"cannot round a value of type {type(value)}")
+
+
+def inputs_digest_oracle(*parts) -> str:
+    """Digest of the inputs with each mass function dumped to its document
+    and the parts rounded again by ``round_payload_oracle``."""
+    docs = [dump_bba_document(p) if isinstance(p, MassFunction) else p for p in parts]
+    canon = json.dumps(round_payload_oracle(docs), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+
+
 def extract_register_oracle(amps: np.ndarray, qubits, fixed: dict[int, int]) -> np.ndarray:
     """Sub-state on ``qubits`` with every other qubit fixed, one basis index
     at a time: local bit j sets qubit qubits[j] on top of the fixed bits."""
@@ -192,11 +223,12 @@ def phase_estimation_replay(
 ) -> tuple[np.ndarray, float]:
     """The evolution pipeline replayed gate by gate on the simulator.
 
-    A circuit ``pe`` puts H on each clock qubit, applies exp(i H t0 2^j)
-    to the evolved register under clock qubit j, and ends with the
-    inverse QFT; one multiplexed RY on the ancilla follows, then
-    ``pe.inverse()``, then postselection of the ancilla to 1, the clock
-    to 0 and, for an embedded A, the embedding bit to 1.
+    Phase estimation ``pe`` puts H on each clock qubit, applies
+    exp(i H t0 2^j) to the evolved register under clock qubit j, and ends
+    with the inverse QFT; one multiplexed RY on the ancilla follows, then
+    the adjoint of ``pe`` (its gates inverted, in reverse order), then
+    postselection of the ancilla to 1, the clock to 0 and, for an
+    embedded A, the embedding bit to 1.
     """
     h, embedded = _embedding(a)
     n = int(psi.size).bit_length() - 1
@@ -206,22 +238,26 @@ def phase_estimation_replay(
     clock = range(s, s + t)
     state = product_state([StateVector(n, psi), new_state(k - n)])
 
-    pe = Circuit(k)
-    for j in clock:
-        pe.append(H(), j)
+    system = list(range(s))
     powers = matrix_exponential(h, t0 * 2.0 ** np.arange(t))
-    for j in range(t):
-        pe.append_unitary(powers[j], list(range(s)), [(s + j, 1)], label=f"evo^{1 << j}")
-    pe.append_circuit(qft_circuit(t).inverse(), list(clock))
+    iqft = Circuit(k).append_circuit(qft_circuit(t).inverse(), list(clock))
 
     size = 1 << t
     x = np.arange(size)
     lam = 2.0 * np.pi * (x - size * (x >= size // 2)) / (size * t0)
     angles = 2.0 * np.arcsin(np.clip(c * lam, -1.0, 1.0))
 
-    pe.run(state)
+    for j in clock:
+        state.apply(H(), j)
+    for j in range(t):
+        state.apply_dense_unitary(powers[j], system, [(s + j, 1)])
+    iqft.run(state)
     state.apply_multiplexed_ry(angles, anc, clock)
-    pe.inverse().run(state)
+    iqft.inverse().run(state)
+    for j in reversed(range(t)):
+        state.apply_dense_unitary(powers[j].conj().T, system, [(s + j, 1)])
+    for j in reversed(clock):
+        state.apply(H(), j)
 
     fixed = {anc: 1, **{j: 0 for j in clock}}
     if embedded:

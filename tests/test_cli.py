@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from conftest import random_bbas
+from oracles import inputs_digest_oracle
 import qbelief
 from qbelief.cli import main
 from qbelief.dst import validate_bba
-from qbelief.documents import dump_bba_document
+from qbelief.documents import dump_bba_document, dumps_result
 
 
 def write_doc(tmp_path, m, name):
@@ -233,6 +234,52 @@ class TestDeterminism:
         _, out3, _ = run(capsys, ["prob", "--method", "ptm", showcase_path])
         _, out4, _ = run(capsys, ["prob", "--method", "ptm", showcase_path])
         assert out3 == out4
+
+
+# every command that answers with a result document: (argv before the
+# input paths, number of inputs, the inputs the digest covers around them)
+RESULT_COMMANDS = [
+    pytest.param(["transform", "--kind", "q", "--backend", "quantum-oracle"], 1,
+                 ("transform", "q", "quantum-oracle"), (), id="transform"),
+    pytest.param(["combine", "--rule", "dempster"], 2,
+                 ("combine", "dempster", "classical"), (), id="combine"),
+    pytest.param(["similarity", "--measure", "fidelity", "--backend", "quantum-circuit"], 2,
+                 ("similarity", "fidelity", "quantum-circuit"), (), id="similarity"),
+    pytest.param(["entropy", "--kind", "fb"], 1, ("entropy", "fb"), (), id="entropy"),
+    pytest.param(["prob", "--method", "ptm", "--backend", "quantum-circuit"], 1,
+                 ("prob", "ptm", "quantum-circuit"), (None, None), id="prob"),
+    pytest.param(["prob", "--method", "ppt", "--seed", "4"], 1,
+                 ("prob", "ppt", "classical"), (None, 4), id="prob-seed"),
+    pytest.param(["prob", "--method", "ptm", "--backend", "quantum-oracle",
+                  "--shots", "64", "--seed", "5"], 1,
+                 ("prob", "ptm", "quantum-oracle"), (64, 5), id="prob-shots"),
+    pytest.param(["prepare", "--shots", "128", "--seed", "9"], 1,
+                 ("prepare",), (128, 9), id="prepare"),
+]
+
+
+class TestResultTail:
+    @pytest.fixture
+    def inputs(self, tmp_path, showcase):
+        other = validate_bba(showcase.frame, {("A",): 0.3, ("B", "C"): 0.5, ("A", "B", "C"): 0.2})
+        return [(write_doc(tmp_path, m, f"in{i}.json"), m) for i, m in enumerate([showcase, other])]
+
+    @pytest.mark.parametrize("argv, count, head, tail", RESULT_COMMANDS)
+    def test_digest_matches_the_long_composition(self, capsys, inputs, argv, count, head, tail):
+        paths, ms = zip(*inputs[:count])
+        doc = run_json(capsys, argv + list(paths))
+        assert doc["inputs_digest"] == inputs_digest_oracle(*head, *ms, *tail)
+
+    @pytest.mark.parametrize("argv, count, head, tail", RESULT_COMMANDS)
+    def test_timing_adds_only_wall_time(self, capsys, inputs, argv, count, head, tail):
+        paths = [p for p, _ in inputs[:count]]
+        code, plain, err = run(capsys, argv + paths)
+        assert code == 0, err
+        timed = run_json(capsys, argv + ["--timing"] + paths)
+        wall = timed.pop("wall_time_s")
+        assert isinstance(wall, float) and np.isfinite(wall) and wall >= 0.0
+        assert dumps_result(timed).encode() == plain.encode()
+        assert "wall_time_s" not in json.loads(plain)
 
 
 class TestTrend:

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from conftest import make_frame
+from oracles import inputs_digest_oracle
 from qbelief.documents import (
     dump_bba_document,
     dumps_result,
@@ -10,6 +12,7 @@ from qbelief.documents import (
     parse_bba_document,
     result_document,
 )
+from qbelief.dst import MassFunction, random_mass_function
 from qbelief.errors import DuplicateFocalSet, MassSumViolation, ValidationError
 from qbelief.qasm import circuit_from_json, circuit_to_json, circuit_to_qasm
 from qbelief.quantum import build_preparation_tree, synthesize_preparation_circuit
@@ -82,6 +85,56 @@ class TestResultDocuments:
         assert "wall_time_s" not in doc
         doc = result_document("op", "d", None, {}, wall_time_s=0.125)
         assert doc["wall_time_s"] == 0.125
+
+
+def edge_mass_function() -> MassFunction:
+    """Masses at the 12-digit rounding edges: 1e-13, 0.1 + 0.2 (not 0.3
+    in binary) and subnormal dust."""
+    frame = make_frame(4)
+    masses = np.zeros(frame.size)
+    masses[1] = 1e-13
+    masses[2] = 0.1 + 0.2
+    masses[3] = 5e-324
+    masses[4] = 2.2250738585072014e-309
+    masses[7] = 1.0 / 3.0
+    masses[15] = 1.0 - masses.sum()
+    return MassFunction(frame, masses)
+
+
+class TestInputsDigest:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_random_documents_match_oracle(self, n):
+        rng = np.random.default_rng(900 + n)
+        frame = make_frame(n)
+        for _ in range(5):
+            m = random_mass_function(frame, rng, allow_empty=True)
+            assert inputs_digest("transform", "q", "classical", m) == inputs_digest_oracle(
+                "transform", "q", "classical", m
+            )
+
+    def test_rounding_edges_match_oracle(self):
+        m = edge_mass_function()
+        assert 5e-324 in m.masses  # the dust survives into the document
+        assert inputs_digest("entropy", "js", m) == inputs_digest_oracle("entropy", "js", m)
+
+    @pytest.mark.parametrize("shots, seed", [(None, None), (1024, 7), (None, 3), (0, 0)])
+    def test_every_cli_shape_matches_oracle(self, showcase, shots, seed):
+        other = edge_mass_function()
+        shapes = [
+            ("transform", "bel", "quantum-oracle", showcase),
+            ("combine", "dempster", "classical", showcase, showcase),
+            ("similarity", "fidelity", "quantum-circuit", showcase, showcase),
+            ("entropy", "fb", other),
+            ("prob", "ptm", "quantum-circuit", showcase, shots, seed),
+            ("prepare", other, shots, seed),
+        ]
+        for parts in shapes:
+            assert inputs_digest(*parts) == inputs_digest_oracle(*parts), parts
+
+    @pytest.mark.parametrize("part", [0.5, np.float64(0.5), np.arange(3), np.array(1.0)])
+    def test_float_and_array_parts_refused(self, part):
+        with pytest.raises(ValidationError):
+            inputs_digest("prob", part)
 
 
 class TestCircuitSerialization:

@@ -17,8 +17,8 @@ class TestTreeValues:
         # root splits on the third element: 1/3 of the mass avoids it
         assert tree.node_value(1, 0) == pytest.approx(1 / 3, abs=1e-12)
         assert tree.node_value(1, 1) == pytest.approx(2 / 3, abs=1e-12)
-        assert tree.node_angle(0, 0) == pytest.approx(np.arctan(1 / np.sqrt(2)), abs=1e-9)
-        assert tree.node_angle(0, 0) == pytest.approx(0.61548, abs=1e-5)
+        assert tree.node_angle(0, 0) == pytest.approx(2 * np.arctan(np.sqrt(2)), abs=1e-9)
+        assert tree.node_angle(0, 0) == pytest.approx(1.91063, abs=1e-5)
 
     def test_parents_sum_children(self, showcase):
         tree = build_preparation_tree(showcase)
@@ -37,16 +37,16 @@ class TestTreeValues:
         frame = make_frame(3)
         m = validate_bba(frame, {5: 1.0})
         tree = build_preparation_tree(m)
-        # every populated node pins its branch: angles on the path are 0 or pi/2
+        # every populated node pins its branch: angles on the path are 0 or pi
         path_angles = [tree.node_angle(0, 0), tree.node_angle(1, 1), tree.node_angle(2, 2)]
         for angle in path_angles:
-            assert angle in (0.0, np.pi / 2)
+            assert angle in (0.0, np.pi)
 
     def test_vacuous_single_element(self):
         frame = make_frame(1)
         m = validate_bba(frame, {("e0",): 1.0})
         tree = build_preparation_tree(m)
-        assert tree.node_angle(0, 0) == 0.0  # all mass on the |1> branch
+        assert tree.node_angle(0, 0) == np.pi  # all mass on the |1> branch
 
 
 class TestCircuitShape:
