@@ -257,8 +257,10 @@ def prob(method: str, backend: str, shots, seed, out: str | None, timing: bool, 
 def prepare(emit_kind, shots, seed, out, timing: bool, path: str) -> None:
     """Synthesize the state-preparation circuit for a mass function.
 
-    ``--emit`` writes the circuit (QASM decomposes to the x/ry/rz/h/cx
-    library first); ``--shots`` with ``--seed`` samples the prepared state.
+    ``--emit`` writes the circuit: circuit JSON keeps the 2^n - 1
+    multi-controlled RYs, QASM writes each tree level as one Gray-code
+    multiplexor (2^n - 1 ``ry`` and 2^n - 2 ``cx`` lines in all, for any
+    n); ``--shots`` with ``--seed`` samples the prepared state.
     """
     started = time.perf_counter()
     m = load_bba_document(path)

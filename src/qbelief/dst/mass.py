@@ -94,10 +94,6 @@ class MassFunction:
         idx = focal if isinstance(focal, int) else self.frame.index_of(focal)
         return float(self.masses[idx])
 
-    def as_dict(self) -> dict[tuple[str, ...], float]:
-        """Sparse focal-set map, for display and serialization."""
-        return {self.frame.labels_of(i): float(self.masses[i]) for i in self.focal_sets}
-
     def __repr__(self) -> str:
         parts = ", ".join(
             f"{self.frame.format_subset(i)}: {self.masses[i]:.6g}" for i in self.focal_sets

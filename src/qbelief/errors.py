@@ -84,10 +84,6 @@ class NotHermitian(ValidationError):
     pass
 
 
-class TooManyControls(ValidationError):
-    pass
-
-
 class ImpossibleOutcome(ComputationError):
     pass
 

@@ -1,46 +1,103 @@
 """OpenQASM 2.0 emission and circuit JSON serialization.
 
-QASM output is restricted to the {x, ry, rz, h, cx} subset of qelib1, so
-multi-controlled ops are decomposed first.  Circuit JSON keeps the
-native multi-controlled form and round-trips losslessly.
+QASM output uses the {x, ry, rz, h, cx} subset of qelib1.  Each run of
+consecutive RYs on one target whose controls sit on the same qubits is
+one uniformly controlled RY, written as the Gray-code multiplexor of
+Möttönen et al. (quant-ph/0407010): 2^k ``ry`` lines interleaved with
+2^k ``cx`` lines for k controls, with no cap on k.  A preparation
+circuit on n qubits thus prints 2^n - 1 ``ry`` and 2^n - 2 ``cx`` lines.
+Circuit JSON keeps the native multi-controlled form and round-trips
+losslessly.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import groupby
+
+import numpy as np
 
 from .errors import ValidationError
-from .qsim.circuit import Circuit
-from .qsim.decompose import decompose_circuit
+from .qsim.circuit import Circuit, CircuitOp
 from .qsim.gates import Gate
 
 QASM_GATES = {"x", "ry", "rz", "h"}
 
 
 def circuit_to_qasm(circuit: Circuit) -> str:
-    """Decompose and print a circuit as OpenQASM 2.0 text."""
-    flat = decompose_circuit(circuit)
+    """Print a circuit as OpenQASM 2.0 text.
+
+    Besides RYs with any controls, only uncontrolled x/h/rz and an x with
+    one closed control (``cx``) are accepted; any other controlled gate
+    raises :class:`ValidationError`.
+    """
     lines = [
         "OPENQASM 2.0;",
         'include "qelib1.inc";',
         f"qreg q[{circuit.k}];",
         f"creg c[{circuit.k}];",
     ]
-    for op in flat.ops:
-        kind = op.gate.kind
-        if kind == "x" and len(op.controls) == 1:
-            (ctrl, pol) = op.controls[0]
-            if pol != 1:
-                raise ValidationError("decomposition left an open control")
-            lines.append(f"cx q[{ctrl}],q[{op.targets[0]}];")
+    for key, run in groupby(circuit.ops, key=_ry_run):
+        if key is None:
+            lines.extend(_direct_line(op) for op in run)
             continue
-        if op.controls:
-            raise ValidationError(f"decomposition left controls on {kind}")
-        if kind not in QASM_GATES:
-            raise ValidationError(f"gate {kind} not in the QASM subset")
-        args = f"({','.join(f'{p:.15g}' for p in op.gate.params)})" if op.gate.params else ""
-        lines.append(f"{kind}{args} q[{op.targets[0]}];")
+        target, wires = key
+        angles = np.zeros(1 << len(wires))
+        for op in run:
+            # controls sorted by qubit give the pattern bits in wire order
+            pattern = sum(pol << b for b, (_, pol) in enumerate(sorted(op.controls)))
+            angles[pattern] += op.gate.params[0]
+        lines.extend(_multiplexed_ry(angles, target, wires))
     return "\n".join(lines) + "\n"
+
+
+def _ry_run(op: CircuitOp) -> tuple[int, tuple[int, ...]] | None:
+    """Grouping key: RYs share a run on the same target and control qubits."""
+    if op.gate.kind != "ry":
+        return None
+    return op.targets[0], tuple(sorted(q for q, _ in op.controls))
+
+
+def _direct_line(op: CircuitOp) -> str:
+    kind = op.gate.kind
+    if op.controls:
+        if kind == "x" and len(op.controls) == 1 and op.controls[0][1] == 1:
+            return f"cx q[{op.controls[0][0]}],q[{op.targets[0]}];"
+        raise ValidationError(f"controlled {kind} {op.controls} has no QASM export")
+    if kind not in QASM_GATES:
+        raise ValidationError(f"gate {kind} not in the QASM subset")
+    args = f"({','.join(f'{p:.15g}' for p in op.gate.params)})" if op.gate.params else ""
+    return f"{kind}{args} q[{op.targets[0]}];"
+
+
+def _multiplexed_ry(angles: np.ndarray, target: int, controls: tuple[int, ...]) -> list[str]:
+    """QASM lines of RY(angles[p]) on ``target`` wherever the controls read
+    pattern p, controls[b] being bit b of p.
+
+    Step i rotates by theta_i = WHT(angles)[gray(i)] / 2^k, then flips the
+    target with a CX on the wire whose Gray bit flips next (the top wire
+    on the wrap-around).  Before step i the target has been flipped on
+    the wires of gray(i), so pattern p sees the sign
+    (-1)^popcount(p & gray(i)) and the steps sum to angles[p].
+    """
+    k = len(controls)
+    if k == 0:
+        return [f"ry({angles[0]:.15g}) q[{target}];"]
+    wht = np.array(angles, dtype=np.float64)
+    for b in range(k):
+        pairs = wht.reshape(-1, 2, 1 << b)
+        low = pairs[:, 0].copy()
+        pairs[:, 0] += pairs[:, 1]
+        pairs[:, 1] = low - pairs[:, 1]
+    steps = np.arange(1 << k)
+    gray = steps ^ (steps >> 1)
+    thetas = wht[gray] / (1 << k)
+    flips = gray ^ np.roll(gray, -1)
+    lines = []
+    for theta, flip in zip(thetas.tolist(), flips.tolist()):
+        lines.append(f"ry({theta:.15g}) q[{target}];")
+        lines.append(f"cx q[{controls[flip.bit_length() - 1]}],q[{target}];")
+    return lines
 
 
 def circuit_to_json(circuit: Circuit) -> str:

@@ -1,7 +1,6 @@
 """Deterministic dense state-vector simulator."""
 
 from .circuit import Circuit, CircuitOp
-from .decompose import MAX_CONTROLS, decompose_circuit, decompose_multicontrolled
 from .gates import RY, RZ, SWAP, U3, Gate, H, X, gate_matrix
 from .linalg import hermiticity_defect, hermitian_eigh, matrix_exponential
 from .qft import inverse_qft_circuit, qft_circuit
@@ -34,7 +33,4 @@ __all__ = [
     "hermitian_eigh",
     "matrix_exponential",
     "hermiticity_defect",
-    "decompose_multicontrolled",
-    "decompose_circuit",
-    "MAX_CONTROLS",
 ]

@@ -62,17 +62,6 @@ class StateVector:
 
     # --- constructors ---
 
-    @classmethod
-    def from_amplitudes(cls, amps: np.ndarray) -> "StateVector":
-        amps = np.asarray(amps, dtype=np.complex128)
-        k = int(amps.size).bit_length() - 1
-        if 1 << k != amps.size:
-            raise QubitCountMismatch("amplitude count must be a power of two")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValidationError(f"amplitudes have norm {norm}, expected 1")
-        return cls(k, amps)
-
     def copy(self) -> "StateVector":
         return StateVector(self.k, self.amps)
 

@@ -13,6 +13,9 @@ The phase-estimation references are the closed form of the circuit
 (``fejer_meob_oracle``) and the circuit itself replayed gate by gate on
 the simulator (``phase_estimation_replay``); the library applies the
 same circuit as fused register operators.
+
+``qasm_replay`` reads exported OpenQASM 2.0 text line by line and applies
+each gate as its 2x2 matrix, with no use of the library's simulator.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 
@@ -268,3 +272,50 @@ def phase_estimation_replay(
         success *= p
     out = extract_register_oracle(state.amps, list(range(n)), fixed)
     return out, success
+
+
+_QASM_REG = re.compile(r"qreg q\[(\d+)\];")
+_QASM_OP = re.compile(r"(x|h|ry|rz|cx)(?:\(([^)]*)\))? q\[(\d+)\](?:,q\[(\d+)\])?;")
+
+
+def _qasm_matrix(kind: str, param: str | None) -> np.ndarray:
+    if kind in ("x", "cx"):
+        return np.array([[0, 1], [1, 0]], dtype=np.complex128)
+    if kind == "h":
+        return np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0)
+    a = float(param)
+    if kind == "ry":
+        c, s = math.cos(a / 2.0), math.sin(a / 2.0)
+        return np.array([[c, -s], [s, c]], dtype=np.complex128)
+    return np.array([[1, 0], [0, complex(math.cos(a), math.sin(a))]])  # rz: phase on |1>
+
+
+def qasm_replay(text: str, basis_index: int = 0) -> np.ndarray:
+    """Amplitudes after running OpenQASM 2.0 text of x/h/ry/rz/cx lines on
+    the basis state |basis_index>; qubit q is bit q of the basis index."""
+    lines = text.splitlines()
+    assert lines[:2] == ["OPENQASM 2.0;", 'include "qelib1.inc";'], lines[:2]
+    k = int(_QASM_REG.fullmatch(lines[2])[1])
+    assert lines[3] == f"creg c[{k}];", lines[3]
+    amps = np.zeros(1 << k, dtype=np.complex128)
+    amps[basis_index] = 1.0
+    view = amps.reshape((2,) * k)  # qubit q is axis k - 1 - q
+    for line in lines[4:]:
+        match = _QASM_OP.fullmatch(line)
+        assert match is not None, f"unparsed QASM line {line!r}"
+        kind, param, first, second = match.groups()
+        u = _qasm_matrix(kind, param)
+        index: list = [slice(None)] * k
+        if kind == "cx":
+            index[k - 1 - int(first)] = 1
+            target = int(second)
+        else:
+            target = int(first)
+        index[k - 1 - target] = 0
+        i0 = tuple(index)
+        index[k - 1 - target] = 1
+        i1 = tuple(index)
+        a0, a1 = view[i0].copy(), view[i1].copy()
+        view[i0] = u[0, 0] * a0 + u[0, 1] * a1
+        view[i1] = u[1, 0] * a0 + u[1, 1] * a1
+    return amps

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_bbas
+from conftest import make_frame, random_bbas
 from oracles import inputs_digest_oracle
 import qbelief
 from qbelief.cli import main
@@ -140,6 +140,18 @@ class TestSimilarity:
         doc = run_json(capsys, ["similarity", "--measure", "jousselme", a, b])
         assert doc["payload"]["value"] == pytest.approx(1.0, abs=1e-9)
 
+    def test_jaccard_measures_at_frame_cap(self, capsys, tmp_path):
+        # n = 20: the dense Jaccard matrix would take 8 TiB
+        frame = make_frame(20)
+        full = frame.size - 1
+        a = write_doc(tmp_path, validate_bba(frame, {1: 0.5, full: 0.5}), "a.json")
+        b = write_doc(tmp_path, validate_bba(frame, {1: 1.0}), "b.json")
+        # d = (-1/2, 1/2) on ({e0}, frame), J({e0}, frame) = 1/20
+        doc = run_json(capsys, ["similarity", "--measure", "jousselme", a, b])
+        assert doc["payload"]["value"] == pytest.approx(np.sqrt(0.5 * 0.475), abs=1e-12)
+        doc = run_json(capsys, ["similarity", "--measure", "inner-bba", a, b])
+        assert doc["payload"]["value"] == pytest.approx(0.5 + 0.5 / 20, abs=1e-12)
+
     def test_jousselme_has_no_quantum_backend(self, capsys, pair_paths):
         code, _, err = run(
             capsys,
@@ -185,6 +197,16 @@ class TestPrepare:
         code, out, _ = run(capsys, ["prepare", path, "--emit", "qasm"])
         assert code == 0
         assert out.startswith('OPENQASM 2.0;\ninclude "qelib1.inc";')
+
+    def test_qasm_emission_at_ten_elements(self, capsys, tmp_path):
+        # ten elements need nine controls on the last tree level
+        (m,) = random_bbas(1, 10, seed=77, allow_empty=True)
+        code, out, err = run(capsys, ["prepare", write_doc(tmp_path, m, "m.json"),
+                                      "--emit", "qasm"])
+        assert code == 0, err
+        body = out.splitlines()[4:]
+        assert sum(line.startswith("ry(") for line in body) == 1023
+        assert sum(line.startswith("cx ") for line in body) == 1022
 
     def test_circuit_json_round_trip(self, capsys, showcase_path, showcase):
         code, out, _ = run(capsys, ["prepare", showcase_path, "--emit", "circuit-json"])

@@ -160,7 +160,7 @@ class TestCircuitSerialization:
 
     def test_qasm_json_agree_on_ops(self):
         # json keeps the native form; parsing its ops back gives the
-        # same statevector the qasm-emitting decomposition started from
+        # same statevector the QASM export started from
         m = parse_bba_document(showcase_doc())
         circ = synthesize_preparation_circuit(build_preparation_tree(m))
         doc = json.loads(circuit_to_json(circ))

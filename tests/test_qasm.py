@@ -1,5 +1,6 @@
-"""Decomposed-emission correctness: the flattened circuit must reproduce
-the native preparation exactly, and oversized registers must refuse."""
+"""QASM export: the Gray-code multiplexor must reproduce the native gates
+on every basis state, and a preparation exports with 2^n - 1 ``ry`` and
+2^n - 2 ``cx`` lines at any n."""
 
 import json
 
@@ -7,22 +8,143 @@ import numpy as np
 import pytest
 
 from conftest import make_frame, random_bbas
+from oracles import qasm_replay
 from qbelief.dst import validate_bba
-from qbelief.errors import TooManyControls, ValidationError
-from qbelief.qasm import circuit_from_json, circuit_to_qasm
-from qbelief.qsim import decompose_circuit
+from qbelief.errors import ValidationError
+from qbelief.qasm import _multiplexed_ry, circuit_from_json, circuit_to_qasm
+from qbelief.qsim import RY, Circuit, H, X, new_state
 from qbelief.quantum import build_preparation_tree, synthesize_preparation_circuit
 
 
-class TestDecomposedPreparation:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_flattened_circuit_matches_native(self, n):
-        for m in random_bbas(4, n, seed=910 + n, allow_empty=True):
+def qasm_text(k, body):
+    return "\n".join(["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{k}];",
+                      f"creg c[{k}];", *body]) + "\n"
+
+
+def count_lines(text, kind):
+    return sum(line.startswith(kind + " ") or line.startswith(kind + "(")
+               for line in text.splitlines())
+
+
+class TestMultiplexor:
+    """The emitter against ``StateVector.apply_multiplexed_ry``."""
+
+    # (qubits, target, controls): gapped and unordered controls, with the
+    # target below, between and above them
+    @pytest.mark.parametrize("k, target, controls", [
+        (1, 0, ()),
+        (3, 2, ()),
+        (2, 0, (1,)),
+        (2, 1, (0,)),
+        (3, 0, (2, 1)),
+        (4, 1, (0, 3)),
+        (4, 3, (2, 0)),
+        (5, 0, (3, 1, 4)),
+        (5, 2, (4, 0, 1)),
+        (5, 4, (0, 3, 1)),
+        (5, 0, (4, 2, 1, 3)),
+        (6, 2, (0, 5, 1, 4)),
+        (5, 4, (3, 0, 2, 1)),
+    ])
+    def test_matches_simulator_on_every_basis_state(self, k, target, controls, rng):
+        angles = rng.uniform(-2 * np.pi, 2 * np.pi, size=1 << len(controls))
+        text = qasm_text(k, _multiplexed_ry(angles, target, controls))
+        assert count_lines(text, "ry") == 1 << len(controls)
+        assert count_lines(text, "cx") == (1 << len(controls) if controls else 0)
+        for basis in range(1 << k):
+            want = new_state(k, basis).apply_multiplexed_ry(angles, target, controls).amps
+            np.testing.assert_allclose(qasm_replay(text, basis), want, atol=1e-12)
+
+
+def assert_export_matches(circuit, tol=1e-12):
+    text = circuit_to_qasm(circuit)
+    for basis in range(1 << circuit.k):
+        np.testing.assert_allclose(
+            qasm_replay(text, basis), circuit.simulate(basis).amps, atol=tol
+        )
+    return text
+
+
+class TestControlledRY:
+    def test_no_controls_is_one_line(self):
+        text = assert_export_matches(Circuit(3).append(RY(0.4), 2))
+        assert text.splitlines()[4:] == ["ry(0.4) q[2];"]
+
+    @pytest.mark.parametrize("polarity", [(1, 1), (1, 0), (0, 1), (0, 0)])
+    def test_double_controlled(self, polarity, rng):
+        theta = float(rng.uniform(0, 2 * np.pi))
+        controls = [(1, polarity[0]), (2, polarity[1])]
+        text = assert_export_matches(Circuit(3).append(RY(theta), 0, controls))
+        assert count_lines(text, "ry") == 4 and count_lines(text, "cx") == 4
+        assert count_lines(text, "x") == 0  # no conjugation of open controls
+
+    @pytest.mark.parametrize("num_controls", [3, 4, 5])
+    def test_deep_random_polarity_chains(self, num_controls, rng):
+        theta = float(rng.uniform(0, 2 * np.pi))
+        polarities = [int(rng.integers(2)) for _ in range(num_controls)]
+        controls = [(q + 1, pol) for q, pol in enumerate(polarities)]
+        assert_export_matches(Circuit(num_controls + 1).append(RY(theta), 0, controls))
+
+    def test_same_pattern_merges_additively(self):
+        merged = (
+            Circuit(3)
+            .append(RY(0.3), 0, [(1, 1), (2, 0)])
+            .append(RY(1.1), 0, [(2, 0), (1, 1)])
+        )
+        single = Circuit(3).append(RY(0.3 + 1.1), 0, [(1, 1), (2, 0)])
+        text = assert_export_matches(merged)
+        assert text == circuit_to_qasm(single)
+        assert count_lines(text, "ry") == 4
+
+    def test_run_breaks_on_other_control_qubits(self):
+        circ = (
+            Circuit(3)
+            .append(RY(0.3), 0, [(1, 1)])
+            .append(RY(0.7), 0, [(2, 1)])
+            .append(H(), 1)
+            .append(RY(0.5), 0, [(1, 0)])
+        )
+        text = assert_export_matches(circ)
+        assert count_lines(text, "ry") == 6 and count_lines(text, "h") == 1
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("gate, controls, name", [
+        (X(), [(1, 1), (2, 1)], "x"),
+        (X(), [(1, 0)], "x"),
+        (H(), [(1, 1)], "h"),
+    ], ids=["toffoli", "open-controlled-x", "controlled-h"])
+    def test_other_controlled_gates_refused(self, gate, controls, name):
+        with pytest.raises(ValidationError, match=f"controlled {name} "):
+            circuit_to_qasm(Circuit(3).append(gate, 0, controls))
+
+    def test_cnot_prints_directly(self):
+        text = circuit_to_qasm(Circuit(2).append(X(), 0, [(1, 1)]))
+        assert text.splitlines()[4:] == ["cx q[1],q[0];"]
+
+
+def preparation_masses(n):
+    frame = make_frame(n)
+    full = frame.size - 1
+    return [
+        *random_bbas(2, n, seed=910 + n, allow_empty=True),
+        validate_bba(frame, {full: 1.0}),
+        validate_bba(frame, {full >> 1 | 1: 1.0}),
+        validate_bba(frame, {0: 1.0}),
+        validate_bba(frame, {0: 0.25, full: 0.75}),
+    ]
+
+
+class TestPreparationExport:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_replay_matches_native_circuit(self, n):
+        for m in preparation_masses(n):
             native = synthesize_preparation_circuit(build_preparation_tree(m))
-            flat = decompose_circuit(native)
-            a = native.simulate(0).amps
-            b = flat.simulate(0).amps
-            np.testing.assert_allclose(b, a, atol=1e-9)
+            text = circuit_to_qasm(native)
+            assert count_lines(text, "ry") == (1 << n) - 1
+            assert count_lines(text, "cx") == (1 << n) - 2
+            assert len(text.splitlines()) == 4 + (1 << n) - 1 + (1 << n) - 2
+            np.testing.assert_allclose(qasm_replay(text), native.simulate(0).amps, atol=1e-12)
 
     def test_single_element_certainty_is_one_rotation(self):
         frame = make_frame(1)
@@ -31,21 +153,6 @@ class TestDecomposedPreparation:
         body = [l for l in text.splitlines()[4:] if l]
         assert len(body) == 1
         assert body[0].startswith("ry(3.14159265358979")
-
-    def test_nine_elements_emit(self):
-        # layer 9 uses 8 controls, the decomposition cap
-        frame = make_frame(9)
-        m = validate_bba(frame, {tuple(frame.elements): 1.0})
-        circ = synthesize_preparation_circuit(build_preparation_tree(m))
-        text = circuit_to_qasm(circ)
-        assert text.startswith("OPENQASM 2.0;")
-
-    def test_ten_elements_refuse(self):
-        frame = make_frame(10)
-        m = validate_bba(frame, {tuple(frame.elements): 1.0})
-        circ = synthesize_preparation_circuit(build_preparation_tree(m))
-        with pytest.raises(TooManyControls):
-            circuit_to_qasm(circ)
 
 
 class TestCircuitJSON:

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
-from conftest import random_bbas
+from conftest import make_frame, random_bbas
 from oracles import jousselme_oracle
 from qbelief.cli import trend_rows
 from qbelief.dst import (
+    MassFunction,
     classical_fidelity,
     euclidean_distance,
     fb_inner_product,
     inner_bba,
     jousselme_distance,
+    random_mass_function,
+    transform_matrix,
     validate_bba,
 )
 from qbelief.errors import FrameMismatch
@@ -44,6 +47,51 @@ class TestDistanceBasics:
     def test_frame_mismatch(self, frame2, showcase):
         with pytest.raises(FrameMismatch):
             jousselme_distance(validate_bba(frame2, {("A",): 1.0}), showcase)
+
+
+def dense_forms(m1, m2):
+    jac = transform_matrix("jaccard", m1.frame.n)
+    d = m1.masses - m2.masses
+    return float(np.sqrt(max(0.5 * d @ jac @ d, 0.0))), float(m1.masses @ jac @ m2.masses)
+
+
+class TestJaccardForms:
+    """The focal-list forms against the dense 4^n Jaccard matrix."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_match_dense_matrix(self, n):
+        rng = np.random.default_rng(300 + n)
+        frame = make_frame(n)
+        for i in range(12):
+            # alternate sparse and full supports, with and without the empty set
+            max_focal = 3 if i % 2 else None
+            m1, m2 = (
+                random_mass_function(frame, rng, allow_empty=i % 3 == 0, max_focal=max_focal)
+                for _ in range(2)
+            )
+            jousselme, inner = dense_forms(m1, m2)
+            assert jousselme_distance(m1, m2) == pytest.approx(jousselme, abs=1e-12)
+            assert inner_bba(m1, m2) == pytest.approx(inner, abs=1e-12)
+
+    def test_focal_lists_longer_than_one_row_block(self):
+        # 700 + 700 focal sets on n = 10 span several row blocks
+        rng = np.random.default_rng(310)
+        frame = make_frame(10)
+        masses = np.zeros((2, frame.size))
+        for row in masses:
+            row[rng.choice(frame.size, size=700, replace=False)] = rng.exponential(size=700)
+        m1, m2 = (MassFunction(frame, row / row.sum()) for row in masses)
+        jousselme, inner = dense_forms(m1, m2)
+        assert jousselme_distance(m1, m2) == pytest.approx(jousselme, abs=1e-12)
+        assert inner_bba(m1, m2) == pytest.approx(inner, abs=1e-12)
+
+    def test_empty_set_pair_counts_one(self):
+        frame = make_frame(3)
+        empty = validate_bba(frame, {0: 1.0})
+        assert inner_bba(empty, empty) == 1.0
+        assert jousselme_distance(empty, validate_bba(frame, {7: 1.0})) == pytest.approx(
+            1.0, abs=1e-12
+        )
 
 
 class TestFidelity:
