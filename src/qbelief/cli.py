@@ -87,7 +87,7 @@ def validate(path: str) -> None:
     ]
     shape = ", ".join(flags) if flags else "normal"
     click.echo(
-        f"valid, {len(m.focal_sets)} focal sets, {shape} "
+        f"valid, {m.focal.size} focal sets, {shape} "
         f"(mass sum {m.masses.sum():.12g}, n={m.frame.n})"
     )
 

@@ -1,6 +1,9 @@
 """JSON document schemas for the command-line surface.
 
-Input documents list a frame and sparse focal masses; result documents
+Input documents list a frame and sparse focal masses.  A parsed document
+is checked on its listed masses alone and carries its focal list (sorted
+subset indices of non-zero mass), so neither parsing, nor the document
+form, nor the input digest scans the 2^n mass vector.  Result documents
 carry the operation name, an input digest, the backend and a numeric
 payload.  All reals are rounded to 12 significant digits at
 serialization, which keeps equal inputs byte-identical on disk while
@@ -57,46 +60,84 @@ def load_bba_document(path: str | Path) -> MassFunction:
 
 
 def parse_bba_document(doc: dict) -> MassFunction:
+    """Validate a decoded mass-function document into a :class:`MassFunction`
+    that carries its focal list.
+
+    ``frame`` and ``masses`` must be lists, each ``focal`` a list of labels
+    or one label, each ``mass`` a real number (not a bool or a string).
+    """
     if not isinstance(doc, dict) or "frame" not in doc or "masses" not in doc:
         raise ValidationError('document must have "frame" and "masses" keys')
+    if not isinstance(doc["frame"], list) or not isinstance(doc["masses"], list):
+        raise ValidationError('"frame" and "masses" must be lists')
     frame = Frame(doc["frame"])
     focal_masses: dict[int, float] = {}
     for entry in doc["masses"]:
         if not isinstance(entry, dict) or "focal" not in entry or "mass" not in entry:
             raise ValidationError('each mass entry needs "focal" and "mass"')
-        idx = frame.index_of(entry["focal"])
+        focal, mass = entry["focal"], entry["mass"]
+        if not isinstance(focal, (list, str)):
+            raise ValidationError(f'"focal" must be a list of labels or one label, not {focal!r}')
+        if isinstance(mass, bool) or not isinstance(mass, (int, float)):
+            raise ValidationError(f'"mass" must be a real number, not {mass!r}')
+        idx = frame.index_of(focal)
         if idx in focal_masses:
             raise DuplicateFocalSet(f"subset {frame.format_subset(idx)} listed twice")
-        focal_masses[idx] = float(entry["mass"])
+        try:
+            focal_masses[idx] = float(mass)
+        except OverflowError:  # an integer beyond the float range
+            raise ValidationError(f'"mass" {mass} is not a finite real') from None
     return validate_bba(frame, focal_masses)
+
+
+def _members(labels, focal: np.ndarray) -> list[list]:
+    """For each subset index in ``focal``, the ``labels`` of its set bits in
+    frame order, gathered one bit at a time over the whole list."""
+    out: list[list] = [[] for _ in range(focal.size)]
+    for k, label in enumerate(labels):
+        for j in np.flatnonzero(focal >> k & 1).tolist():
+            out[j].append(label)
+    return out
 
 
 def dump_bba_document(m: MassFunction) -> dict:
     return {
         "frame": list(m.frame.elements),
         "masses": [
-            {"focal": list(m.frame.labels_of(i)), "mass": _round_real(m.masses[i])}
-            for i in m.focal_sets
+            {"focal": labels, "mass": _round_real(v)}
+            for labels, v in zip(_members(m.frame.elements, m.focal), m.masses[m.focal].tolist())
         ],
     }
+
+
+def _canonical_bba(m: MassFunction) -> str:
+    """``json.dumps(dump_bba_document(m), sort_keys=True, separators=(",", ":"))``,
+    written straight from the focal list: each label is encoded once, and
+    each mass is the repr of its 12-digit rounding, as ``json`` writes it."""
+    labels = [json.dumps(e) for e in m.frame.elements]
+    entries = ",".join(
+        '{"focal":[' + ",".join(members) + '],"mass":' + repr(float(f"{v:.12g}")) + "}"
+        for members, v in zip(_members(labels, m.focal), m.masses[m.focal].tolist())
+    )
+    return '{"frame":[' + ",".join(labels) + '],"masses":[' + entries + "]}"
 
 
 def inputs_digest(*parts: str | int | MassFunction | None) -> str:
     """Stable digest of the operation inputs: names, flags, seeds and mass
     functions, each mass function in its canonical document form.
 
-    The document form already carries 12-digit masses, and that rounding
-    is idempotent, so the canonical text needs no second rounding walk.
+    The canonical text is the compact, key-sorted JSON of the parts, with
+    each mass function written straight from its focal list.
     """
     canon = []
     for part in parts:
         if isinstance(part, MassFunction):
-            canon.append(dump_bba_document(part))
+            canon.append(_canonical_bba(part))
         elif part is None or isinstance(part, (str, int)):
-            canon.append(part)
+            canon.append(json.dumps(part))
         else:
             raise ValidationError(f"cannot digest an input part of type {type(part)}")
-    text = json.dumps(canon, sort_keys=True, separators=(",", ":"))
+    text = "[" + ",".join(canon) + "]"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 

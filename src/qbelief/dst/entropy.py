@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frame import popcounts
 from .mass import MassFunction
 from .probability import pl_p
-from .transforms import fbba
+from .transforms import fractal_masses
 
 
 def _shannon(p: np.ndarray) -> float:
@@ -22,16 +21,17 @@ def fb_entropy(m: MassFunction) -> float:
     For a vacuous input over n elements this is log2(2^n - 1), strictly
     above the log2(n) of a uniform distribution for n >= 2.
     """
-    return _shannon(fbba(m).masses)
+    return _shannon(fractal_masses(m))
 
 
 def js_entropy(m: MassFunction) -> float:
     """Discord plus non-specificity: entropy of the normalized singleton
-    plausibilities plus the mass-weighted log-cardinality term."""
+    plausibilities plus the mass-weighted log-cardinality term, both over
+    the focal list."""
     discord = _shannon(pl_p(m))
-    pc = popcounts(m.frame.n).astype(np.float64)
-    nz = (m.masses > 0) & (pc > 0)
-    non_specificity = float((m.masses[nz] * np.log2(pc[nz])).sum())
+    focal = m.focal[m.focal != 0]
+    cards = np.bitwise_count(focal).astype(np.float64)  # uint8 would log2 in float16
+    non_specificity = float((m.masses[focal] * np.log2(cards)).sum())
     return discord + non_specificity
 
 

@@ -35,9 +35,11 @@ class Frame:
             )
         if any(not isinstance(e, str) or not e for e in elems):
             raise ValidationError("element labels must be non-empty strings")
-        if len(set(elems)) != len(elems):
+        bit = {e: 1 << k for k, e in enumerate(elems)}
+        if len(bit) != len(elems):
             raise ValidationError("element labels must be unique")
         object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "_bit", bit)  # label -> singleton bitmask
 
     @property
     def n(self) -> int:
@@ -63,10 +65,9 @@ class Frame:
         bits = 0
         for label in focal:
             try:
-                k = self.elements.index(label)
-            except ValueError:
+                bits |= self._bit[label]
+            except (KeyError, TypeError):  # TypeError: an unhashable label
                 raise UnknownElement(f"{label!r} is not an element of {self.elements}") from None
-            bits |= 1 << k
         return bits
 
     def labels_of(self, bits: int) -> tuple[str, ...]:
@@ -88,3 +89,8 @@ def popcounts(n: int) -> np.ndarray:
 def singleton_indices(n: int) -> np.ndarray:
     """Subset indices of the n singletons, in element order."""
     return np.left_shift(1, np.arange(n))
+
+
+def membership(subsets: np.ndarray, n: int) -> np.ndarray:
+    """(len(subsets), n) 0/1 matrix whose row i holds the bits of subsets[i]."""
+    return ((subsets[:, None] >> np.arange(n)) & 1).astype(np.float64)

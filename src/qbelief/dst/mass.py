@@ -1,15 +1,21 @@
 """Mass functions (basic belief assignments) over a frame's power set.
 
 A mass function assigns each subset a weight in [0, 1] with the weights
-summing to one.  Dense storage over all 2^n subsets, indexed by bitmask.
-Sparse focal-set maps are accepted only at the ingestion boundary
-(:func:`validate_bba`).
+summing to one.  Dense storage over all 2^n subsets, indexed by bitmask,
+plus the focal list: the sorted indices of the subsets with non-zero
+mass.  Sparse focal-set maps are accepted only at the ingestion boundary
+(:func:`validate_bba`), which checks the listed masses alone and hands
+the mass function its focal list; a computed vector is checked densely
+and finds its focal list on first use.  Queries that need only the focal
+sets (pignistic and plausibility transforms, non-specificity, fidelity,
+the distances, the document form) run over that list, not over 2^n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -28,12 +34,19 @@ from .frame import Frame, popcounts, singleton_indices
 MASS_SUM_TOL = 1e-9
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class MassFunction:
-    """Dense vector of subset masses over a frame.
+    """Dense vector of subset masses over a frame, with its focal list.
 
     The vector is validated at construction and then immutable; every
     operation on mass functions is a pure function returning new values.
+    :func:`validate_bba` builds one from listed masses, which it checks
+    itself, and sets ``focal`` from the same list.
     """
 
     frame: Frame
@@ -71,8 +84,7 @@ class MassFunction:
     @property
     def bayesian(self) -> bool:
         """True iff all focal sets are singletons."""
-        support = np.flatnonzero(self.masses)
-        return bool(np.all(np.bitwise_count(support.astype(np.uint32)) == 1))
+        return bool(np.all(np.bitwise_count(self.focal) == 1))
 
     @property
     def vacuous(self) -> bool:
@@ -82,13 +94,17 @@ class MassFunction:
     @property
     def consonant(self) -> bool:
         """True iff the focal sets form a chain under inclusion."""
-        support = [int(i) for i in np.flatnonzero(self.masses)]
-        support.sort(key=lambda f: bin(f).count("1"))
+        support = sorted(self.focal.tolist(), key=int.bit_count)
         return all(a & b == a for a, b in zip(support, support[1:]))
+
+    @cached_property
+    def focal(self) -> np.ndarray:
+        """Sorted int64 indices of the subsets with non-zero mass."""
+        return _frozen(np.flatnonzero(self.masses).astype(np.int64, copy=False))
 
     @property
     def focal_sets(self) -> list[int]:
-        return [int(i) for i in np.flatnonzero(self.masses)]
+        return self.focal.tolist()
 
     def mass_of(self, focal: Iterable[str] | str | int) -> float:
         idx = focal if isinstance(focal, int) else self.frame.index_of(focal)
@@ -96,7 +112,7 @@ class MassFunction:
 
     def __repr__(self) -> str:
         parts = ", ".join(
-            f"{self.frame.format_subset(i)}: {self.masses[i]:.6g}" for i in self.focal_sets
+            f"{self.frame.format_subset(i)}: {self.masses[i]:.6g}" for i in self.focal.tolist()
         )
         return f"MassFunction({parts})"
 
@@ -125,26 +141,47 @@ class BeliefVector:
 
 
 def validate_bba(frame: Frame, focal_masses: Mapping) -> MassFunction:
-    """Build a dense :class:`MassFunction` from a sparse focal-set map.
+    """Build a :class:`MassFunction` from a sparse focal-set map.
 
     Keys are subsets given as iterables of element labels (a bare string
-    counts as one label); values are masses.  Unlisted subsets get mass
-    zero.  Raises :class:`UnknownElement`, :class:`DuplicateFocalSet`,
+    counts as one label) or as bitmasks; values are masses.  Unlisted
+    subsets get mass zero.  Only the listed masses are checked and
+    summed, and the result carries its focal list (the listed subsets of
+    non-zero mass), so no pass over the 2^n vector follows.  Raises
+    :class:`UnknownElement`, :class:`DuplicateFocalSet`,
     :class:`NegativeMass` or :class:`MassSumViolation` on bad input.
     """
-    dense = np.zeros(frame.size)
+    index: list[int] = []
+    values: list = []
     seen: set[int] = set()
+    size = frame.size
     for focal, value in focal_masses.items():
         idx = focal if isinstance(focal, int) else frame.index_of(focal)
-        if not 0 <= idx < frame.size:
+        if not 0 <= idx < size:
             raise ValidationError(f"subset index {idx} out of range")
         if idx in seen:
             raise DuplicateFocalSet(f"subset {frame.format_subset(idx)} listed twice")
         seen.add(idx)
         if value < 0:
             raise NegativeMass(f"mass of {frame.format_subset(idx)} is negative ({value})")
-        dense[idx] = value
-    return MassFunction(frame, dense)
+        index.append(idx)
+        values.append(value)
+    values = np.array(values, dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("masses must be finite")
+    if values.size and values.max() > 1.0 + MASS_SUM_TOL:
+        raise ValidationError(f"mass exceeds 1 ({values.max():.3g})")
+    total = float(values.sum())
+    if abs(total - 1.0) > MASS_SUM_TOL:
+        raise MassSumViolation(f"masses sum to {total!r}, expected 1")
+    index = np.array(index, dtype=np.int64)
+    masses = np.zeros(size)
+    masses[index] = values
+    m = object.__new__(MassFunction)  # checked above; the unlisted masses are zero
+    object.__setattr__(m, "frame", frame)
+    object.__setattr__(m, "masses", _frozen(masses))
+    object.__setattr__(m, "focal", _frozen(np.sort(index[values != 0.0])))
+    return m
 
 
 def require_same_frame(m1: MassFunction, m2: MassFunction) -> None:

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DegenerateEmptyMass, ZeroPlausibility
-from .frame import popcounts, singleton_indices
+from .frame import membership, singleton_indices
 from .mass import BeliefVector, MassFunction
-from .transforms import pl_from_mass, subset_sum, superset_sum
+from .transforms import subset_sum
 
 _EMPTY_TOL = 1e-12
 
@@ -17,15 +17,15 @@ def betp(m: MassFunction) -> np.ndarray:
 
     Each focal set spreads its mass uniformly over its elements; any
     empty-set mass is discarded by renormalizing with 1 / (1 - m({})).
+    Runs over the focal list in O(|F| n).
     """
     empty = float(m.masses[0])
     if empty >= 1.0 - _EMPTY_TOL:
         raise DegenerateEmptyMass("all mass on the empty set; nothing to spread")
-    n = m.frame.n
-    pc = popcounts(n).astype(np.float64)
-    shares = np.zeros(m.frame.size)
-    shares[1:] = m.masses[1:] / (pc[1:] * (1.0 - empty))
-    return superset_sum(shares)[singleton_indices(n)]
+    focal = m.focal[m.focal != 0]
+    cards = np.bitwise_count(focal).astype(np.float64)
+    shares = m.masses[focal] / (cards * (1.0 - empty))
+    return shares @ membership(focal, m.frame.n)
 
 
 def bet_m(m: MassFunction) -> BeliefVector:
@@ -37,8 +37,9 @@ def bet_m(m: MassFunction) -> BeliefVector:
 
 def pl_p(m: MassFunction) -> np.ndarray:
     """Normalized singleton plausibilities (the transform commuting with
-    Dempster combination)."""
-    pl = pl_from_mass(m).values[singleton_indices(m.frame.n)]
+    Dempster combination).  Pl({k}) is the mass of the focal sets holding
+    k, summed over the focal list in O(|F| n)."""
+    pl = m.masses[m.focal] @ membership(m.focal, m.frame.n)
     total = float(pl.sum())
     if total <= _EMPTY_TOL:
         raise ZeroPlausibility("every singleton has zero plausibility")

@@ -6,10 +6,17 @@ import numpy as np
 
 from ..errors import ZeroVector
 from .mass import MassFunction, require_same_frame
-from .transforms import fbba
+from .transforms import fractal_masses
 
 #: rows of the focal-pair Jaccard block held at once
 _JACCARD_ROWS = 512
+
+
+def _focal_union(m1: MassFunction, m2: MassFunction) -> np.ndarray:
+    """Sorted union of the two focal lists.  (``np.union1d`` would import
+    ``numpy.ma`` on first use, about 15 ms of a cold CLI request.)"""
+    both = np.sort(np.concatenate((m1.focal, m2.focal)))
+    return both[np.concatenate(([True], both[1:] != both[:-1]))]
 
 
 def _jaccard_form(f: np.ndarray, g: np.ndarray, wf: np.ndarray, wg: np.ndarray) -> float:
@@ -31,7 +38,7 @@ def jousselme_distance(m1: MassFunction, m2: MassFunction) -> float:
 
     Computed over the union of the two focal lists in O(|F|^2)."""
     require_same_frame(m1, m2)
-    union = np.flatnonzero((m1.masses != 0.0) | (m2.masses != 0.0))
+    union = _focal_union(m1, m2)
     d = m1.masses[union] - m2.masses[union]
     quad = _jaccard_form(union, union, d, d)
     return float(np.sqrt(max(0.5 * quad, 0.0)))
@@ -41,28 +48,31 @@ def inner_bba(m1: MassFunction, m2: MassFunction) -> float:
     """Jaccard-kernel inner product of the raw mass vectors, over the two
     focal lists."""
     require_same_frame(m1, m2)
-    f1 = np.flatnonzero(m1.masses)
-    f2 = np.flatnonzero(m2.masses)
+    f1, f2 = m1.focal, m2.focal
     return _jaccard_form(f1, f2, m1.masses[f1], m2.masses[f2])
 
 
 def euclidean_distance(m1: MassFunction, m2: MassFunction) -> float:
-    """L2 distance scaled by 1/sqrt(2) so two disjoint certainties are 1 apart."""
+    """L2 distance scaled by 1/sqrt(2) so two disjoint certainties are 1 apart,
+    over the union of the two focal lists."""
     require_same_frame(m1, m2)
-    return float(np.linalg.norm(m1.masses - m2.masses) / np.sqrt(2.0))
+    union = _focal_union(m1, m2)
+    return float(np.linalg.norm(m1.masses[union] - m2.masses[union]) / np.sqrt(2.0))
 
 
 def classical_fidelity(m1: MassFunction, m2: MassFunction) -> float:
-    """Bhattacharyya overlap of the two mass vectors: sum of sqrt(m1 * m2)."""
+    """Bhattacharyya overlap of the two mass vectors: sum of sqrt(m1 * m2),
+    over the focal list of m1."""
     require_same_frame(m1, m2)
-    return float(np.sqrt(m1.masses * m2.masses).sum())
+    f = m1.focal
+    return float(np.sqrt(m1.masses[f] * m2.masses[f]).sum())
 
 
 def fb_inner_product(m1: MassFunction, m2: MassFunction) -> float:
     """Cosine of the angle between the two fractal reallocations, in [0, 1]."""
     require_same_frame(m1, m2)
-    f1 = fbba(m1).masses
-    f2 = fbba(m2).masses
+    f1 = fractal_masses(m1)
+    f2 = fractal_masses(m2)
     n1 = float(np.linalg.norm(f1))
     n2 = float(np.linalg.norm(f2))
     if n1 == 0.0 or n2 == 0.0:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InverseNotBBA
-from .frame import popcounts
 from .mass import BeliefVector, MassFunction
 
 
@@ -112,6 +111,21 @@ def mass_from_q(q: BeliefVector) -> MassFunction:
 # --- fractal reallocation -----------------------------------------------------
 
 
+def fractal_masses(m: MassFunction) -> np.ndarray:
+    """Dense vector of the fractal reallocation of ``m`` (see :func:`fbba`).
+
+    Each focal set's share m(G) / (2^|G| - 1) is scattered from the focal
+    list; one superset sweep then hands every subset its shares.
+    """
+    focal = m.focal[m.focal != 0]
+    cards = np.bitwise_count(focal).astype(np.float64)  # uint8 would exp2 in float16
+    w = np.zeros(m.frame.size)
+    w[focal] = m.masses[focal] / (np.exp2(cards) - 1.0)
+    out = superset_sum(w)
+    out[0] = m.masses[0]
+    return out
+
+
 def fbba(m: MassFunction) -> MassFunction:
     """Fractal reallocation: split each focal mass over its non-empty subsets.
 
@@ -120,12 +134,7 @@ def fbba(m: MassFunction) -> MassFunction:
     form of the reallocation matrix).  The result is again a valid mass
     function.
     """
-    pc = popcounts(m.frame.n)
-    w = np.zeros_like(m.masses)
-    w[1:] = m.masses[1:] / (np.exp2(pc[1:]) - 1.0)
-    out = superset_sum(w)
-    out[0] = m.masses[0]
-    return MassFunction(m.frame, out)
+    return MassFunction(m.frame, fractal_masses(m))
 
 
 __all__ = [
@@ -139,4 +148,5 @@ __all__ = [
     "q_from_mass",
     "mass_from_q",
     "fbba",
+    "fractal_masses",
 ]

@@ -100,3 +100,40 @@ def gate_calls(monkeypatch) -> dict:
 
         monkeypatch.setattr(StateVector, name, counted)
     return counts
+
+
+SWEEPS = ("subset_sum", "subset_sum_inverse", "superset_sum", "superset_sum_inverse")
+
+
+@pytest.fixture
+def sweep_calls(monkeypatch) -> dict:
+    """Counts calls of the four O(n 2^n) lattice sweeps, in every qbelief
+    module that binds them by name."""
+    from qbelief.dst import transforms
+
+    counts = dict.fromkeys(SWEEPS, 0)
+    for name in SWEEPS:
+        original = getattr(transforms, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for modname, module in list(sys.modules.items()):
+            if modname.startswith("qbelief") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.fixture
+def nonzero_scans(monkeypatch) -> list:
+    """Records the length of every array that ``np.flatnonzero`` scans."""
+    sizes = []
+    original = np.flatnonzero
+
+    def recorded(a):
+        sizes.append(np.size(a))
+        return original(a)
+
+    monkeypatch.setattr(np, "flatnonzero", recorded)
+    return sizes

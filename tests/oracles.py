@@ -6,8 +6,14 @@ independent of the library's fast transforms, so the two sides of every
 comparison cannot share a bug.
 
 ``inputs_digest_oracle`` is the input digest composed the long way:
-every mass function dumped to its document form, then the whole tuple
-rounded value by value before hashing.
+every mass function dumped to its document form by a scan of its dense
+vector, then the whole tuple rounded value by value before hashing.
+
+The ``*_sweep_oracle`` and ``*_dense_oracle`` functions are the dense
+formulas the library used before it ran these queries over the focal
+list: one O(n 2^n) lattice sweep (written here bit by bit with fancy
+indexing) or one pass over all 2^n masses.  They reach n = 20, where the
+definition-level loops cannot.
 
 The phase-estimation references are the closed form of the circuit
 (``fejer_meob_oracle``) and the circuit itself replayed gate by gate on
@@ -27,7 +33,6 @@ import re
 
 import numpy as np
 
-from qbelief.documents import dump_bba_document
 from qbelief.dst import MassFunction
 from qbelief.qsim import (
     Circuit,
@@ -125,6 +130,11 @@ def shannon_oracle(p) -> float:
     return -sum(x * math.log2(x) for x in p if x > 0)
 
 
+def shannon_fsum_oracle(p) -> float:
+    """``shannon_oracle`` with an exactly rounded sum, for 2^20-term vectors."""
+    return -math.fsum(x * math.log2(x) for x in p if x > 0)
+
+
 def jaccard_oracle(n: int) -> np.ndarray:
     size = 1 << n
     out = np.empty((size, size))
@@ -155,12 +165,93 @@ def round_payload_oracle(value):
     raise TypeError(f"cannot round a value of type {type(value)}")
 
 
+def dump_bba_oracle(m: MassFunction) -> dict:
+    """Document form of a mass function, read off its dense vector: every
+    non-zero mass with the labels of its subset's set bits, masses unrounded."""
+    labels = m.frame.elements
+    return {
+        "frame": list(labels),
+        "masses": [
+            {"focal": [labels[k] for k in range(len(labels)) if i >> k & 1],
+             "mass": float(m.masses[i])}
+            for i in range(m.masses.size)
+            if m.masses[i] != 0.0
+        ],
+    }
+
+
 def inputs_digest_oracle(*parts) -> str:
     """Digest of the inputs with each mass function dumped to its document
-    and the parts rounded again by ``round_payload_oracle``."""
-    docs = [dump_bba_document(p) if isinstance(p, MassFunction) else p for p in parts]
+    and the parts rounded by ``round_payload_oracle``."""
+    docs = [dump_bba_oracle(p) if isinstance(p, MassFunction) else p for p in parts]
     canon = json.dumps(round_payload_oracle(docs), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+
+
+def _lattice_sum(values: np.ndarray, upward: bool) -> np.ndarray:
+    """Subset sum (``upward``) or superset sum of a dense set function, one
+    bit at a time: every index with bit k clear is paired with its k-set
+    partner by fancy indexing."""
+    out = np.array(values, dtype=np.float64)
+    index = np.arange(out.size)
+    for k in range(out.size.bit_length() - 1):
+        clear = index[(index >> k & 1) == 0]
+        if upward:
+            out[clear | 1 << k] += out[clear]
+        else:
+            out[clear] += out[clear | 1 << k]
+    return out
+
+
+def _dense_popcounts(n: int) -> np.ndarray:
+    index = np.arange(1 << n)
+    return sum((index >> k & 1 for k in range(n)), np.zeros(1 << n))
+
+
+def betp_sweep_oracle(masses: np.ndarray, n: int) -> np.ndarray:
+    """Each subset's share m(F) / (|F| (1 - m({}))), superset-summed onto the
+    singletons."""
+    shares = np.zeros(1 << n)
+    shares[1:] = masses[1:] / (_dense_popcounts(n)[1:] * (1.0 - masses[0]))
+    return _lattice_sum(shares, upward=False)[1 << np.arange(n)]
+
+
+def pl_p_sweep_oracle(masses: np.ndarray, n: int) -> np.ndarray:
+    """Normalised singleton plausibilities through Pl(F) = 1 - m({}) - Bel(~F)."""
+    bel = _lattice_sum(masses, upward=True) - masses[0]
+    pl = (1.0 - masses[0]) - bel[::-1]
+    pl[pl < 0] = 0.0
+    pl = pl[1 << np.arange(n)]
+    return pl / pl.sum()
+
+
+def nonspecificity_dense_oracle(masses: np.ndarray, n: int) -> float:
+    """The non-specificity half of the JS entropy, sum m(F) log2 |F|, over
+    all 2^n subsets."""
+    pc = _dense_popcounts(n)
+    nz = (masses > 0) & (pc > 0)
+    return float((masses[nz] * np.log2(pc[nz])).sum())
+
+
+def fbba_sweep_oracle(masses: np.ndarray, n: int) -> np.ndarray:
+    """Fractal reallocation: dense weights m(G) / (2^|G| - 1), superset-summed."""
+    w = np.zeros(1 << n)
+    w[1:] = masses[1:] / (np.exp2(_dense_popcounts(n)[1:]) - 1.0)
+    out = _lattice_sum(w, upward=False)
+    out[0] = masses[0]
+    return out
+
+
+def fidelity_dense_oracle(m1: np.ndarray, m2: np.ndarray) -> float:
+    return float(np.sqrt(m1 * m2).sum())
+
+
+def euclidean_dense_oracle(m1: np.ndarray, m2: np.ndarray) -> float:
+    return float(np.linalg.norm(m1 - m2) / np.sqrt(2.0))
+
+
+def cosine_oracle(f1: np.ndarray, f2: np.ndarray) -> float:
+    return float(f1 @ f2 / (np.linalg.norm(f1) * np.linalg.norm(f2)))
 
 
 def extract_register_oracle(amps: np.ndarray, qubits, fixed: dict[int, int]) -> np.ndarray:

@@ -84,6 +84,31 @@ class TestValidate:
         code, _, _ = run(capsys, ["validate", str(path)])
         assert code == 1
 
+    @pytest.mark.parametrize("doc", [
+        pytest.param({"frame": "ab", "masses": [{"focal": ["a"], "mass": 1.0}]}, id="frame-str"),
+        pytest.param({"frame": ["a"], "masses": 5}, id="masses-int"),
+        pytest.param({"frame": ["a"], "masses": [{"focal": 5, "mass": 1.0}]}, id="focal-int"),
+        pytest.param({"frame": ["a"], "masses": [{"focal": ["a"], "mass": "abc"}]}, id="mass-abc"),
+        pytest.param({"frame": ["a"], "masses": [{"focal": ["a"], "mass": "1.0"}]}, id="mass-str"),
+        pytest.param({"frame": ["a"], "masses": [{"focal": ["a"], "mass": None}]}, id="mass-null"),
+        pytest.param({"frame": ["a"], "masses": [{"focal": ["a"], "mass": True}]}, id="mass-true"),
+        pytest.param({"frame": ["a"], "masses": [{"focal": ["a"], "mass": 10**400}]},
+                     id="mass-huge-int"),
+    ])
+    def test_malformed_document_is_validation_error(self, capsys, tmp_path, doc):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["validate", str(path)])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "ValidationError"
+
+    def test_unhashable_label_is_unknown_element(self, capsys, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps({"frame": ["a"], "masses": [{"focal": [["a"]], "mass": 1.0}]}))
+        code, _, err = run(capsys, ["validate", str(path)])
+        assert code == 1
+        assert json.loads(err)["error"] == "UnknownElement"
+
 
 class TestTransform:
     def test_classical_q_vector(self, capsys, showcase_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_frame
-from oracles import inputs_digest_oracle
+from oracles import dump_bba_oracle, inputs_digest_oracle, round_payload_oracle
 from qbelief.documents import (
     dump_bba_document,
     dumps_result,
@@ -12,7 +12,7 @@ from qbelief.documents import (
     parse_bba_document,
     result_document,
 )
-from qbelief.dst import MassFunction, random_mass_function
+from qbelief.dst import Frame, MassFunction, random_mass_function, validate_bba
 from qbelief.errors import DuplicateFocalSet, MassSumViolation, ValidationError
 from qbelief.qasm import circuit_from_json, circuit_to_json, circuit_to_qasm
 from qbelief.quantum import build_preparation_tree, synthesize_preparation_circuit
@@ -130,6 +130,37 @@ class TestInputsDigest:
         ]
         for parts in shapes:
             assert inputs_digest(*parts) == inputs_digest_oracle(*parts), parts
+
+    def test_frame_cap_with_4096_focal_sets_matches_oracle(self):
+        rng = np.random.default_rng(2020)
+        frame = make_frame(20)
+        focal = rng.choice(frame.size, size=4096, replace=False)
+        weights = rng.exponential(size=4096)
+        m = validate_bba(frame, dict(zip(focal.tolist(), (weights / weights.sum()).tolist())))
+        assert m.focal.size == 4096
+        assert inputs_digest("similarity", "fidelity", "classical", m, m) == inputs_digest_oracle(
+            "similarity", "fidelity", "classical", m, m
+        )
+
+    @pytest.mark.parametrize("labels", [
+        ["é", "日本", "\U0001f600"],
+        ['say "hi"', "back\\slash", "tab\there"],
+        ["a", "\u00e9", "\x7f", "\n"],
+    ])
+    def test_escaped_labels_match_oracle(self, labels):
+        frame = Frame(labels)
+        m = random_mass_function(frame, np.random.default_rng(len(labels[0])), allow_empty=True)
+        assert inputs_digest("entropy", "js", m) == inputs_digest_oracle("entropy", "js", m)
+        assert inputs_digest("prob", labels[0], m, None, 3) == inputs_digest_oracle(
+            "prob", labels[0], m, None, 3
+        )
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_document_form_matches_dense_scan(self, n):
+        m = random_mass_function(make_frame(n), np.random.default_rng(n), allow_empty=True)
+        assert dump_bba_document(m) == round_payload_oracle(dump_bba_oracle(m))
+        edge = edge_mass_function()
+        assert dump_bba_document(edge) == round_payload_oracle(dump_bba_oracle(edge))
 
     @pytest.mark.parametrize("part", [0.5, np.float64(0.5), np.arange(3), np.array(1.0)])
     def test_float_and_array_parts_refused(self, part):

@@ -25,6 +25,8 @@ class TestFrame:
     def test_unknown_element(self, frame3):
         with pytest.raises(UnknownElement):
             frame3.index_of(("A", "D"))
+        with pytest.raises(UnknownElement):
+            frame3.index_of((["A"],))  # unhashable label
 
     def test_rejects_duplicates_and_empties(self):
         with pytest.raises(ValidationError):
