@@ -230,6 +230,8 @@ def entropy(kind: str, out: str | None, timing: bool, path: str) -> None:
 def prob(method: str, backend: str, shots, seed, out: str | None, timing: bool, path: str) -> None:
     """Probability transform of a mass function over the frame elements."""
     started = time.perf_counter()
+    if shots is not None and (method != "ptm" or backend == "classical"):
+        raise ValidationError("--shots samples only --method ptm on a quantum backend")
     m = load_bba_document(path)
     if backend == "classical":
         values = dst.betp(m) if method == "ppt" else dst.pl_p(m)
@@ -257,18 +259,20 @@ def prob(method: str, backend: str, shots, seed, out: str | None, timing: bool, 
 def prepare(emit_kind, shots, seed, out, timing: bool, path: str) -> None:
     """Synthesize the state-preparation circuit for a mass function.
 
-    ``--emit`` writes the circuit: circuit JSON keeps the 2^n - 1
-    multi-controlled RYs, QASM writes each tree level as one Gray-code
-    multiplexor (2^n - 1 ``ry`` and 2^n - 2 ``cx`` lines in all, for any
-    n); ``--shots`` with ``--seed`` samples the prepared state.
+    ``--emit`` writes the circuit: QASM is written straight from the
+    preparation tree, each level as one Gray-code multiplexor (2^n - 1
+    ``ry`` and 2^n - 2 ``cx`` lines in all, for any n), and circuit JSON
+    spells the levels out as 2^n - 1 multi-controlled RYs; ``--shots``
+    with ``--seed`` samples the prepared state.
     """
     started = time.perf_counter()
     m = load_bba_document(path)
     if emit_kind is not None:
         if shots is not None and out is None:
             raise ValidationError("--emit plus --shots needs --out for the circuit file")
-        circuit = synthesize_preparation_circuit(build_preparation_tree(m))
-        _write(circuit_to_qasm(circuit) if emit_kind == "qasm" else circuit_to_json(circuit), out)
+        tree = build_preparation_tree(m)
+        _write(circuit_to_qasm(tree) if emit_kind == "qasm"
+               else circuit_to_json(synthesize_preparation_circuit(tree)), out)
         if shots is None:
             return
         out = None  # the measurement record goes to stdout

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DimensionMismatch
+from ..errors import DimensionMismatch, check_dense_budget
 from .frame import Frame, popcounts
 from .mass import MassFunction
 from .transforms import b_from_mass, q_from_mass
@@ -73,6 +73,7 @@ def transform_matrix(kind: str, frame_or_n: Frame | int, v: np.ndarray | None = 
     from n-fold Kronecker powers of 2x2 blocks, one factor per element.
     """
     n = frame_or_n.n if isinstance(frame_or_n, Frame) else int(frame_or_n)
+    check_dense_budget(8 << 2 * n, f"the {kind} matrix at n={n}")
     size = 1 << n
     if kind == "diag":
         if v is None:

@@ -18,6 +18,23 @@ class ComputationError(QBeliefError):
     """A valid request that cannot be completed (conflict, singularity, ...)."""
 
 
+# --- dense storage --------------------------------------------------------------
+
+DENSE_BUDGET_BYTES = 1 << 28
+
+
+class DenseBudgetExceeded(ComputationError):
+    pass
+
+
+def check_dense_budget(nbytes: int, what: str) -> None:
+    """Refuse, before allocating, a dense array larger than the budget."""
+    if nbytes > DENSE_BUDGET_BYTES:
+        raise DenseBudgetExceeded(
+            f"{what} needs {nbytes} bytes, over the {DENSE_BUDGET_BYTES}-byte dense budget"
+        )
+
+
 # --- mass-function ingestion -------------------------------------------------
 
 class NegativeMass(ValidationError):

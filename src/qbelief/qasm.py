@@ -1,73 +1,36 @@
 """OpenQASM 2.0 emission and circuit JSON serialization.
 
-QASM output uses the {x, ry, rz, h, cx} subset of qelib1.  Each run of
-consecutive RYs on one target whose controls sit on the same qubits is
-one uniformly controlled RY, written as the Gray-code multiplexor of
-Möttönen et al. (quant-ph/0407010): 2^k ``ry`` lines interleaved with
-2^k ``cx`` lines for k controls, with no cap on k.  A preparation
-circuit on n qubits thus prints 2^n - 1 ``ry`` and 2^n - 2 ``cx`` lines.
-Circuit JSON keeps the native multi-controlled form and round-trips
-losslessly.
+QASM is written straight from the preparation tree: each level, one
+uniformly controlled RY, becomes the Gray-code multiplexor of Möttönen
+et al. (quant-ph/0407010), 2^k ``ry`` lines interleaved with 2^k ``cx``
+lines for k controls, with no cap on k.  A preparation on n qubits thus
+prints 2^n - 1 ``ry`` and 2^n - 2 ``cx`` lines.  Circuit JSON keeps the
+native multi-controlled form and round-trips losslessly.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import groupby
 
 import numpy as np
 
 from .errors import ValidationError
-from .qsim.circuit import Circuit, CircuitOp
+from .qsim.circuit import Circuit
 from .qsim.gates import Gate
+from .quantum.prepare import PreparationTree
 
-QASM_GATES = {"x", "ry", "rz", "h"}
 
-
-def circuit_to_qasm(circuit: Circuit) -> str:
-    """Print a circuit as OpenQASM 2.0 text.
-
-    Besides RYs with any controls, only uncontrolled x/h/rz and an x with
-    one closed control (``cx``) are accepted; any other controlled gate
-    raises :class:`ValidationError`.
-    """
+def circuit_to_qasm(tree: PreparationTree) -> str:
+    """Print a preparation tree as OpenQASM 2.0 text, one multiplexor per level."""
     lines = [
         "OPENQASM 2.0;",
         'include "qelib1.inc";',
-        f"qreg q[{circuit.k}];",
-        f"creg c[{circuit.k}];",
+        f"qreg q[{tree.n}];",
+        f"creg c[{tree.n}];",
     ]
-    for key, run in groupby(circuit.ops, key=_ry_run):
-        if key is None:
-            lines.extend(_direct_line(op) for op in run)
-            continue
-        target, wires = key
-        angles = np.zeros(1 << len(wires))
-        for op in run:
-            # controls sorted by qubit give the pattern bits in wire order
-            pattern = sum(pol << b for b, (_, pol) in enumerate(sorted(op.controls)))
-            angles[pattern] += op.gate.params[0]
-        lines.extend(_multiplexed_ry(angles, target, wires))
+    for target, controls, angles in tree.levels():
+        lines.extend(_multiplexed_ry(angles, target, controls))
     return "\n".join(lines) + "\n"
-
-
-def _ry_run(op: CircuitOp) -> tuple[int, tuple[int, ...]] | None:
-    """Grouping key: RYs share a run on the same target and control qubits."""
-    if op.gate.kind != "ry":
-        return None
-    return op.targets[0], tuple(sorted(q for q, _ in op.controls))
-
-
-def _direct_line(op: CircuitOp) -> str:
-    kind = op.gate.kind
-    if op.controls:
-        if kind == "x" and len(op.controls) == 1 and op.controls[0][1] == 1:
-            return f"cx q[{op.controls[0][0]}],q[{op.targets[0]}];"
-        raise ValidationError(f"controlled {kind} {op.controls} has no QASM export")
-    if kind not in QASM_GATES:
-        raise ValidationError(f"gate {kind} not in the QASM subset")
-    args = f"({','.join(f'{p:.15g}' for p in op.gate.params)})" if op.gate.params else ""
-    return f"{kind}{args} q[{op.targets[0]}];"
 
 
 def _multiplexed_ry(angles: np.ndarray, target: int, controls: tuple[int, ...]) -> list[str]:
@@ -126,4 +89,4 @@ def circuit_from_json(text: str) -> Circuit:
     return circ
 
 
-__all__ = ["QASM_GATES", "circuit_to_qasm", "circuit_to_json", "circuit_from_json"]
+__all__ = ["circuit_to_qasm", "circuit_to_json", "circuit_from_json"]

@@ -50,6 +50,7 @@ from ..errors import (
     PostselectionFailed,
     SingularMatrix,
     ValidationError,
+    check_dense_budget,
 )
 from ..qsim.linalg import hermiticity_defect, hermitian_eigh
 from ..qsim.state import StateVector
@@ -95,12 +96,14 @@ def hermitian_embed(matrix: np.ndarray) -> HermitianEmbedding:
 
     Matrices already Hermitian (within 1e-10) pass through unchanged.
     """
-    a = np.asarray(matrix, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise BadDimension(f"matrix shape {a.shape} is not square")
-    d = a.shape[0]
+    shape = np.shape(matrix)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise BadDimension(f"matrix shape {shape} is not square")
+    d = shape[0]
     if d & (d - 1) or d == 0:
         raise BadDimension(f"dimension {d} is not a power of two")
+    check_dense_budget(16 * (2 * d) ** 2, f"the Hermitian embedding of a {d}x{d} matrix")
+    a = np.asarray(matrix, dtype=np.complex128)
     if hermiticity_defect(a) <= _HERMITIAN_TOL:
         return HermitianEmbedding(a, False)
     zero = np.zeros((d, d), dtype=np.complex128)

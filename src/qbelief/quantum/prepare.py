@@ -2,13 +2,14 @@
 
 The target state puts amplitude +sqrt(m(F_i)) on basis state |i> with
 the focal-set bitmask as basis index.  A binary tree of mass sums drives
-one multi-controlled Y-rotation per node: level l (0-based from the
-root) splits on qubit n-1-l, the |0> branch is the "left" child, and
-leaf order therefore equals focal-index order.  The exported circuit
-keeps exactly 2^n - 1 native controlled rotations, 2^{l} of them at
-level l; the simulator applies each level as one multiplexed RY (one
-angle per control pattern) from the same angles, amplitude for
-amplitude the same arithmetic.
+one Y-rotation per node: level l (0-based from the root) splits on
+qubit n-1-l, the |0> branch is the "left" child, and leaf order
+therefore equals focal-index order.  ``PreparationTree.levels`` is the
+one statement of that layout: each level is one uniformly controlled RY
+with an angle per control pattern.  The simulator applies it as one
+multiplexed RY, QASM export writes it as one Gray-code multiplexor, and
+circuit JSON spells it out as 2^l native controlled rotations, 2^n - 1
+in all.
 """
 
 from __future__ import annotations
@@ -47,6 +48,19 @@ class PreparationTree:
     def node_angle(self, level: int, path: int) -> float:
         return float(self.angles[level][path])
 
+    def levels(self) -> list[tuple[int, tuple[int, ...], np.ndarray]]:
+        """One ``(target, controls, angles)`` per level, root first.
+
+        Level l rotates qubit n-1-l by ``angles[p]`` wherever the higher
+        qubits n-l..n-1 read the node path p, ``controls[b]`` being bit b
+        of p.
+        """
+        n = self.n
+        return [
+            (n - 1 - level, tuple(range(n - level, n)), angles)
+            for level, angles in enumerate(self.angles)
+        ]
+
 
 def build_preparation_tree(m: MassFunction) -> PreparationTree:
     """Aggregate masses bottom-up and derive one RY angle per node.
@@ -68,34 +82,26 @@ def build_preparation_tree(m: MassFunction) -> PreparationTree:
 
 
 def synthesize_preparation_circuit(tree: PreparationTree) -> Circuit:
-    """One multi-controlled RY per tree node, for export.
+    """One multi-controlled RY per tree node, for circuit JSON.
 
-    Controls pin the already-prepared higher qubits to the node's path.
-    Empty subtrees still emit their (identity-angle) gates so the gate
-    count stays exactly 2^n - 1.
+    Controls pin the already-prepared higher qubits to the node's path,
+    highest qubit first.  Empty subtrees still emit their (identity-angle)
+    gates so the gate count stays exactly 2^n - 1.
     """
-    n = tree.n
-    circ = Circuit(n)
-    for level in range(n):
-        for path, alpha in enumerate(tree.angles[level]):
-            controls = [
-                (n - 1 - j, (path >> (level - 1 - j)) & 1) for j in range(level)
-            ]
-            circ.append(RY(alpha), n - 1 - level, controls)
+    circ = Circuit(tree.n)
+    for target, controls, angles in tree.levels():
+        for path, alpha in enumerate(angles):
+            pins = [(q, (path >> b) & 1) for b, q in enumerate(controls)][::-1]
+            circ.append(RY(alpha), target, pins)
     return circ
 
 
 def prepare_bba_state(m: MassFunction) -> StateVector:
-    """Apply the tree level by level; amplitudes come out as +sqrt(mass).
-
-    Level l is one multiplexed RY on qubit n-1-l, controlled by the
-    higher qubits n-l..n-1 whose pattern is the node's path.
-    """
+    """Apply the tree level by level; amplitudes come out as +sqrt(mass)."""
     tree = build_preparation_tree(m)
-    n = tree.n
-    state = new_state(n, 0)
-    for level in range(n):
-        state.apply_multiplexed_ry(tree.angles[level], n - 1 - level, range(n - level, n))
+    state = new_state(tree.n, 0)
+    for target, controls, angles in tree.levels():
+        state.apply_multiplexed_ry(angles, target, controls)
     return state
 
 

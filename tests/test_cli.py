@@ -216,6 +216,20 @@ class TestEntropyAndProb:
         )
 
 
+    # nothing samples unless ptm runs on a quantum backend
+    @pytest.mark.parametrize("method, backend", [
+        ("ppt", "classical"),
+        ("ppt", "quantum-oracle"),
+        ("ppt", "quantum-circuit"),
+        ("ptm", "classical"),
+    ])
+    def test_shots_refused_where_nothing_samples(self, capsys, showcase_path, method, backend):
+        code, out, err = run(capsys, ["prob", "--method", method, "--backend", backend,
+                                      "--shots", "5", showcase_path])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "ValidationError"
+
+
 class TestPrepare:
     def test_qasm_emission(self, capsys, tmp_path, frame2):
         path = write_doc(tmp_path, validate_bba(frame2, {("A",): 1.0}), "cert.json")
@@ -271,6 +285,28 @@ class TestPrepare:
             ["prepare", showcase_path, "--emit", "qasm", "--shots", "64", "--seed", "3"],
         )
         assert code == 1
+
+    @pytest.mark.parametrize("emit, built", [("qasm", 0), ("circuit-json", 1)])
+    def test_qasm_is_written_from_the_tree(self, capsys, monkeypatch, showcase_path, emit, built):
+        from qbelief import cli
+        from qbelief.qsim.circuit import Circuit
+
+        calls = {"append": 0, "synthesize": 0}
+        append, synthesize = Circuit.append, cli.synthesize_preparation_circuit
+
+        def counted_append(self, *args, **kwargs):
+            calls["append"] += 1
+            return append(self, *args, **kwargs)
+
+        def counted_synthesize(tree):
+            calls["synthesize"] += 1
+            return synthesize(tree)
+
+        monkeypatch.setattr(Circuit, "append", counted_append)
+        monkeypatch.setattr(cli, "synthesize_preparation_circuit", counted_synthesize)
+        code, _, err = run(capsys, ["prepare", showcase_path, "--emit", emit])
+        assert code == 0, err
+        assert calls == {"append": 7 * built, "synthesize": built}
 
 
 class TestDeterminism:
@@ -415,3 +451,28 @@ def test_cli_import_loads_no_scipy():
         check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_dense_allocation_refused_before_it_is_made(tmp_path):
+    # an n = 14 transform matrix takes 2 GiB; under a 3 GiB address-space
+    # limit a missing budget check dies of MemoryError instead of exit 2
+    (m,) = random_bbas(1, 14, seed=14)
+    path = write_doc(tmp_path, m, "n14.json")
+    src = str(Path(qbelief.__file__).resolve().parents[1])
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+        "from qbelief.cli import main\n"
+        "main(sys.argv[1:])\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, "transform", "--kind", "q", "--backend",
+         "quantum-oracle", path],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])), "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert json.loads(done.stderr)["error"] == "DenseBudgetExceeded"

@@ -9,7 +9,7 @@ from qbelief.dst import (
     transform_matrix,
 )
 from qbelief.dst.combine import combine_conjunctive, combine_disjunctive
-from qbelief.errors import DimensionMismatch
+from qbelief.errors import DenseBudgetExceeded, DimensionMismatch
 
 
 class TestSmallCases:
@@ -60,6 +60,12 @@ class TestSmallCases:
     def test_unknown_kind(self):
         with pytest.raises(DimensionMismatch):
             transform_matrix("nope", 2)
+
+    @pytest.mark.parametrize("kind", ["q", "pl", "bet", "diag"])
+    def test_over_the_dense_budget_is_refused(self, kind):
+        # 8 * 4^13 bytes = 512 MiB, twice the budget
+        with pytest.raises(DenseBudgetExceeded):
+            transform_matrix(kind, 13, np.ones(1 << 13))
 
 
 class TestStructure:

@@ -6,6 +6,7 @@ from oracles import fejer_meob_oracle, phase_estimation_replay
 from qbelief.dst import transform_matrix, validate_bba
 from qbelief.errors import (
     BadDimension,
+    DenseBudgetExceeded,
     ClockOverflow,
     PostselectionFailed,
     SingularMatrix,
@@ -59,6 +60,12 @@ class TestHermitianEmbedding:
             hermitian_embed(np.ones((3, 3)))
         with pytest.raises(BadDimension):
             hermitian_embed(np.ones((2, 4)))
+
+    def test_over_the_dense_budget_is_refused(self):
+        # a read-only 4096 x 4096 view of one zero: the 8192 x 8192 complex
+        # embedding would take 1 GiB, four times the budget
+        with pytest.raises(DenseBudgetExceeded):
+            hermitian_embed(np.broadcast_to(np.zeros(1), (4096, 4096)))
 
 
 class TestOracleBackend:

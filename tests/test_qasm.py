@@ -1,6 +1,6 @@
-"""QASM export: the Gray-code multiplexor must reproduce the native gates
-on every basis state, and a preparation exports with 2^n - 1 ``ry`` and
-2^n - 2 ``cx`` lines at any n."""
+"""QASM export: the Gray-code multiplexor must reproduce the simulator's
+uniformly controlled RY on every basis state, and a preparation tree
+exports with 2^n - 1 ``ry`` and 2^n - 2 ``cx`` lines at any n."""
 
 import json
 
@@ -12,7 +12,7 @@ from oracles import qasm_replay
 from qbelief.dst import validate_bba
 from qbelief.errors import ValidationError
 from qbelief.qasm import _multiplexed_ry, circuit_from_json, circuit_to_qasm
-from qbelief.qsim import RY, Circuit, H, X, new_state
+from qbelief.qsim import RY, Circuit, new_state
 from qbelief.quantum import build_preparation_tree, synthesize_preparation_circuit
 
 
@@ -57,7 +57,13 @@ class TestMultiplexor:
 
 
 def assert_export_matches(circuit, tol=1e-12):
-    text = circuit_to_qasm(circuit)
+    """Export a circuit of one controlled RY as the multiplexor with a
+    one-hot angle vector and replay it against the native gate."""
+    (op,) = circuit.ops
+    wires = tuple(q for q, _ in op.controls)
+    angles = np.zeros(1 << len(wires))
+    angles[sum(pol << b for b, (_, pol) in enumerate(op.controls))] = op.gate.params[0]
+    text = qasm_text(circuit.k, _multiplexed_ry(angles, op.targets[0], wires))
     for basis in range(1 << circuit.k):
         np.testing.assert_allclose(
             qasm_replay(text, basis), circuit.simulate(basis).amps, atol=tol
@@ -66,6 +72,9 @@ def assert_export_matches(circuit, tol=1e-12):
 
 
 class TestControlledRY:
+    """One controlled RY of any polarity: one pattern rotated, every other
+    pattern left alone."""
+
     def test_no_controls_is_one_line(self):
         text = assert_export_matches(Circuit(3).append(RY(0.4), 2))
         assert text.splitlines()[4:] == ["ry(0.4) q[2];"]
@@ -85,43 +94,6 @@ class TestControlledRY:
         controls = [(q + 1, pol) for q, pol in enumerate(polarities)]
         assert_export_matches(Circuit(num_controls + 1).append(RY(theta), 0, controls))
 
-    def test_same_pattern_merges_additively(self):
-        merged = (
-            Circuit(3)
-            .append(RY(0.3), 0, [(1, 1), (2, 0)])
-            .append(RY(1.1), 0, [(2, 0), (1, 1)])
-        )
-        single = Circuit(3).append(RY(0.3 + 1.1), 0, [(1, 1), (2, 0)])
-        text = assert_export_matches(merged)
-        assert text == circuit_to_qasm(single)
-        assert count_lines(text, "ry") == 4
-
-    def test_run_breaks_on_other_control_qubits(self):
-        circ = (
-            Circuit(3)
-            .append(RY(0.3), 0, [(1, 1)])
-            .append(RY(0.7), 0, [(2, 1)])
-            .append(H(), 1)
-            .append(RY(0.5), 0, [(1, 0)])
-        )
-        text = assert_export_matches(circ)
-        assert count_lines(text, "ry") == 6 and count_lines(text, "h") == 1
-
-
-class TestRefusals:
-    @pytest.mark.parametrize("gate, controls, name", [
-        (X(), [(1, 1), (2, 1)], "x"),
-        (X(), [(1, 0)], "x"),
-        (H(), [(1, 1)], "h"),
-    ], ids=["toffoli", "open-controlled-x", "controlled-h"])
-    def test_other_controlled_gates_refused(self, gate, controls, name):
-        with pytest.raises(ValidationError, match=f"controlled {name} "):
-            circuit_to_qasm(Circuit(3).append(gate, 0, controls))
-
-    def test_cnot_prints_directly(self):
-        text = circuit_to_qasm(Circuit(2).append(X(), 0, [(1, 1)]))
-        assert text.splitlines()[4:] == ["cx q[1],q[0];"]
-
 
 def preparation_masses(n):
     frame = make_frame(n)
@@ -139,8 +111,9 @@ class TestPreparationExport:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_replay_matches_native_circuit(self, n):
         for m in preparation_masses(n):
-            native = synthesize_preparation_circuit(build_preparation_tree(m))
-            text = circuit_to_qasm(native)
+            tree = build_preparation_tree(m)
+            native = synthesize_preparation_circuit(tree)
+            text = circuit_to_qasm(tree)
             assert count_lines(text, "ry") == (1 << n) - 1
             assert count_lines(text, "cx") == (1 << n) - 2
             assert len(text.splitlines()) == 4 + (1 << n) - 1 + (1 << n) - 2
@@ -149,10 +122,34 @@ class TestPreparationExport:
     def test_single_element_certainty_is_one_rotation(self):
         frame = make_frame(1)
         m = validate_bba(frame, {("e0",): 1.0})
-        text = circuit_to_qasm(synthesize_preparation_circuit(build_preparation_tree(m)))
+        text = circuit_to_qasm(build_preparation_tree(m))
         body = [l for l in text.splitlines()[4:] if l]
         assert len(body) == 1
         assert body[0].startswith("ry(3.14159265358979")
+
+    def test_showcase_text_is_pinned(self, showcase):
+        assert circuit_to_qasm(build_preparation_tree(showcase)) == SHOWCASE_QASM
+
+
+SHOWCASE_QASM = """\
+OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[3];
+creg c[3];
+ry(1.91063323624902) q[2];
+ry(2.10557860963544) q[1];
+cx q[2],q[1];
+ry(0.194945373386422) q[1];
+cx q[2],q[1];
+ry(1.78225623439646) q[0];
+cx q[1],q[0];
+ry(0.312138867996732) q[0];
+cx q[2],q[0];
+ry(0.573938255795882) q[0];
+cx q[1],q[0];
+ry(0.473259295400716) q[0];
+cx q[2],q[0];
+"""
 
 
 class TestCircuitJSON:
