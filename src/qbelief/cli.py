@@ -238,12 +238,9 @@ def prob(method: str, backend: str, shots, seed, out: str | None, timing: bool, 
     elif method == "ppt":
         values = quantum.ppt_qc(m, _meob_config(backend))
     else:
-        if shots is not None:
-            if seed is None:
-                raise ValidationError("--shots needs --seed for reproducibility")
-            values = quantum.ptm_qc(m, mode="shots", shots=shots, seed=seed)
-        else:
-            values = quantum.ptm_qc(m, mode="statevector")
+        if shots is not None and seed is None:
+            raise ValidationError("--shots needs --seed for reproducibility")
+        values = quantum.ptm_qc(m, shots, seed)
     payload = {"elements": list(m.frame.elements), "probabilities": values}
     _respond(("prob", method, backend, m, shots, seed), "prob." + method, backend, payload,
              out, timing, started, shots, seed)
@@ -317,8 +314,8 @@ def demo(shots: int, seed: int) -> None:
     click.echo(f"\nextraction (statevector): Pl(C) = {pl_c:.6f}, q(BC) = {q_bc:.6f}")
     click.echo(f"exact targets:            Pl(C) = {2 / 3:.6f}, q(BC) = {4 / 9:.6f}")
 
-    pl_s = quantum.estimate_belief(m, quantum.BeliefQuery("pl", 0b100), "shots", shots, seed)
-    q_s = quantum.estimate_belief(m, quantum.BeliefQuery("q", 0b110), "shots", shots, seed + 1)
+    pl_s = quantum.estimate_belief(m, quantum.BeliefQuery("pl", 0b100), shots, seed)
+    q_s = quantum.estimate_belief(m, quantum.BeliefQuery("q", 0b110), shots, seed + 1)
     sigma_pl = 3 * np.sqrt((2 / 3) * (1 / 3) / shots)
     sigma_q = 3 * np.sqrt((4 / 9) * (5 / 9) / shots)
     click.echo(f"\nsampled with shots={shots}, seed={seed}:")

@@ -10,6 +10,7 @@ from .state import (
     StateVector,
     new_state,
     product_state,
+    read_qubit,
 )
 
 __all__ = [
@@ -24,6 +25,7 @@ __all__ = [
     "StateVector",
     "new_state",
     "product_state",
+    "read_qubit",
     "ControlSpec",
     "MeasurementRecord",
     "Circuit",

@@ -259,6 +259,19 @@ class StateVector:
         )
 
 
+def read_qubit(
+    state: StateVector, qubit: int, outcome: int, shots: int | None = None, seed: int | None = None
+) -> float:
+    """Pr(``qubit`` reads ``outcome``): exact when ``shots`` is None, otherwise
+    the fraction of ``shots`` seeded samples of the state that read it."""
+    if shots is None:
+        return state.probability(qubit, outcome)
+    if seed is None:
+        raise ValidationError("sampling needs an explicit seed")
+    record = state.sample(shots, seed)
+    return sum(c for idx, c in record.counts.items() if (idx >> qubit & 1) == outcome) / shots
+
+
 def new_state(k: int, basis_index: int = 0) -> StateVector:
     """Computational-basis state |basis_index> on k qubits."""
     if not 0 <= basis_index < (1 << k):
@@ -284,4 +297,5 @@ __all__ = [
     "StateVector",
     "new_state",
     "product_state",
+    "read_qubit",
 ]

@@ -22,12 +22,17 @@ Two interchangeable backends:
   exp(i t0 x lambda_j).  The inverse Fourier transform is an orthonormal
   FFT along the clock axis.  One multiplexed RY on the ancilla applies
   all 2^t clock-conditioned rotations; the same stages in reverse, with
-  conjugate phases, uncompute the clock; then postselection.
+  conjugate phases, uncompute the clock.  The result is read as one
+  postselected block of the register: ancilla 1, clock 0 (and embedding
+  bit 1), whose squared norm is the success probability.
 
-Both backends take the spectral radius as A's spectral norm.  Only the
-circuit backend embeds: it evolves a non-Hermitian matrix through the
-block embedding [[0, A^dagger], [A, 0]] with the input widened as
-[psi; 0], and postselects the embedding bit to 1, where the result sits.
+Only the circuit backend embeds: it evolves a non-Hermitian matrix
+through the block embedding [[0, A^dagger], [A, 0]] with the input
+widened as [psi; 0], where the result sits in the embedding-bit-1 half.
+The oracle takes the spectral radius as A's spectral norm; the circuit
+takes max|lambda| from the eigendecomposition it evolves with, which is
+the same number (an embedding's spectrum is the +/- singular values of
+A).  Both backends refuse a success probability below 1e-12.
 
 Eigenvalue decoding is two's-complement: clock values below 2^{t-1} are
 positive phases, the rest negative, which covers the +/- singular-value
@@ -45,7 +50,6 @@ import numpy as np
 from ..errors import (
     BadDimension,
     ClockOverflow,
-    ImpossibleOutcome,
     NotUnitary,
     PostselectionFailed,
     SingularMatrix,
@@ -68,7 +72,8 @@ class MEoBConfig:
 
     t: clock-register width (1..12).  t0: evolution time per unit
     eigenvalue; default 0.9 pi / max|lambda|.  C: rotation constant with
-    |C lambda| <= 1; default 0.99 / max|lambda|.
+    |C lambda| <= 1; default 0.99 / max|lambda|.  Given t0 and C must be
+    finite and positive.
     """
 
     t: int = 8
@@ -81,6 +86,10 @@ class MEoBConfig:
             raise ValidationError(f"clock width t={self.t} outside [1, 12]")
         if self.backend not in BACKENDS:
             raise ValidationError(f"backend must be one of {BACKENDS}")
+        for name in ("t0", "C"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < np.inf:
+                raise ValidationError(f"{name}={value} is not finite and positive")
 
 
 @dataclass(frozen=True)
@@ -112,11 +121,7 @@ def hermitian_embed(matrix: np.ndarray) -> HermitianEmbedding:
 
 
 def _evolution_constants(lam_max: float, config: MEoBConfig) -> tuple[float, float]:
-    """The t0 / C constants for a spectral radius ``lam_max``.
-
-    A block embedding's spectrum is the +/- singular values of A, so
-    both backends take ``lam_max`` as A's spectral norm.
-    """
+    """The t0 / C constants for a spectral radius ``lam_max``."""
     if lam_max == 0.0:
         raise SingularMatrix("zero matrix cannot be evolved")
     t0 = config.t0 if config.t0 is not None else 0.9 * np.pi / lam_max
@@ -135,27 +140,28 @@ def meob_apply(
 ) -> tuple[StateVector, float]:
     """Evolve ``state`` by ``matrix``; returns (normalized output, success probability).
 
-    The success probability is the product of every postselection the
-    pipeline performs; for the oracle backend it equals
-    sum_j beta_j^2 C^2 lambda_j^2 = C^2 ||A psi||^2 exactly.
+    Each backend yields the unnormalized postselected output and its
+    success probability: for the oracle, A psi and
+    sum_j beta_j^2 C^2 lambda_j^2 = C^2 ||A psi||^2 exactly; for the
+    circuit, the postselected block and its squared norm.  Both then share
+    one tail: a success below 1e-12 (or NaN) raises
+    :class:`PostselectionFailed`, otherwise the output is normalized.
     """
     a = np.asarray(matrix, dtype=np.complex128)
     d = state.amps.size
     if a.shape != (d, d):
         raise BadDimension(f"matrix shape {a.shape} does not match state dimension {d}")
-    t0, c = _evolution_constants(float(np.linalg.norm(a, 2)), config)
 
     if config.backend == "oracle":
+        _, c = _evolution_constants(float(np.linalg.norm(a, 2)), config)
         out = a @ state.amps
         success = float(c * c * np.real(np.vdot(out, out)))
-        if success < _MIN_SUCCESS:
-            raise PostselectionFailed(
-                f"evolution annihilates the state (success {success:.3g})"
-            )
-        out = out / np.linalg.norm(out)
     else:
-        out, success = _run_circuit(a, state.amps, t0, c, config.t)
-    return StateVector(state.k, out), success
+        out = _run_circuit(a, state.amps, config)
+        success = float(np.real(np.vdot(out, out)))
+    if not success >= _MIN_SUCCESS:
+        raise PostselectionFailed(f"evolution annihilates the state (success {success:.3g})")
+    return StateVector(state.k, out / np.linalg.norm(out)), success
 
 
 def meob(matrix: np.ndarray, m, config: MEoBConfig) -> tuple[StateVector, float]:
@@ -205,33 +211,29 @@ def _hadamard_clock(view: np.ndarray) -> None:
     f[...] = np.matmul(_sylvester(t - a), high.reshape(2 << a, size >> a, -1)).reshape(f.shape)
 
 
-def _run_circuit(
-    a: np.ndarray, psi: np.ndarray, t0: float, c: float, t: int
-) -> tuple[np.ndarray, float]:
+def _run_circuit(a: np.ndarray, psi: np.ndarray, config: MEoBConfig) -> np.ndarray:
     """Full register-level simulation of the evolution pipeline.
 
     Register layout, low bits first: evolved register (s qubits: the n
     input qubits, plus the embedding bit s - 1 when A is not Hermitian),
     clock (t qubits, clock qubit j = bit j of the readout), rotation
-    ancilla; the amplitudes read as a (2, 2^t, 2^s) array.  The clock is
-    postselected back to |0> after uncomputation and the embedding bit
-    to |1>, so the returned output is a pure state on the input register;
-    with exactly representable eigenphases the clock projection is
-    lossless.
+    ancilla; the amplitudes read as a (2, 2^t, 2^s) array.  Returns the
+    postselected block, unnormalized: ancilla 1, clock back at 0 after
+    uncomputation, and the embedding bit 1, i.e. ``view[1, 0, 2^s - 2^n:]``.
+    Its squared norm is the joint success probability; with exactly
+    representable eigenphases the clock projection is lossless.
     """
     emb = hermitian_embed(a)
     lam, vecs = hermitian_eigh(emb.embedded)
     defect = np.abs(vecs.conj().T @ vecs - np.eye(lam.size)).max()
     if defect > 1e-9:
         raise NotUnitary(f"eigenbasis deviates from unitarity by {defect:.3g}")
-    n = int(psi.size).bit_length() - 1
+    t0, c = _evolution_constants(float(np.abs(lam).max()), config)
+    t = config.t
     s = int(lam.size).bit_length() - 1
-    k = s + t + 1
-    anc = s + t
-    clock = range(s, s + t)
-    amps = np.zeros(1 << k, dtype=np.complex128)
+    amps = np.zeros(1 << (s + t + 1), dtype=np.complex128)
     amps[: psi.size] = psi  # |psi> on the low qubits, every other qubit |0>
-    state = StateVector(k, amps)
+    state = StateVector(s + t + 1, amps)
     view = state.amps.reshape(2, 1 << t, lam.size)
 
     # exp(i H t0 x) on clock value x, in the eigenbasis of H
@@ -245,25 +247,12 @@ def _run_circuit(
     view[...] = view @ vecs.conj()
     view *= phases
     view[...] = np.fft.fft(view, axis=1, norm="ortho")
-    state.apply_multiplexed_ry(angles, anc, clock)
+    state.apply_multiplexed_ry(angles, s + t, range(s, s + t))
     view[...] = np.fft.ifft(view, axis=1, norm="ortho")
     view *= phases.conj()
     view[...] = view @ vecs.T
     _hadamard_clock(view)
-
-    fixed = {anc: 1, **{j: 0 for j in clock}}
-    if emb.was_embedded:
-        fixed[s - 1] = 1
-    success = 1.0
-    try:
-        for q, v in fixed.items():
-            state, p = state.postselect(q, v)
-            success *= p
-    except ImpossibleOutcome as exc:
-        raise PostselectionFailed(str(exc)) from exc
-
-    out = state.extract_register(list(range(n)), fixed)
-    return out.amps, success
+    return view[1, 0, lam.size - psi.size:]
 
 
 __all__ = [

@@ -128,20 +128,19 @@ def ppt_qc(m: MassFunction, config: MEoBConfig) -> np.ndarray:
     return mags / mags.sum()
 
 
-def ptm_qc(
-    m: MassFunction,
-    mode: str = "statevector",
-    shots: int | None = None,
-    seed: int | None = None,
-) -> np.ndarray:
+def ptm_qc(m: MassFunction, shots: int | None = None, seed: int | None = None) -> np.ndarray:
     """Normalized singleton plausibilities from n extraction circuits, all
-    run on one prepared state."""
+    run on one prepared state.
+
+    Each plausibility is read exactly, or, when ``shots`` is given, from
+    ``shots`` samples seeded ``seed + 2 j`` for singleton j.
+    """
     n = m.frame.n
     prepared = prepare_bba_state(m)
     values = np.empty(n)
     for j in range(n):
         shot_seed = None if seed is None else seed + 2 * j
-        values[j] = _estimate_prepared(prepared, BeliefQuery("pl", 1 << j), mode, shots, shot_seed)
+        values[j] = _estimate_prepared(prepared, BeliefQuery("pl", 1 << j), shots, shot_seed)
     total = values.sum()
     if total <= 1e-12:
         raise ZeroPlausibility("every singleton has zero plausibility")
@@ -161,7 +160,7 @@ def fb_inner_product_qc(m1: MassFunction, m2: MassFunction, config: MEoBConfig) 
     mf = transform_matrix("fractal", n)
     s1, _ = evolve_mass(m1, mf, config)
     s2, _ = evolve_mass(m2, mf, config)
-    estimate = swap_test(s1, s2, mode="statevector")
+    estimate = swap_test(s1, s2)
     return float(np.sqrt(max(estimate, 0.0)))
 
 

@@ -22,7 +22,7 @@ from ..dst.mass import MassFunction
 from ..errors import EmptyFocal, IndexOutOfRange, ValidationError
 from ..qsim.circuit import Circuit
 from ..qsim.gates import X
-from ..qsim.state import StateVector, new_state, product_state
+from ..qsim.state import StateVector, new_state, product_state, read_qubit
 from .prepare import prepare_bba_state
 
 KINDS = ("bel", "pl", "q", "b")
@@ -66,49 +66,33 @@ def belief_query_circuit(query: BeliefQuery, n: int) -> Circuit:
 
 
 def estimate_belief(
-    m: MassFunction,
-    query: BeliefQuery,
-    mode: str = "statevector",
-    shots: int | None = None,
-    seed: int | None = None,
+    m: MassFunction, query: BeliefQuery, shots: int | None = None, seed: int | None = None
 ) -> float:
     """Evaluate one belief query against a prepared state.
 
-    ``statevector`` mode reads the exact ancilla-1 probability; ``shots``
-    mode samples the ancilla with a seeded generator and returns the
-    count ratio.  A ``bel`` query runs the b-circuit and the empty-set
-    circuit on one prepared state and subtracts.
+    Reads the exact ancilla-1 probability, or, when ``shots`` is given,
+    samples the ancilla ``shots`` times from ``seed`` and returns the count
+    ratio.  A ``bel`` query runs the b-circuit and the empty-set circuit on
+    one prepared state and subtracts.
     """
-    return _estimate_prepared(prepare_bba_state(m), query, mode, shots, seed)
+    return _estimate_prepared(prepare_bba_state(m), query, shots, seed)
 
 
 def _estimate_prepared(
-    prepared: StateVector,
-    query: BeliefQuery,
-    mode: str,
-    shots: int | None,
-    seed: int | None,
+    prepared: StateVector, query: BeliefQuery, shots: int | None, seed: int | None
 ) -> float:
     """:func:`estimate_belief` on an already-prepared register, which it
     leaves unchanged (the query runs on a widened copy)."""
     if query.kind == "bel":
-        b_val = _estimate_prepared(prepared, BeliefQuery("b", query.focal), mode, shots, seed)
+        b_val = _estimate_prepared(prepared, BeliefQuery("b", query.focal), shots, seed)
         seed2 = None if seed is None else seed + 1
-        empty = _estimate_prepared(prepared, BeliefQuery("b", 0), mode, shots, seed2)
+        empty = _estimate_prepared(prepared, BeliefQuery("b", 0), shots, seed2)
         return b_val - empty
 
     n = prepared.k
     full = product_state([prepared, new_state(1)])
     belief_query_circuit(query, n).run(full)
-    if mode == "statevector":
-        return full.probability(n, 1)
-    if mode == "shots":
-        if shots is None or seed is None:
-            raise ValidationError("shots mode needs explicit shots and seed")
-        record = full.sample(shots, seed)
-        ones = sum(c for idx, c in record.counts.items() if idx >> n & 1)
-        return ones / shots
-    raise ValidationError(f"unknown mode {mode!r}")
+    return read_qubit(full, n, 1, shots, seed)
 
 
 __all__ = ["KINDS", "BeliefQuery", "belief_query_circuit", "estimate_belief"]

@@ -16,10 +16,10 @@ estimate and sampled count drawn from it, is bit-identical to replaying
 
 from __future__ import annotations
 
-from ..errors import QubitCountMismatch, ValidationError
+from ..errors import QubitCountMismatch
 from ..qsim.circuit import Circuit
 from ..qsim.gates import SWAP, H
-from ..qsim.state import StateVector, new_state, product_state
+from ..qsim.state import StateVector, new_state, product_state, read_qubit
 
 
 def swap_test_circuit(k: int) -> Circuit:
@@ -46,26 +46,15 @@ def swap_test_state(s1: StateVector, s2: StateVector) -> StateVector:
 
 
 def swap_test(
-    s1: StateVector,
-    s2: StateVector,
-    mode: str = "statevector",
-    shots: int | None = None,
-    seed: int | None = None,
+    s1: StateVector, s2: StateVector, shots: int | None = None, seed: int | None = None
 ) -> float:
-    """Squared-overlap estimate 2 Pr(ancilla=0) - 1 of two equal-size states."""
+    """Squared-overlap estimate 2 Pr(ancilla=0) - 1 of two equal-size states.
+
+    Pr(ancilla=0) is exact, or, when ``shots`` is given, the fraction of
+    ``shots`` samples drawn from ``seed`` that read 0.
+    """
     joint = swap_test_state(s1, s2)
-    anc = 2 * s1.k
-    if mode == "statevector":
-        p0 = joint.probability(anc, 0)
-    elif mode == "shots":
-        if shots is None or seed is None:
-            raise ValidationError("shots mode needs explicit shots and seed")
-        record = joint.sample(shots, seed)
-        zeros = sum(c for idx, c in record.counts.items() if not idx >> anc & 1)
-        p0 = zeros / shots
-    else:
-        raise ValidationError(f"unknown mode {mode!r}")
-    return 2.0 * p0 - 1.0
+    return 2.0 * read_qubit(joint, 2 * s1.k, 0, shots, seed) - 1.0
 
 
 __all__ = ["swap_test", "swap_test_circuit", "swap_test_state"]

@@ -85,13 +85,12 @@ def preparation_calls(monkeypatch) -> list:
     return calls
 
 
-@pytest.fixture
-def gate_calls(monkeypatch) -> dict:
-    """Counts calls of the gate kernel and of the dense-unitary entry point."""
+def _count_state_methods(monkeypatch, names) -> dict:
+    """Counts calls of the named ``StateVector`` methods."""
     from qbelief.qsim.state import StateVector
 
-    counts = {"_apply_matrix": 0, "apply_dense_unitary": 0}
-    for name in counts:
+    counts = dict.fromkeys(names, 0)
+    for name in names:
         original = getattr(StateVector, name)
 
         def counted(self, *args, _name=name, _original=original, **kwargs):
@@ -100,6 +99,18 @@ def gate_calls(monkeypatch) -> dict:
 
         monkeypatch.setattr(StateVector, name, counted)
     return counts
+
+
+@pytest.fixture
+def gate_calls(monkeypatch) -> dict:
+    """Counts calls of the gate kernel and of the dense-unitary entry point."""
+    return _count_state_methods(monkeypatch, ("_apply_matrix", "apply_dense_unitary"))
+
+
+@pytest.fixture
+def readout_calls(monkeypatch) -> dict:
+    """Counts calls of the per-qubit postselection and the register extraction."""
+    return _count_state_methods(monkeypatch, ("postselect", "extract_register"))
 
 
 SWEEPS = ("subset_sum", "subset_sum_inverse", "superset_sum", "superset_sum_inverse")

@@ -96,8 +96,8 @@ def test_criterion_02_extraction():
     assert estimate_belief(m, BeliefQuery("q", 0b110)) == pytest.approx(4 / 9, abs=1e-10)
 
     shots, seed = 10**6, 11
-    pl_s = estimate_belief(m, BeliefQuery("pl", 0b100), "shots", shots, seed)
-    q_s = estimate_belief(m, BeliefQuery("q", 0b110), "shots", shots, seed + 1)
+    pl_s = estimate_belief(m, BeliefQuery("pl", 0b100), shots, seed)
+    q_s = estimate_belief(m, BeliefQuery("q", 0b110), shots, seed + 1)
     assert abs(pl_s - 2 / 3) <= 1.5e-3
     assert abs(q_s - 4 / 9) <= 1.5e-3
 

@@ -10,6 +10,7 @@ from qbelief.errors import (
     ClockOverflow,
     PostselectionFailed,
     SingularMatrix,
+    ValidationError,
 )
 from qbelief.qsim import StateVector
 from qbelief.quantum import (
@@ -115,20 +116,32 @@ class TestOracleBackend:
         with pytest.raises(SingularMatrix):
             meob(np.zeros((4, 4)), m, ORACLE)
 
-    def test_annihilated_state_fails_postselection(self, frame2):
-        m = validate_bba(frame2, {("A",): 1.0})
-        # matrix kills exactly the populated coordinate
-        matrix = np.diag([1.0, 0.0, 1.0, 1.0])
-        with pytest.raises(PostselectionFailed):
-            meob(matrix, m, ORACLE)
-
     def test_clock_overflow_guard(self, frame2):
         m = validate_bba(frame2, {("A",): 1.0})
         with pytest.raises(ClockOverflow):
             meob(np.eye(4), m, MEoBConfig(backend="oracle", t0=4.0))
 
 
+class TestSharedTail:
+    @pytest.mark.parametrize("backend", ["oracle", "circuit"])
+    def test_annihilated_state_fails_postselection(self, frame2, backend):
+        m = validate_bba(frame2, {("A",): 1.0})
+        # matrix kills exactly the populated coordinate
+        matrix = np.diag([1.0, 0.0, 1.0, 1.0])
+        with pytest.raises(PostselectionFailed):
+            meob(matrix, m, MEoBConfig(backend=backend, t=4))
+
+
 class TestConfigGuards:
+    @pytest.mark.parametrize(
+        "constants",
+        [{"t0": 0.0}, {"t0": -1.0}, {"t0": np.nan}, {"t0": np.inf},
+         {"C": 0.0}, {"C": -0.5}, {"C": np.nan}, {"C": np.inf}],
+    )
+    def test_non_finite_or_non_positive_constants_refused(self, constants):
+        with pytest.raises(ValidationError):
+            MEoBConfig(backend="circuit", t=4, **constants)
+
     def test_clock_width_bounds(self):
         with pytest.raises(Exception):
             MEoBConfig(t=0)
@@ -310,6 +323,14 @@ class TestFusedEqualsGateReplay:
         expect, p_expect = phase_estimation_replay(a, psi, t0, c, t)
         np.testing.assert_allclose(out.amps, expect, rtol=0, atol=1e-12)
         assert p == pytest.approx(p_expect, rel=1e-12, abs=0)
+
+    def test_circuit_combination_reads_one_block(self, readout_calls):
+        m1, m2 = random_bbas(2, 3, seed=4207)
+        ccr_qc(m1, m2, MEoBConfig(backend="circuit"))
+        assert readout_calls == {"postselect": 0, "extract_register": 0}
+        # the counter sees a postselection when one is made
+        StateVector(1).postselect(0, 0)
+        assert readout_calls == {"postselect": 1, "extract_register": 0}
 
     def test_circuit_combination_applies_no_gates(self, gate_calls):
         m1, m2 = random_bbas(2, 3, seed=4207)

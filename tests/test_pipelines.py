@@ -22,11 +22,13 @@ from qbelief.quantum import (
     ccr_qc,
     dcr_qc,
     dempster_qc,
+    encode_state,
     estimate_belief,
     evolve_mass,
     fb_inner_product_qc,
     ppt_qc,
     ptm_qc,
+    swap_test,
 )
 
 ORACLE = MEoBConfig(backend="oracle")
@@ -204,21 +206,37 @@ class TestProbabilityPipelines:
 
     def test_ptm_sampled_within_three_sigma(self, showcase):
         shots = 1 << 14
-        est = ptm_qc(showcase, mode="shots", shots=shots, seed=3)
+        est = ptm_qc(showcase, shots=shots, seed=3)
         exact = pl_p(showcase)
         # normalization mixes the three estimates; 4 sigma of the raw read
         assert np.abs(est - exact).max() <= 4 * np.sqrt(0.25 / shots)
 
-    @pytest.mark.parametrize("mode, shots, seed", [("statevector", None, None), ("shots", 400, 3)])
-    def test_ptm_prepares_once(self, showcase, preparation_calls, mode, shots, seed):
-        est = ptm_qc(showcase, mode, shots, seed)
+    @pytest.mark.parametrize("shots, seed", [(None, None), (400, 3)],
+                             ids=["statevector-None-None", "shots-400-3"])
+    def test_ptm_prepares_once(self, showcase, preparation_calls, shots, seed):
+        est = ptm_qc(showcase, shots, seed)
         assert len(preparation_calls) == 1
         seeds = [None] * 3 if seed is None else [seed + 2 * j for j in range(3)]
         raw = [
-            estimate_belief(showcase, BeliefQuery("pl", 1 << j), mode, shots, seeds[j])
+            estimate_belief(showcase, BeliefQuery("pl", 1 << j), shots, seeds[j])
             for j in range(3)
         ]
         np.testing.assert_array_equal(est, np.array(raw) / sum(raw))
+
+
+class TestSampledRead:
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda m: estimate_belief(m, BeliefQuery("pl", 0b100), 64),
+            lambda m: swap_test(encode_state(m), encode_state(m), 64),
+            lambda m: ptm_qc(m, 64),
+        ],
+        ids=["estimate_belief", "swap_test", "ptm_qc"],
+    )
+    def test_shots_without_seed_refused(self, showcase, read):
+        with pytest.raises(ValidationError, match="seed"):
+            read(showcase)
 
 
 class TestSimilarityPipeline:

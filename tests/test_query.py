@@ -61,9 +61,13 @@ class TestShowcaseExtraction:
 
     def test_sampled_pl_c_within_three_sigma(self, showcase):
         shots = 4096
-        est = estimate_belief(showcase, BeliefQuery("pl", 0b100), "shots", shots, seed=9)
+        est = estimate_belief(showcase, BeliefQuery("pl", 0b100), shots, seed=9)
         bound = 3 * np.sqrt((2 / 3) * (1 / 3) / shots)
         assert abs(est - 2 / 3) <= bound
+
+    def test_sampled_pl_c_is_pinned(self, showcase):
+        # 654 of 1000 seeded shots read the ancilla as 1
+        assert estimate_belief(showcase, BeliefQuery("pl", 0b100), 1000, 42) == 0.654
 
 
 class TestOracleAgreement:
@@ -96,13 +100,14 @@ class TestOracleAgreement:
 
 
 class TestPreparedOnce:
-    @pytest.mark.parametrize("mode, shots, seed", [("statevector", None, None), ("shots", 400, 5)])
-    def test_bel_query_prepares_once(self, showcase, preparation_calls, mode, shots, seed):
-        value = estimate_belief(showcase, BeliefQuery("bel", 0b011), mode, shots, seed)
+    @pytest.mark.parametrize("shots, seed", [(None, None), (400, 5)],
+                             ids=["statevector-None-None", "shots-400-5"])
+    def test_bel_query_prepares_once(self, showcase, preparation_calls, shots, seed):
+        value = estimate_belief(showcase, BeliefQuery("bel", 0b011), shots, seed)
         assert len(preparation_calls) == 1
         seed2 = None if seed is None else seed + 1
-        b_val = estimate_belief(showcase, BeliefQuery("b", 0b011), mode, shots, seed)
-        empty = estimate_belief(showcase, BeliefQuery("b", 0), mode, shots, seed2)
+        b_val = estimate_belief(showcase, BeliefQuery("b", 0b011), shots, seed)
+        empty = estimate_belief(showcase, BeliefQuery("b", 0), shots, seed2)
         assert value == b_val - empty
 
 class TestNegativeDust:

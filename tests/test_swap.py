@@ -40,9 +40,15 @@ class TestSwapTest:
         overlap_sq = abs(np.vdot(s1.amps, s2.amps)) ** 2
         p0 = 0.5 + overlap_sq / 2
         shots = 1 << 16
-        est = swap_test(s1, s2, mode="shots", shots=shots, seed=21)
+        est = swap_test(s1, s2, shots=shots, seed=21)
         sigma = np.sqrt(p0 * (1 - p0) / shots)
         assert abs(est - overlap_sq) <= 2 * 3 * sigma  # estimate doubles Pr(0)
+
+    def test_sampled_estimate_is_pinned(self):
+        # squared overlap 0.49; 738 of 1000 seeded shots read the ancilla as 0
+        s1 = StateVector(2, [0.5, 0.5, 0.5, 0.5])
+        s2 = StateVector(2, [0.8, 0.0, 0.6, 0.0])
+        assert swap_test(s1, s2, 1000, 42) == 0.476
 
     def test_register_size_mismatch(self, rng):
         with pytest.raises(QubitCountMismatch):
