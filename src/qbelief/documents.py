@@ -15,14 +15,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from .dst.frame import Frame
-from .dst.mass import MassFunction, validate_bba
-from .errors import DuplicateFocalSet, ValidationError
+from .dst.mass import MassFunction, _first_duplicate, _from_listed
+from .errors import ValidationError
 
 RESULT_SCHEMA = "qbelief/result-v1"
 
@@ -65,60 +66,96 @@ def parse_bba_document(doc: dict) -> MassFunction:
 
     ``frame`` and ``masses`` must be lists, each ``focal`` a list of labels
     or one label, each ``mass`` a real number (not a bool or a string).
+    One loop checks each entry's shape and types and gathers its subset
+    index and mass; the mass checks then run once on the gathered arrays.
     """
     if not isinstance(doc, dict) or "frame" not in doc or "masses" not in doc:
         raise ValidationError('document must have "frame" and "masses" keys')
     if not isinstance(doc["frame"], list) or not isinstance(doc["masses"], list):
         raise ValidationError('"frame" and "masses" must be lists')
     frame = Frame(doc["frame"])
-    focal_masses: dict[int, float] = {}
-    for entry in doc["masses"]:
-        if not isinstance(entry, dict) or "focal" not in entry or "mass" not in entry:
-            raise ValidationError('each mass entry needs "focal" and "mass"')
-        focal, mass = entry["focal"], entry["mass"]
-        if not isinstance(focal, (list, str)):
-            raise ValidationError(f'"focal" must be a list of labels or one label, not {focal!r}')
-        if isinstance(mass, bool) or not isinstance(mass, (int, float)):
-            raise ValidationError(f'"mass" must be a real number, not {mass!r}')
-        idx = frame.index_of(focal)
-        if idx in focal_masses:
-            raise DuplicateFocalSet(f"subset {frame.format_subset(idx)} listed twice")
-        try:
-            focal_masses[idx] = float(mass)
-        except OverflowError:  # an integer beyond the float range
-            raise ValidationError(f'"mass" {mass} is not a finite real') from None
-    return validate_bba(frame, focal_masses)
-
-
-def _members(labels, focal: np.ndarray) -> list[list]:
-    """For each subset index in ``focal``, the ``labels`` of its set bits in
-    frame order, gathered one bit at a time over the whole list."""
-    out: list[list] = [[] for _ in range(focal.size)]
-    for k, label in enumerate(labels):
-        for j in np.flatnonzero(focal >> k & 1).tolist():
-            out[j].append(label)
-    return out
+    bit = frame._bit
+    index: list[int] = []
+    masses: list[float] = []
+    try:
+        for entry in doc["masses"]:
+            if not isinstance(entry, dict) or "focal" not in entry or "mass" not in entry:
+                raise ValidationError('each mass entry needs "focal" and "mass"')
+            focal, mass = entry["focal"], entry["mass"]
+            if not isinstance(focal, (list, str)):
+                raise ValidationError(
+                    f'"focal" must be a list of labels or one label, not {focal!r}'
+                )
+            if type(mass) is not float and (
+                isinstance(mass, bool) or not isinstance(mass, (int, float))
+            ):
+                raise ValidationError(f'"mass" must be a real number, not {mass!r}')
+            try:
+                if isinstance(focal, str):
+                    idx = bit[focal]
+                else:
+                    idx = 0
+                    for label in focal:
+                        idx |= bit[label]
+            except (KeyError, TypeError):  # TypeError: an unhashable label
+                frame.index_of(focal)  # raises UnknownElement naming the label
+            index.append(idx)
+            try:
+                masses.append(float(mass))
+            except OverflowError:  # an integer beyond the float range
+                raise ValidationError(f'"mass" {mass} is not a finite real') from None
+    except ValidationError as fault:
+        raise _first_duplicate(frame, index) or fault from None
+    return _from_listed(frame, index, masses)
 
 
 def dump_bba_document(m: MassFunction) -> dict:
     return {
         "frame": list(m.frame.elements),
         "masses": [
-            {"focal": labels, "mass": _round_real(v)}
-            for labels, v in zip(_members(m.frame.elements, m.focal), m.masses[m.focal].tolist())
+            {"focal": list(m.frame.labels_of(f)), "mass": _round_real(v)}
+            for f, v in zip(m.focal.tolist(), m.masses[m.focal].tolist())
         ],
     }
 
 
+_CHUNK = 7  # label bits per lookup table: 3 tables of 2^7 runs at the frame cap
+
+
+def _label_runs(labels: list[str], focal: np.ndarray) -> list[str]:
+    """For each subset index in ``focal``, its ``labels`` in frame order, each
+    followed by a comma.  The index is read in chunks of ``_CHUNK`` bits,
+    each looked up in a table of that chunk's 2^_CHUNK label runs."""
+    runs = np.full(focal.size, "", dtype=object)
+    for lo in range(0, len(labels), _CHUNK):
+        table = [""]
+        for label in labels[lo : lo + _CHUNK]:
+            table += [run + label + "," for run in table]
+        runs += np.array(table, dtype=object)[focal >> lo & (1 << _CHUNK) - 1]
+    return runs.tolist()
+
+
+def _mass_texts(values: np.ndarray) -> list[str]:
+    """``repr(float(f"{v:.12g}"))`` for each value, as ``json`` writes the
+    12-digit rounding.  For a normal float below 0.5 the ``.12g`` text is
+    already that repr (12 digits tell doubles apart, and it has a point or
+    an exponent), so only subnormal values and values from 0.5 up, which can
+    round to an integer such as ``1``, take the repr round trip."""
+    texts = ("%.12g\n" * values.size % tuple(values.tolist())).split("\n")[:-1]
+    for i in np.flatnonzero(~((values >= sys.float_info.min) & (values < 0.5))).tolist():
+        texts[i] = repr(float(texts[i]))
+    return texts
+
+
 def _canonical_bba(m: MassFunction) -> str:
     """``json.dumps(dump_bba_document(m), sort_keys=True, separators=(",", ":"))``,
-    written straight from the focal list: each label is encoded once, and
-    each mass is the repr of its 12-digit rounding, as ``json`` writes it."""
+    written straight from the focal list: each label is encoded once, label
+    runs come from per-chunk tables, and the masses are formatted in one pass."""
     labels = [json.dumps(e) for e in m.frame.elements]
-    entries = ",".join(
-        '{"focal":[' + ",".join(members) + '],"mass":' + repr(float(f"{v:.12g}")) + "}"
-        for members, v in zip(_members(labels, m.focal), m.masses[m.focal].tolist())
-    )
+    entries = ",".join([
+        f'{{"focal":[{run[:-1]}],"mass":{text}}}'
+        for run, text in zip(_label_runs(labels, m.focal), _mass_texts(m.masses[m.focal]))
+    ])
     return '{"frame":[' + ",".join(labels) + '],"masses":[' + entries + "]}"
 
 

@@ -11,8 +11,8 @@ from .transforms import fractal_masses
 
 def _shannon(p: np.ndarray) -> float:
     """Shannon entropy with the 0 * log 0 = 0 convention."""
-    nz = p > 0
-    return float(-(p[nz] * np.log2(p[nz])).sum())
+    nz = p[p > 0]
+    return float(-(nz * np.log2(nz)).sum())
 
 
 def fb_entropy(m: MassFunction) -> float:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from numbers import Real
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -144,7 +145,7 @@ def validate_bba(frame: Frame, focal_masses: Mapping) -> MassFunction:
     """Build a :class:`MassFunction` from a sparse focal-set map.
 
     Keys are subsets given as iterables of element labels (a bare string
-    counts as one label) or as bitmasks; values are masses.  Unlisted
+    counts as one label) or as bitmasks; values are real masses.  Unlisted
     subsets get mass zero.  Only the listed masses are checked and
     summed, and the result carries its focal list (the listed subsets of
     non-zero mass), so no pass over the 2^n vector follows.  Raises
@@ -153,34 +154,60 @@ def validate_bba(frame: Frame, focal_masses: Mapping) -> MassFunction:
     """
     index: list[int] = []
     values: list = []
-    seen: set[int] = set()
     size = frame.size
-    for focal, value in focal_masses.items():
-        idx = focal if isinstance(focal, int) else frame.index_of(focal)
-        if not 0 <= idx < size:
-            raise ValidationError(f"subset index {idx} out of range")
+    try:
+        for focal, value in focal_masses.items():
+            idx = focal if isinstance(focal, int) else frame.index_of(focal)
+            if not 0 <= idx < size:
+                raise ValidationError(f"subset index {idx} out of range")
+            if not isinstance(value, Real):
+                raise ValidationError(f"mass of {frame.format_subset(idx)} is not a real number")
+            index.append(idx)
+            values.append(value)
+    except ValidationError as fault:
+        raise _first_duplicate(frame, index) or fault from None
+    return _from_listed(frame, index, values)
+
+
+def _first_duplicate(frame: Frame, index: list[int]) -> DuplicateFocalSet | None:
+    """The fault for the first subset, in listing order, that ``index`` lists
+    twice, if any.  A listing that stops at a later entry's fault reports
+    this one first."""
+    seen: set[int] = set()
+    for idx in index:
         if idx in seen:
-            raise DuplicateFocalSet(f"subset {frame.format_subset(idx)} listed twice")
+            return DuplicateFocalSet(f"subset {frame.format_subset(idx)} listed twice")
         seen.add(idx)
-        if value < 0:
-            raise NegativeMass(f"mass of {frame.format_subset(idx)} is negative ({value})")
-        index.append(idx)
-        values.append(value)
-    values = np.array(values, dtype=np.float64)
-    if not np.all(np.isfinite(values)):
+    return None
+
+
+def _from_listed(frame: Frame, index: list[int], values: list) -> MassFunction:
+    """The mass function of listed subset indices and masses, checked once
+    on the arrays: no subset twice, no negative, non-finite or above-one
+    mass, and a sum of one.  Each fault names the first offending entry in
+    listing order."""
+    idx = np.array(index, dtype=np.int64)
+    masses = np.array(values, dtype=np.float64)
+    ranked = np.sort(idx)
+    if np.count_nonzero(ranked[1:] == ranked[:-1]):
+        raise _first_duplicate(frame, index)
+    negative = masses < 0
+    if np.count_nonzero(negative):
+        i = int(negative.argmax())
+        raise NegativeMass(f"mass of {frame.format_subset(index[i])} is negative ({values[i]})")
+    if not np.isfinite(masses).all():
         raise ValidationError("masses must be finite")
-    if values.size and values.max() > 1.0 + MASS_SUM_TOL:
-        raise ValidationError(f"mass exceeds 1 ({values.max():.3g})")
-    total = float(values.sum())
+    if masses.size and masses.max() > 1.0 + MASS_SUM_TOL:
+        raise ValidationError(f"mass exceeds 1 ({masses.max():.3g})")
+    total = float(masses.sum())
     if abs(total - 1.0) > MASS_SUM_TOL:
         raise MassSumViolation(f"masses sum to {total!r}, expected 1")
-    index = np.array(index, dtype=np.int64)
-    masses = np.zeros(size)
-    masses[index] = values
+    dense = np.zeros(frame.size)
+    dense[idx] = masses
     m = object.__new__(MassFunction)  # checked above; the unlisted masses are zero
     object.__setattr__(m, "frame", frame)
-    object.__setattr__(m, "masses", _frozen(masses))
-    object.__setattr__(m, "focal", _frozen(np.sort(index[values != 0.0])))
+    object.__setattr__(m, "masses", _frozen(dense))
+    object.__setattr__(m, "focal", _frozen(np.sort(idx[masses != 0.0])))
     return m
 
 

@@ -20,20 +20,40 @@ def _nbits(size: int) -> int:
     return n
 
 
+def _pairs(out: np.ndarray, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(bit-clear, bit-set) views of ``out`` that together pair every index
+    with its bit-k partner.
+
+    Bit k of an index is the middle axis of the (-1, 2, 2^k) view.  For
+    k = 1 and 2 its inner runs hold only 2 or 4 floats, which numpy walks
+    one short run at a time; there the halves are instead 1-D strided
+    slices of the complex128 view (pairs of floats): one slice pair for
+    bit 1, two for bit 2.
+    """
+    if k in (1, 2):
+        z = out.view(np.complex128)
+        half = 1 << (k - 1)
+        return [(z[j :: 2 * half], z[j + half :: 2 * half]) for j in range(half)]
+    view = out.reshape(-1, 2, 1 << k)
+    return [(view[:, 0], view[:, 1])]
+
+
 def _sweep(values: np.ndarray, upward: bool, sign: int) -> np.ndarray:
     """Add (sign +1) or subtract (sign -1) one half of every bit's pair into
     the other: the bit-clear half into the bit-set half when ``upward``
     (subset direction), the bit-set half into the bit-clear half otherwise.
 
-    Bit k of an index is the middle axis of the (-1, 2, 2^k) view, so each
-    pass is one in-place whole-array operation on two strided halves.
+    Each pass is one or two in-place whole-array operations on strided
+    halves; every element sees the same additions in the same order
+    whatever the view, so the result is bit-for-bit that of a
+    one-pair-at-a-time sweep.
     """
     out = np.asarray(values, dtype=np.float64).copy()
     op = np.add if sign > 0 else np.subtract
     for k in range(_nbits(out.size)):
-        view = out.reshape(-1, 2, 1 << k)
-        src, dst = (view[:, 0], view[:, 1]) if upward else (view[:, 1], view[:, 0])
-        op(dst, src, out=dst)
+        for clear, set_ in _pairs(out, k):
+            src, dst = (clear, set_) if upward else (set_, clear)
+            op(dst, src, out=dst)
     return out
 
 

@@ -10,7 +10,7 @@ absorbed into the success probability).
 Two interchangeable backends:
 
 - ``oracle``: computes A psi directly, with success probability
-  C^2 ||A psi||^2, which is what ideal phase estimation postselects.
+  (C ||A psi||)^2, which is what ideal phase estimation postselects.
   This isolates pipeline correctness from discretization.
 - ``circuit``: the full register-level simulation, with each stage of
   phase estimation applied as the exact operator it is on the
@@ -42,6 +42,7 @@ spectrum of embeddings.  The evolution time is capped so that
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -142,20 +143,28 @@ def meob_apply(
 
     Each backend yields the unnormalized postselected output and its
     success probability: for the oracle, A psi and
-    sum_j beta_j^2 C^2 lambda_j^2 = C^2 ||A psi||^2 exactly; for the
-    circuit, the postselected block and its squared norm.  Both then share
-    one tail: a success below 1e-12 (or NaN) raises
-    :class:`PostselectionFailed`, otherwise the output is normalized.
+    sum_j beta_j^2 C^2 lambda_j^2 = (C ||A psi||)^2 exactly, computed at a
+    scale that neither overflows nor underflows; for the circuit, the
+    postselected block and its squared norm.  Both then share one tail: a
+    success below 1e-12 (or NaN) raises :class:`PostselectionFailed`,
+    otherwise the output is normalized.  A non-finite matrix entry is
+    refused with :class:`ValidationError` before any decomposition.
     """
     a = np.asarray(matrix, dtype=np.complex128)
     d = state.amps.size
     if a.shape != (d, d):
         raise BadDimension(f"matrix shape {a.shape} does not match state dimension {d}")
+    if not np.isfinite(a).all():
+        raise ValidationError("matrix entries must be finite")
 
     if config.backend == "oracle":
-        _, c = _evolution_constants(float(np.linalg.norm(a, 2)), config)
-        out = a @ state.amps
-        success = float(c * c * np.real(np.vdot(out, out)))
+        norm = float(np.linalg.norm(a, 2))
+        _, c = _evolution_constants(norm, config)
+        # the power of two that brings ||A|| into [0.5, 1): scaling by it is
+        # exact, so A psi cannot under- or overflow and normalizes unchanged
+        scale = math.ldexp(1.0, -math.frexp(norm)[1])
+        out = a @ (state.amps * scale)
+        success = float(np.real(np.vdot(out, out))) * (c / scale) ** 2
     else:
         out = _run_circuit(a, state.amps, config)
         success = float(np.real(np.vdot(out, out)))

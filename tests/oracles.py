@@ -188,18 +188,17 @@ def inputs_digest_oracle(*parts) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def _lattice_sum(values: np.ndarray, upward: bool) -> np.ndarray:
+def _lattice_sum(values: np.ndarray, upward: bool, sign: int = 1) -> np.ndarray:
     """Subset sum (``upward``) or superset sum of a dense set function, one
     bit at a time: every index with bit k clear is paired with its k-set
-    partner by fancy indexing."""
+    partner by fancy indexing.  ``sign`` -1 subtracts instead of adding,
+    which gives the Moebius inverse of either sum."""
     out = np.array(values, dtype=np.float64)
     index = np.arange(out.size)
     for k in range(out.size.bit_length() - 1):
         clear = index[(index >> k & 1) == 0]
-        if upward:
-            out[clear | 1 << k] += out[clear]
-        else:
-            out[clear] += out[clear | 1 << k]
+        dst, src = (clear | 1 << k, clear) if upward else (clear, clear | 1 << k)
+        out[dst] += sign * out[src]
     return out
 
 

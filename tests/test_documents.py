@@ -13,7 +13,13 @@ from qbelief.documents import (
     result_document,
 )
 from qbelief.dst import Frame, MassFunction, random_mass_function, validate_bba
-from qbelief.errors import DuplicateFocalSet, MassSumViolation, ValidationError
+from qbelief.errors import (
+    DuplicateFocalSet,
+    MassSumViolation,
+    NegativeMass,
+    UnknownElement,
+    ValidationError,
+)
 from qbelief.qasm import circuit_from_json, circuit_to_json, circuit_to_qasm
 from qbelief.quantum import build_preparation_tree, synthesize_preparation_circuit
 
@@ -56,6 +62,160 @@ class TestBbaDocuments:
             parse_bba_document({"frame": ["A"]})
         with pytest.raises(ValidationError):
             parse_bba_document({"frame": ["A"], "masses": [{"focal": ["A"]}]})
+
+
+F = ["A", "B", "C"]
+UNKNOWN_D = "'D' is not an element of ('A', 'B', 'C')"
+FOCAL_TYPE = '"focal" must be a list of labels or one label, not '
+MASS_TYPE = '"mass" must be a real number, not '
+HUGE = f'"mass" {10**400} is not a finite real'
+HUGE_NEG = f'"mass" {-(10**400)} is not a finite real'
+
+
+def e(focal, mass) -> dict:
+    return {"focal": focal, "mass": mass}
+
+
+# One document per fault, and documents with two faults, each with the
+# exception class and message that the parser reported before its entry
+# loop and mass checks were merged (pinned from that code).
+FAULTS = [
+    pytest.param(["A"],
+                 ValidationError, 'document must have "frame" and "masses" keys', id="not-a-dict"),
+    pytest.param(None, ValidationError, 'document must have "frame" and "masses" keys', id="none"),
+    pytest.param({"masses": []},
+                 ValidationError, 'document must have "frame" and "masses" keys', id="no-frame"),
+    pytest.param({"frame": F},
+                 ValidationError, 'document must have "frame" and "masses" keys', id="no-masses"),
+    pytest.param({"frame": "ABC", "masses": []},
+                 ValidationError, '"frame" and "masses" must be lists', id="frame-str"),
+    pytest.param({"frame": F, "masses": {"focal": ["A"], "mass": 1.0}},
+                 ValidationError, '"frame" and "masses" must be lists', id="masses-dict"),
+    pytest.param({"frame": [], "masses": []},
+                 ValidationError, 'frame needs at least one element', id="empty-frame"),
+    pytest.param({"frame": ["A", "A"], "masses": []},
+                 ValidationError, 'element labels must be unique', id="frame-dup-label"),
+    pytest.param({"frame": ["A", 1], "masses": []},
+                 ValidationError, 'element labels must be non-empty strings',
+                 id="frame-int-label"),
+    pytest.param({"frame": [f"e{i}" for i in range(21)], "masses": []},
+                 ValidationError, 'frame of 21 elements exceeds the dense-storage cap of 20',
+                 id="frame-too-big"),
+    pytest.param({"frame": F, "masses": [["A"], 1.0]},
+                 ValidationError, 'each mass entry needs "focal" and "mass"', id="entry-list"),
+    pytest.param({"frame": F, "masses": ["focal"]},
+                 ValidationError, 'each mass entry needs "focal" and "mass"', id="entry-str"),
+    pytest.param({"frame": F, "masses": [{"focal": ["A"]}]},
+                 ValidationError, 'each mass entry needs "focal" and "mass"', id="entry-no-mass"),
+    pytest.param({"frame": F, "masses": [{"mass": 1.0}]},
+                 ValidationError, 'each mass entry needs "focal" and "mass"', id="entry-no-focal"),
+    pytest.param({"frame": F, "masses": [e(5, 1.0)]},
+                 ValidationError, FOCAL_TYPE + '5', id="focal-int"),
+    pytest.param({"frame": F, "masses": [e(None, 1.0)]},
+                 ValidationError, FOCAL_TYPE + 'None', id="focal-none"),
+    pytest.param({"frame": F, "masses": [e({"A": 1}, 1.0)]},
+                 ValidationError, FOCAL_TYPE + "{'A': 1}", id="focal-dict"),
+    pytest.param({"frame": F, "masses": [e(["A", "D"], 1.0)]},
+                 UnknownElement, UNKNOWN_D, id="unknown-label"),
+    pytest.param({"frame": F, "masses": [e("D", 1.0)]},
+                 UnknownElement, UNKNOWN_D, id="unknown-bare-label"),
+    pytest.param({"frame": F, "masses": [e([1], 1.0)]},
+                 UnknownElement, "1 is not an element of ('A', 'B', 'C')", id="unknown-int-label"),
+    pytest.param({"frame": F, "masses": [e([["A"]], 1.0)]},
+                 UnknownElement, "['A'] is not an element of ('A', 'B', 'C')",
+                 id="unhashable-label"),
+    pytest.param({"frame": F, "masses": [e(["A"], True)]},
+                 ValidationError, '"mass" must be a real number, not True', id="mass-bool"),
+    pytest.param({"frame": F, "masses": [e(["A"], "1.0")]},
+                 ValidationError, '"mass" must be a real number, not \'1.0\'', id="mass-str"),
+    pytest.param({"frame": F, "masses": [e(["A"], None)]},
+                 ValidationError, '"mass" must be a real number, not None', id="mass-none"),
+    pytest.param({"frame": F, "masses": [e(["A"], [1.0])]},
+                 ValidationError, '"mass" must be a real number, not [1.0]', id="mass-list"),
+    pytest.param({"frame": F, "masses": [e(["A"], 10**400)]},
+                 ValidationError, HUGE, id="mass-huge-int"),
+    pytest.param({"frame": F, "masses": [e(["A"], -(10**400))]},
+                 ValidationError, HUGE_NEG, id="mass-huge-neg-int"),
+    pytest.param({"frame": F, "masses": [e(["A", "B"], 0.5), e(["B", "A"], 0.5)]},
+                 DuplicateFocalSet, 'subset {A,B} listed twice', id="duplicate-reordered"),
+    pytest.param({"frame": F, "masses": [e("A", 0.5), e(["A"], 0.5)]},
+                 DuplicateFocalSet, 'subset {A} listed twice', id="duplicate-bare-label"),
+    pytest.param({"frame": F, "masses": [e(["A"], 0.5), e(["A", "A"], 0.5)]},
+                 DuplicateFocalSet, 'subset {A} listed twice', id="duplicate-repeated-label"),
+    pytest.param({"frame": F, "masses": [e([], 0.5), e([], 0.5)]},
+                 DuplicateFocalSet, 'subset {} listed twice', id="duplicate-empty"),
+    pytest.param({"frame": F, "masses": [e(["C"], 1.0), e(["C"], 0.0)]},
+                 DuplicateFocalSet, 'subset {C} listed twice', id="duplicate-zero-mass"),
+    pytest.param({"frame": F, "masses": [e(["A"], -0.2), e(["B"], 1.2)]},
+                 NegativeMass, 'mass of {A} is negative (-0.2)', id="negative"),
+    pytest.param({"frame": F, "masses": [e(["A"], -1), e(["B"], 2)]},
+                 NegativeMass, 'mass of {A} is negative (-1.0)', id="negative-int"),
+    pytest.param({"frame": F, "masses": [e(["A"], float("-inf")), e(["B"], 1.0)]},
+                 NegativeMass, 'mass of {A} is negative (-inf)', id="negative-inf"),
+    pytest.param({"frame": F, "masses": [e(["A"], float("nan")), e(["B"], 1.0)]},
+                 ValidationError, 'masses must be finite', id="nan"),
+    pytest.param({"frame": F, "masses": [e(["A"], float("inf"))]},
+                 ValidationError, 'masses must be finite', id="inf"),
+    pytest.param({"frame": F, "masses": [e(["A"], 1.5), e(["B"], -0.5)]},
+                 NegativeMass, 'mass of {B} is negative (-0.5)', id="above-one"),
+    pytest.param({"frame": F, "masses": [e(["A"], 1.25), e(["B"], 0.0)]},
+                 ValidationError, 'mass exceeds 1 (1.25)', id="above-one-alone"),
+    pytest.param({"frame": F, "masses": [e(["A"], 0.5)]},
+                 MassSumViolation, 'masses sum to 0.5, expected 1', id="bad-sum"),
+    pytest.param({"frame": F, "masses": []},
+                 MassSumViolation, 'masses sum to 0.0, expected 1', id="bad-sum-empty-list"),
+    pytest.param({"frame": F, "masses": [e(["A"], 0.5), e(["B"], 0.5 + 2e-9)]},
+                 MassSumViolation, 'masses sum to 1.0000000020000002, expected 1',
+                 id="bad-sum-tolerance"),
+    # two faults: entry faults (shape, type, label, duplicate) in document
+    # order, then the mass values (negative, non-finite, above one, sum)
+    pytest.param({"frame": F, "masses": [e(["A"], 0.5), e(["A"], 0.5), e(["B"], "x")]},
+                 DuplicateFocalSet, 'subset {A} listed twice', id="dup-then-mass-type"),
+    pytest.param({"frame": F, "masses": [e(["A"], 0.5), e(["A"], 0.5), e(["D"], 0.1)]},
+                 DuplicateFocalSet, 'subset {A} listed twice', id="dup-then-unknown"),
+    pytest.param({"frame": F, "masses": [e(["A"], 0.5), e(["A"], 0.5), 7]},
+                 DuplicateFocalSet, 'subset {A} listed twice', id="dup-then-entry"),
+    pytest.param({"frame": F, "masses": [e(["A"], 0.5), e(["A"], 0.5), e(3, 0.1)]},
+                 DuplicateFocalSet, 'subset {A} listed twice', id="dup-then-focal-type"),
+    pytest.param({"frame": F, "masses": [e(["A"], 0.5), e(["A"], 0.5), e(["B"], 10**400)]},
+                 DuplicateFocalSet, 'subset {A} listed twice', id="dup-then-huge-int"),
+    pytest.param({"frame": F, "masses": [e(["A"], 0.5), e(["A"], 10**400)]},
+                 DuplicateFocalSet, 'subset {A} listed twice', id="dup-with-huge-int"),
+    pytest.param({"frame": F, "masses": [e(["A"], 0.5), e(["A"], "x")]},
+                 ValidationError, MASS_TYPE + "'x'", id="dup-with-mass-type"),
+    pytest.param({"frame": F, "masses": [e(["A"], 0.5), e(["A", "D"], 0.5)]},
+                 UnknownElement, UNKNOWN_D, id="dup-with-unknown"),
+    pytest.param({"frame": F, "masses": [e(["B"], "x"), e(["A"], 0.5), e(["A"], 0.5)]},
+                 ValidationError, MASS_TYPE + "'x'", id="mass-type-then-dup"),
+    pytest.param({"frame": F, "masses": [e(["D"], 0.5), e(["A"], 0.5), e(["A"], 0.5)]},
+                 UnknownElement, UNKNOWN_D, id="unknown-then-dup"),
+    pytest.param({"frame": F, "masses": [e(["D"], "x")]},
+                 ValidationError, MASS_TYPE + "'x'", id="mass-type-and-unknown"),
+    pytest.param({"frame": F, "masses": [e(3, "x")]},
+                 ValidationError, FOCAL_TYPE + '3', id="focal-type-and-mass-type"),
+    pytest.param({"frame": F, "masses": [e(["A"], -0.5), e(["B"], 0.5), e(["B"], 1.0)]},
+                 DuplicateFocalSet, 'subset {B} listed twice', id="negative-then-dup"),
+    pytest.param({"frame": F, "masses": [e(["A"], -0.5), e(["D"], 1.5)]},
+                 UnknownElement, UNKNOWN_D, id="negative-then-unknown"),
+    pytest.param({"frame": F, "masses": [e(["A"], -0.5), e(["B"], 10**400)]},
+                 ValidationError, HUGE, id="negative-then-huge-int"),
+    pytest.param({"frame": F, "masses": [e(["A"], float("nan")), e(["B"], -1.0)]},
+                 NegativeMass, 'mass of {B} is negative (-1.0)', id="nan-then-negative"),
+    pytest.param({"frame": F, "masses": [e(["A"], -0.25), e(["B"], -0.5), e(["C"], 1.75)]},
+                 NegativeMass, 'mass of {A} is negative (-0.25)', id="two-negatives"),
+    pytest.param({"frame": F, "masses": [e(["A"], 2.0), e(["B"], float("inf"))]},
+                 ValidationError, 'masses must be finite', id="inf-and-above-one"),
+    pytest.param({"frame": F, "masses": [e(["A"], 1.5)]},
+                 ValidationError, 'mass exceeds 1 (1.5)', id="above-one-and-bad-sum"),
+]
+
+
+class TestParseFaults:
+    @pytest.mark.parametrize("doc, error, message", FAULTS)
+    def test_fault_class_and_message(self, doc, error, message):
+        with pytest.raises(ValidationError) as info:
+            parse_bba_document(doc)
+        assert (type(info.value), str(info.value)) == (error, message)
 
 
 class TestResultDocuments:

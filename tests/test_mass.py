@@ -11,6 +11,17 @@ from qbelief.errors import (
 )
 
 
+class Pairs(dict):
+    """A focal-set map whose items may repeat a subset."""
+
+    def __init__(self, pairs):
+        super().__init__()
+        self.pairs = pairs
+
+    def items(self):
+        return iter(self.pairs)
+
+
 class TestFrame:
     def test_index_round_trip(self, frame3):
         assert frame3.index_of(()) == 0
@@ -73,6 +84,43 @@ class TestValidateBba:
     def test_unknown_element(self, frame3):
         with pytest.raises(UnknownElement):
             validate_bba(frame3, {("D",): 1.0})
+
+    @pytest.mark.parametrize("masses, error, message", [
+        pytest.param({8: 1.0}, ValidationError, "subset index 8 out of range", id="index-8"),
+        pytest.param({-1: 1.0}, ValidationError, "subset index -1 out of range", id="index-neg"),
+        pytest.param({1: 0.5, ("A",): 0.5}, DuplicateFocalSet, "subset {A} listed twice",
+                     id="duplicate-index-and-labels"),
+        pytest.param({("A",): -1, ("B",): 2}, NegativeMass, "mass of {A} is negative (-1)",
+                     id="negative-int"),
+        pytest.param({("A",): float("nan"), ("B",): 1.0}, ValidationError,
+                     "masses must be finite", id="nan"),
+        pytest.param({("A",): 1.5, ("B",): -0.5}, NegativeMass,
+                     "mass of {B} is negative (-0.5)", id="negative-before-above-one"),
+        pytest.param({("A",): 0.6}, MassSumViolation, "masses sum to 0.6, expected 1",
+                     id="bad-sum"),
+        pytest.param(Pairs([(1, 0.5), (("A",), 0.5), (99, 0.0)]), DuplicateFocalSet,
+                     "subset {A} listed twice", id="duplicate-then-out-of-range"),
+        pytest.param(Pairs([(1, 0.5), (("A",), 0.5), (("D",), 0.0)]), DuplicateFocalSet,
+                     "subset {A} listed twice", id="duplicate-then-unknown"),
+    ])
+    def test_fault_class_and_message(self, frame3, masses, error, message):
+        """Pinned from the code before the document parser and this function
+        shared their mass checks."""
+        with pytest.raises(ValidationError) as info:
+            validate_bba(frame3, masses)
+        assert (type(info.value), str(info.value)) == (error, message)
+
+    @pytest.mark.parametrize("masses, error", [
+        pytest.param({("A",): "1.0"}, ValidationError, id="str-mass"),
+        pytest.param({("A",): None}, ValidationError, id="none-mass"),
+        # key faults come before mass-value faults, as in documents
+        pytest.param({("A",): -0.5, ("D",): 1.5}, UnknownElement, id="negative-then-unknown"),
+        pytest.param(Pairs([(("A",), -0.5), (2, 0.5), (2, 1.0)]), DuplicateFocalSet,
+                     id="negative-then-duplicate"),
+    ])
+    def test_entry_faults_before_mass_values(self, frame3, masses, error):
+        with pytest.raises(error):
+            validate_bba(frame3, masses)
 
     def test_unlisted_subsets_get_zero(self, frame3):
         m = validate_bba(frame3, {("A",): 0.4, ("B", "C"): 0.6})

@@ -131,6 +131,23 @@ class TestSharedTail:
         with pytest.raises(PostselectionFailed):
             meob(matrix, m, MEoBConfig(backend=backend, t=4))
 
+    @pytest.mark.parametrize("backend", ["oracle", "circuit"])
+    def test_success_does_not_depend_on_matrix_scale(self, backend):
+        state = StateVector(1, [0.6, 0.8])
+        config = MEoBConfig(backend=backend, t=4)
+        _, base = meob_apply(np.diag([1.0, 2.0]), state, config)
+        for scale in (1e-160, 1e-200, 1e150):
+            out, success = meob_apply(np.diag([1.0, 2.0]) * scale, state, config)
+            assert success == pytest.approx(base, rel=1e-12), scale
+            assert np.isfinite(out.amps).all()
+
+    @pytest.mark.parametrize("backend", ["oracle", "circuit"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_refused(self, backend, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            meob_apply(np.array([[bad, 0.0], [0.0, 1.0]]), StateVector(1, [0.6, 0.8]),
+                       MEoBConfig(backend=backend, t=4))
+
 
 class TestConfigGuards:
     @pytest.mark.parametrize(

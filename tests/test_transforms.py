@@ -1,5 +1,7 @@
 """Belief/plausibility/commonality transforms against definition-level sums."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,11 @@ from hypothesis import strategies as st
 
 from conftest import make_frame, random_bbas
 from oracles import (
+    _lattice_sum,
     b_oracle,
     bel_oracle,
     fbba_oracle,
+    fbba_sweep_oracle,
     mass_from_q_oracle,
     pl_oracle,
     q_oracle,
@@ -22,10 +26,16 @@ from qbelief.dst import (
     mass_from_q,
     pl_from_mass,
     q_from_mass,
+    fb_entropy,
+    subset_sum,
+    subset_sum_inverse,
+    superset_sum,
+    superset_sum_inverse,
     transform_matrix,
     validate_bba,
 )
 from qbelief.dst.mass import BeliefVector
+from qbelief.dst.transforms import fractal_masses
 from qbelief.errors import InverseNotBBA
 
 
@@ -97,6 +107,59 @@ class TestAgainstOracles:
             np.testing.assert_allclose(
                 mass_from_q(q).masses, mass_from_q_oracle(q.values, 4), atol=1e-10
             )
+
+
+SWEEPS = [
+    (subset_sum, True, 1),
+    (subset_sum_inverse, True, -1),
+    (superset_sum, False, 1),
+    (superset_sum_inverse, False, -1),
+]
+
+
+def sparse_bba(rng, n: int, k: int) -> MassFunction:
+    frame = make_frame(n)
+    focal = rng.choice(frame.size, size=min(k, frame.size), replace=False)
+    weights = rng.exponential(size=focal.size)
+    return validate_bba(frame, dict(zip(focal.tolist(), (weights / weights.sum()).tolist())))
+
+
+def sha256(values) -> str:
+    return hashlib.sha256(np.asarray(values, dtype=np.float64).tobytes()).hexdigest()
+
+
+class TestSweepBytes:
+    """Every pass layout of the sweeps (strided halves, complex-view columns)
+    gives the bytes of the one-pair-at-a-time reference."""
+
+    @pytest.mark.parametrize("n", [*range(1, 15), 20])
+    def test_sweeps_match_pairwise_reference(self, n):
+        values = np.random.default_rng(n).standard_normal(1 << n)
+        for sweep, upward, sign in SWEEPS:
+            expected = _lattice_sum(values, upward, sign)
+            assert sweep(values).tobytes() == expected.tobytes(), sweep.__name__
+
+    @pytest.mark.parametrize("n", [*range(1, 15), 20])
+    def test_fractal_masses_match_pairwise_reference(self, n):
+        m = sparse_bba(np.random.default_rng(40 + n), n, 4096)
+        assert fractal_masses(m).tobytes() == fbba_sweep_oracle(m.masses, n).tobytes()
+
+    def test_frame_cap_fractal_bytes_pinned(self):
+        """sha256 of the fractal reallocations and fb entropy of one n = 20
+        pair, as computed by the strided-halves sweep before the
+        complex-view passes.  (The fb inner product of the pair is not
+        pinned: its last bits follow the host's BLAS dot kernel.)"""
+        rng = np.random.default_rng(2020)
+        a, b = sparse_bba(rng, 20, 4096), sparse_bba(rng, 20, 1024)
+        assert sha256(fractal_masses(a)) == (
+            "a8b80ce0cbb34dc3988b97a5e9c9920716283248667d73a84a25cdfc1430e1c2"
+        )
+        assert sha256(fractal_masses(b)) == (
+            "02f82908a55ca50bbe052cc1820dc166eb1cfb44fa083d0a13c78d5edf8fb25f"
+        )
+        assert sha256(fb_entropy(a)) == (
+            "5380b59c1fbff77e33a0919f92a867e1b86d913f7a13bb9b1bc987c2ee582e56"
+        )
 
 
 class TestMatrixEquivalence:
