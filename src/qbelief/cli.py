@@ -17,7 +17,14 @@ import click
 import numpy as np
 
 from . import dst, quantum
-from .documents import dumps_result, inputs_digest, load_bba_document, result_document
+from .documents import (
+    dense_subset_labels,
+    dumps_result,
+    inputs_digest,
+    load_bba_document,
+    result_document,
+    subset_labels,
+)
 from .dst.mass import MassFunction, demo_mass_function, trend_mass_functions
 from .errors import ComputationError, QBeliefError, ValidationError
 from .qasm import circuit_to_json, circuit_to_qasm
@@ -106,7 +113,7 @@ def transform(kind: str, backend: str, out: str | None, timing: bool, path: str)
     """
     started = time.perf_counter()
     m = load_bba_document(path)
-    labels = [m.frame.format_subset(i) for i in range(m.frame.size)]
+    labels = dense_subset_labels(m.frame)
 
     if backend == "classical":
         if kind == "fbba":
@@ -159,7 +166,7 @@ def combine(rule: str, backend: str, out: str | None, timing: bool, path1: str, 
             "dempster": quantum.dempster_qc,
         }[rule](m1, m2, cfg)
     payload = {
-        "subsets": [m1.frame.format_subset(i) for i in range(m1.frame.size)],
+        "subsets": dense_subset_labels(m1.frame),
         "masses": combined.masses,
     }
     _respond(("combine", rule, backend, m1, m2), "combine." + rule, backend, payload,
@@ -279,11 +286,12 @@ def prepare(emit_kind, shots, seed, out, timing: bool, path: str) -> None:
         raise ValidationError("--shots needs --seed for reproducibility")
     state = quantum.prepare_bba_state(m)
     record = state.sample(shots, seed)
+    outcomes = sorted(record.counts)
+    counts = [record.counts[i] for i in outcomes]
+    labels = subset_labels(m.frame, np.array(outcomes, dtype=np.int64))
     payload = {
-        "counts": {m.frame.format_subset(i): c for i, c in sorted(record.counts.items())},
-        "frequencies": {
-            m.frame.format_subset(i): c / shots for i, c in sorted(record.counts.items())
-        },
+        "counts": dict(zip(labels, counts)),
+        "frequencies": {label: c / shots for label, c in zip(labels, counts)},
     }
     _respond(("prepare", m, shots, seed), "prepare.sample", "quantum-circuit", payload,
              out, timing, started, shots, seed)
@@ -300,6 +308,11 @@ def demo(shots: int, seed: int) -> None:
     """
     m = demo_mass_function()
     state = quantum.prepare_bba_state(m)
+    # sample before printing, so a refused --shots or --seed prints no partial report
+    pl_s = quantum.estimate_belief(m, quantum.BeliefQuery("pl", 0b100), shots, seed)
+    q_s = quantum.estimate_belief(m, quantum.BeliefQuery("q", 0b110), shots, seed + 1)
+    record = state.sample(shots, seed)
+
     click.echo("prepared amplitudes (statevector mode):")
     click.echo(f"  {'subset':<8} {'amplitude':>12} {'amp^2':>12} {'mass':>12} {'delta':>10}")
     for i in range(m.frame.size):
@@ -314,8 +327,6 @@ def demo(shots: int, seed: int) -> None:
     click.echo(f"\nextraction (statevector): Pl(C) = {pl_c:.6f}, q(BC) = {q_bc:.6f}")
     click.echo(f"exact targets:            Pl(C) = {2 / 3:.6f}, q(BC) = {4 / 9:.6f}")
 
-    pl_s = quantum.estimate_belief(m, quantum.BeliefQuery("pl", 0b100), shots, seed)
-    q_s = quantum.estimate_belief(m, quantum.BeliefQuery("q", 0b110), shots, seed + 1)
     sigma_pl = 3 * np.sqrt((2 / 3) * (1 / 3) / shots)
     sigma_q = 3 * np.sqrt((4 / 9) * (5 / 9) / shots)
     click.echo(f"\nsampled with shots={shots}, seed={seed}:")
@@ -326,7 +337,6 @@ def demo(shots: int, seed: int) -> None:
         f"  q(BC) = {q_s:.6f}  delta {abs(q_s - 4 / 9):.2e}  (3-sigma bound {sigma_q:.2e})"
     )
 
-    record = state.sample(shots, seed)
     click.echo(f"\npreparation sampling, shots={shots}, seed={seed}:")
     for i in range(m.frame.size):
         freq = record.frequency(i)

@@ -7,7 +7,10 @@ form, nor the input digest scans the 2^n mass vector.  Result documents
 carry the operation name, an input digest, the backend and a numeric
 payload.  All reals are rounded to 12 significant digits at
 serialization, which keeps equal inputs byte-identical on disk while
-staying far below internal tolerances.
+staying far below internal tolerances.  A dense vector of the payload,
+and the subset labels that go with it, are held as the JSON texts of
+their items, made in one pass each, and written one text per line into
+the indent-2 layout, so none of their values is rounded or encoded alone.
 """
 
 from __future__ import annotations
@@ -35,13 +38,30 @@ def _round_real(x: float) -> float:
     return float(f"{x:.12g}")
 
 
+class JsonTexts:
+    """A JSON array held as the texts of its items, which :func:`dumps_result`
+    writes one per line.  It is not a list, so ``json.dumps`` refuses it
+    rather than writing the texts as quoted strings."""
+
+    __slots__ = ("texts",)
+
+    def __init__(self, texts: list[str]):
+        self.texts = texts
+
+
 def _round_payload(value: Any) -> Any:
     if isinstance(value, (float, np.floating)):
         return _round_real(value)
     if isinstance(value, (int, np.integer, str, bool)) or value is None:
         return value
     if isinstance(value, np.ndarray):
+        if value.ndim == 1 and value.dtype.kind == "f":
+            if not np.isfinite(value).all():
+                raise ValidationError("payload contains a non-finite value")
+            return JsonTexts(_mass_texts(value))
         return [_round_payload(v) for v in value.tolist()]
+    if isinstance(value, JsonTexts):
+        return value
     if isinstance(value, (list, tuple)):
         return [_round_payload(v) for v in value]
     if isinstance(value, dict):
@@ -135,15 +155,37 @@ def _label_runs(labels: list[str], focal: np.ndarray) -> list[str]:
     return runs.tolist()
 
 
+def subset_labels(frame: Frame, subsets: np.ndarray) -> list[str]:
+    """``frame.format_subset(i)`` for each index ``i`` in ``subsets``."""
+    return ["{" + run[:-1] + "}" for run in _label_runs(list(frame.elements), subsets)]
+
+
+def dense_subset_labels(frame: Frame) -> JsonTexts:
+    """The labels of all 2^n subsets in index order, as JSON string texts
+    built from the JSON-escaped element labels."""
+    labels = [json.dumps(e)[1:-1] for e in frame.elements]
+    runs = _label_runs(labels, np.arange(frame.size))
+    return JsonTexts(['"{' + run[:-1] + '}"' for run in runs])
+
+
 def _mass_texts(values: np.ndarray) -> list[str]:
     """``repr(float(f"{v:.12g}"))`` for each value, as ``json`` writes the
-    12-digit rounding.  For a normal float below 0.5 the ``.12g`` text is
-    already that repr (12 digits tell doubles apart, and it has a point or
-    an exponent), so only subnormal values and values from 0.5 up, which can
-    round to an integer such as ``1``, take the repr round trip."""
+    12-digit rounding, from one ``%.12g`` pass.  For a normal float that
+    text already is the repr (12 digits tell doubles apart) but for two
+    layouts, which only a zero or a magnitude from 0.5 up can take: an
+    integer such as ``1`` or ``-0``, which gets ``.0``, and an exponent from
+    ``e+12`` up, which repr writes out in full below ``1e16``.  Only those
+    exponent texts and subnormal values take the repr round trip."""
     texts = ("%.12g\n" * values.size % tuple(values.tolist())).split("\n")[:-1]
-    for i in np.flatnonzero(~((values >= sys.float_info.min) & (values < 0.5))).tolist():
+    size = np.abs(values)
+    for i in np.flatnonzero((size < sys.float_info.min) & (size > 0)).tolist():
         texts[i] = repr(float(texts[i]))
+    for i in np.flatnonzero((size >= 0.5) | (size == 0)).tolist():
+        text = texts[i]
+        if "e+" in text:
+            texts[i] = repr(float(text))
+        elif "." not in text:
+            texts[i] = text + ".0"
     return texts
 
 
@@ -188,7 +230,8 @@ def result_document(
     wall_time_s: float | None = None,
 ) -> dict:
     """Assemble a result document; payload reals get 12 significant digits,
-    and a non-finite one is refused.
+    and a non-finite one is refused before anything is written.  A 1-D
+    float array is checked in one pass and becomes :class:`JsonTexts`.
 
     Timing is optional: identical inputs must serialize byte-identically,
     so wall time is only attached when explicitly requested.
@@ -210,7 +253,37 @@ def result_document(
 
 
 def dumps_result(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, with each
+    :class:`JsonTexts` array written as its texts, one per line."""
+    return _indented(doc, "\n") + "\n"
+
+
+def _indented(value: Any, newline: str) -> str:
+    """``value`` in the key-sorted indent-2 layout; ``newline`` starts each of
+    its lines after the first.  :class:`JsonTexts` and the dicts that hold
+    them are laid out here.  Any other value is one ``json.dumps`` call: a
+    container is re-indented (a JSON text holds no raw newline, so each one
+    in the output starts a line), and a scalar is one line in either layout."""
+    inner = newline + "  "
+    if isinstance(value, JsonTexts):
+        if not value.texts:
+            return "[]"
+        return "[" + inner + ("," + inner).join(value.texts) + newline + "]"
+    if _holds_texts(value):
+        items = [
+            f"{inner}{json.dumps(k)}: {_indented(v, inner)}" for k, v in sorted(value.items())
+        ]
+        return "{" + ",".join(items) + newline + "}"
+    if isinstance(value, (dict, list, tuple)):
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
+    return json.dumps(value)
+
+
+def _holds_texts(value: Any) -> bool:
+    """Whether ``value`` is a dict with a :class:`JsonTexts` at any depth."""
+    return isinstance(value, dict) and any(
+        isinstance(v, JsonTexts) or _holds_texts(v) for v in value.values()
+    )
 
 
 __all__ = [
@@ -221,4 +294,7 @@ __all__ = [
     "inputs_digest",
     "result_document",
     "dumps_result",
+    "JsonTexts",
+    "subset_labels",
+    "dense_subset_labels",
 ]

@@ -25,6 +25,7 @@ from .gates import Gate
 ControlSpec = Sequence[tuple[int, int]]  # (qubit, polarity in {0, 1}) pairs
 
 _MIN_POSTSELECT_PROB = 1e-12
+_SAMPLE_CHUNK = 1 << 20  # draws per block: 8 MB of uniforms at a time, whatever the shots
 
 
 @dataclass
@@ -244,18 +245,26 @@ class StateVector:
 
         Identical (state, shots, seed) gives identical counts; the draw is
         a single deterministic PCG64 stream folded through searchsorted.
+        The stream is drawn in blocks of ``_SAMPLE_CHUNK``, in order, so the
+        memory used does not grow with ``shots`` and the counts equal those
+        of one draw of all the shots.
         """
         if shots < 1:
             raise ValidationError("shots must be positive")
+        if seed < 0:
+            raise ValidationError(f"seed must be non-negative, not {seed}")
         probs = self.probabilities()
         cdf = np.cumsum(probs)
         cdf[-1] = 1.0
         rng = np.random.Generator(np.random.PCG64(seed))
-        draws = rng.random(shots)
-        outcomes = np.searchsorted(cdf, draws, side="right")
-        values, freq = np.unique(outcomes, return_counts=True)
+        counts = np.zeros(probs.size, dtype=np.int64)
+        for start in range(0, shots, _SAMPLE_CHUNK):
+            draws = rng.random(min(_SAMPLE_CHUNK, shots - start))
+            outcomes = np.searchsorted(cdf, draws, side="right")
+            counts += np.bincount(outcomes, minlength=probs.size)
+        seen = np.flatnonzero(counts)
         return MeasurementRecord(
-            shots=shots, seed=seed, counts={int(v): int(c) for v, c in zip(values, freq)}
+            shots=shots, seed=seed, counts=dict(zip(seen.tolist(), counts[seen].tolist()))
         )
 
 

@@ -8,6 +8,8 @@ comparison cannot share a bug.
 ``inputs_digest_oracle`` is the input digest composed the long way:
 every mass function dumped to its document form by a scan of its dense
 vector, then the whole tuple rounded value by value before hashing.
+``dumps_result_oracle`` is a result document written the same way:
+rounded value by value, then ``json.dumps(indent=2, sort_keys=True)``.
 
 The ``*_sweep_oracle`` and ``*_dense_oracle`` functions are the dense
 formulas the library used before it ran these queries over the focal
@@ -163,6 +165,22 @@ def round_payload_oracle(value):
     if isinstance(value, dict):
         return {str(k): round_payload_oracle(v) for k, v in value.items()}
     raise TypeError(f"cannot round a value of type {type(value)}")
+
+
+def dumps_result_oracle(doc: dict) -> str:
+    """A result document as ``json.dumps`` writes it: the whole document
+    rounded by ``round_payload_oracle``, keys sorted, indent 2."""
+    return json.dumps(round_payload_oracle(doc), indent=2, sort_keys=True) + "\n"
+
+
+def sample_counts_oracle(state: StateVector, shots: int, seed: int) -> dict[int, int]:
+    """Counts of one draw of all ``shots`` uniforms from PCG64(``seed``),
+    folded through the CDF by searchsorted and tallied by ``np.unique``."""
+    cdf = np.cumsum(state.probabilities())
+    cdf[-1] = 1.0
+    draws = np.random.Generator(np.random.PCG64(seed)).random(shots)
+    values, freq = np.unique(np.searchsorted(cdf, draws, side="right"), return_counts=True)
+    return {int(v): int(c) for v, c in zip(values, freq)}
 
 
 def dump_bba_oracle(m: MassFunction) -> dict:

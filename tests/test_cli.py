@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from conftest import make_frame, random_bbas
-from oracles import inputs_digest_oracle
+from oracles import dumps_result_oracle, inputs_digest_oracle
 import qbelief
 from qbelief.cli import main
-from qbelief.dst import validate_bba
+from qbelief.dst import Frame, random_mass_function, validate_bba
 from qbelief.documents import dump_bba_document, dumps_result
 
 
@@ -317,6 +317,88 @@ class TestDeterminism:
         _, out3, _ = run(capsys, ["prob", "--method", "ptm", showcase_path])
         _, out4, _ = run(capsys, ["prob", "--method", "ptm", showcase_path])
         assert out3 == out4
+
+
+# labels that need JSON escapes: a quote, a backslash, a non-ASCII letter, a control character
+ESCAPED = ['q"uote', "back\\slash", "\u00e9", "bell\x07"]
+
+
+def escaped_doc(tmp_path, n, seed, name):
+    frame = Frame(ESCAPED[:n] + [f"e{i}" for i in range(len(ESCAPED), n)])
+    m = random_mass_function(frame, np.random.default_rng(seed), allow_empty=True)
+    return write_doc(tmp_path, m, name), frame
+
+
+class TestDenseDocuments:
+    """Dense outputs are written exactly as ``json.dumps(indent=2,
+    sort_keys=True)`` writes the document they decode to, with every
+    subset labelled as ``Frame.format_subset`` labels it."""
+
+    @pytest.mark.parametrize("argv, count, n", [
+        (["transform", "--kind", "pl"], 1, 1),
+        (["transform", "--kind", "q"], 1, 9),
+        (["transform", "--kind", "fbba"], 1, 6),
+        (["transform", "--kind", "betm"], 1, 5),
+        (["transform", "--kind", "bel", "--backend", "quantum-oracle"], 1, 3),
+        (["combine", "--rule", "ccr"], 2, 9),
+        (["combine", "--rule", "dcr"], 2, 2),
+        (["combine", "--rule", "ccr", "--backend", "quantum-oracle"], 2, 3),
+        (["prob", "--method", "ppt"], 1, 5),
+    ])
+    def test_layout_and_labels(self, capsys, tmp_path, argv, count, n):
+        paths = []
+        for i in range(count):
+            path, frame = escaped_doc(tmp_path, n, 10 * n + i, f"in{i}.json")
+            paths.append(path)
+        code, out, err = run(capsys, argv + paths)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert out == dumps_result_oracle(doc)
+        if "subsets" in doc["payload"]:
+            assert doc["payload"]["subsets"] == [frame.format_subset(i) for i in range(frame.size)]
+
+    def test_sampled_counts_labels(self, capsys, tmp_path):
+        path, frame = escaped_doc(tmp_path, 5, 3, "m.json")
+        code, out, err = run(capsys, ["prepare", path, "--shots", "4096", "--seed", "2"])
+        assert code == 0, err
+        doc = json.loads(out)
+        assert out == dumps_result_oracle(doc)
+        labels = {frame.format_subset(i) for i in range(frame.size)}
+        assert set(doc["payload"]["counts"]) <= labels
+        assert list(doc["payload"]["counts"]) == list(doc["payload"]["frequencies"])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_vector_refused_before_writing(self, capsys, monkeypatch, tmp_path,
+                                                      showcase_path, bad):
+        from types import SimpleNamespace
+
+        import qbelief.dst
+
+        values = np.full(8, 0.125)
+        values[3] = bad
+        monkeypatch.setattr(qbelief.dst, "pl_from_mass", lambda m: SimpleNamespace(values=values))
+        out_path = tmp_path / "out.json"
+        code, out, err = run(capsys, ["transform", "--kind", "pl", "--out", str(out_path),
+                                      showcase_path])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "ValidationError",
+                                   "message": "payload contains a non-finite value"}
+        assert not out_path.exists()
+
+
+class TestSeedRefusal:
+    @pytest.mark.parametrize("argv, seed", [
+        (["prepare", "--shots", "16", "--seed", "-1"], -1),
+        (["prob", "--method", "ptm", "--backend", "quantum-oracle", "--shots", "16",
+          "--seed", "-3"], -3),
+        (["demo", "--seed", "-1"], -1),
+    ])
+    def test_negative_seed_exits_one(self, capsys, showcase_path, argv, seed):
+        paths = [] if argv[0] == "demo" else [showcase_path]
+        code, out, err = run(capsys, argv + paths)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "ValidationError",
+                                   "message": f"seed must be non-negative, not {seed}"}
 
 
 # every command that answers with a result document: (argv before the

@@ -4,15 +4,30 @@ import numpy as np
 import pytest
 
 from conftest import make_frame
-from oracles import dump_bba_oracle, inputs_digest_oracle, round_payload_oracle
+from oracles import (
+    dump_bba_oracle,
+    dumps_result_oracle,
+    inputs_digest_oracle,
+    round_payload_oracle,
+)
 from qbelief.documents import (
+    RESULT_SCHEMA,
+    dense_subset_labels,
     dump_bba_document,
     dumps_result,
     inputs_digest,
     parse_bba_document,
     result_document,
+    subset_labels,
 )
-from qbelief.dst import Frame, MassFunction, random_mass_function, validate_bba
+from qbelief.dst import (
+    Frame,
+    MassFunction,
+    combine_conjunctive,
+    pl_from_mass,
+    random_mass_function,
+    validate_bba,
+)
 from qbelief.errors import (
     DuplicateFocalSet,
     MassSumViolation,
@@ -326,6 +341,127 @@ class TestInputsDigest:
     def test_float_and_array_parts_refused(self, part):
         with pytest.raises(ValidationError):
             inputs_digest("prob", part)
+
+
+DIGEST = "0123456789abcdef"
+
+# 12-digit rounding edges: signed zero, subnormal dust, the smallest normal,
+# values that round to an integer, and exponents around repr's switch at 1e16
+EDGES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 0.5, 1 - 1e-13, 999999999999.5,
+         1.5e13, 1e16, -2.5, 1 / 3, 1e-5, 0.1 + 0.2, 123456789012.25]
+
+# each label needs a JSON escape: a quote, a backslash, a non-ASCII letter
+# and a control character
+ESCAPED = ['q"uote', "back\\slash", "\u00e9", "bell\x07"]
+
+
+def escaped_frame(n: int) -> Frame:
+    return Frame(ESCAPED + [f"e{i}" for i in range(len(ESCAPED), n)])
+
+
+def written(payload, backend="classical", shots=None, seed=None, wall_time_s=None) -> str:
+    return dumps_result(result_document("op", DIGEST, backend, payload, shots, seed, wall_time_s))
+
+
+def oracle(payload, backend="classical", shots=None, seed=None, wall_time_s=None) -> str:
+    doc = {"schema": RESULT_SCHEMA, "operation": "op", "inputs_digest": DIGEST,
+           "backend": backend, "payload": payload}
+    if shots is not None:
+        doc["shots"], doc["seed"] = shots, seed
+    if wall_time_s is not None:
+        doc["wall_time_s"] = wall_time_s
+    return dumps_result_oracle(doc)
+
+
+def dense_pairs(frame: Frame, vector: np.ndarray, key: str, quantum: bool):
+    """The (written, oracle) payloads of one dense transform or combination,
+    in the shape the command line builds: table labels on the written side,
+    ``format_subset`` labels on the oracle side."""
+    extra = {"normalized_only": True, "note": "up to scale"} if quantum else {}
+    labels = [frame.format_subset(i) for i in range(frame.size)]
+    return ({"subsets": dense_subset_labels(frame), key: vector, **extra},
+            {"subsets": labels, key: vector, **extra})
+
+
+class TestDenseWriter:
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_transform_and_combine_match_json_dumps(self, n):
+        m1, m2 = (random_mass_function(make_frame(n), np.random.default_rng(40 + n),
+                                       allow_empty=True) for _ in range(2))
+        cases = [(pl_from_mass(m1).values, "values"),
+                 (combine_conjunctive(m1, m2).masses, "masses")]
+        for vector, key in cases:
+            for quantum in (False, True):
+                if quantum:
+                    vector = vector / np.linalg.norm(vector)
+                fast, slow = dense_pairs(m1.frame, vector, key, quantum)
+                backend = "quantum-oracle" if quantum else "classical"
+                assert written(fast, backend) == oracle(slow, backend), (key, quantum)
+
+    def test_rounding_edges_match_json_dumps(self):
+        edges = np.array(EDGES)
+        frame = make_frame(4)
+        fast, slow = dense_pairs(frame, np.resize(edges, frame.size), "values", False)
+        assert written(fast) == oracle(slow)
+        for value in EDGES:
+            assert written({"value": value}, wall_time_s=value) == oracle(
+                {"value": value}, wall_time_s=value)
+        freqs = {f"{{e{i}}}": v for i, v in enumerate(EDGES)}
+        assert written({"frequencies": freqs}) == oracle({"frequencies": freqs})
+        assert written({"v": edges, "w": -edges}) == oracle({"v": edges, "w": -edges})
+
+    @pytest.mark.parametrize("n", [8, 13])
+    def test_escaped_labels_match_json_dumps(self, n):
+        # n = 13 reads two label chunks
+        frame = escaped_frame(n)
+        m = random_mass_function(frame, np.random.default_rng(n), allow_empty=True)
+        fast, slow = dense_pairs(frame, pl_from_mass(m).values, "values", False)
+        assert written(fast) == oracle(slow)
+        elements = {"elements": list(frame.elements), "probabilities": m.masses[1 << np.arange(n)]}
+        assert written(elements) == oracle(elements)
+
+    @pytest.mark.parametrize("n", [1, 8, 13, 20])
+    def test_subset_labels_match_format_subset(self, n):
+        frame = escaped_frame(n) if n >= len(ESCAPED) else make_frame(n)
+        index = np.random.default_rng(n).choice(frame.size, size=min(frame.size, 500),
+                                                replace=False)
+        index[0] = 0
+        index[-1] = frame.full_set
+        assert subset_labels(frame, index) == [frame.format_subset(i) for i in index.tolist()]
+
+    def test_other_payload_shapes_match_json_dumps(self, showcase):
+        keys = [escaped_frame(5).format_subset(i) for i in (0, 3, 17, 31)]
+        counts = dict(zip(keys, [5, 0, 1000, 19]))
+        mixed = {"values": np.zeros(0), "flag": True, "none": None,
+                 "items": [1, [2.5, {"b": 1, "a": [0.1]}], "x"],
+                 "nested": {"b": np.array([0.5, 1.0]), "a": {"c": np.array([2.0]), "d": {}}}}
+        shapes = [
+            ({"counts": counts, "frequencies": {k: c / 1024 for k, c in counts.items()}},
+             1024, 9),
+            ({"elements": list(showcase.frame.elements),
+              "probabilities": np.array([0.25, 0.5, 0.25])}, 64, 0),
+            ({"value": 0.9538630372285076}, None, None),
+            ({"bits": np.float64(1 / 3)}, None, None),
+            ({}, None, None),
+            (mixed, None, None),
+        ]
+        for payload, shots, seed in shapes:
+            for wall in (None, 0.000123456789012345):
+                assert written(payload, "quantum-circuit", shots, seed, wall) == oracle(
+                    payload, "quantum-circuit", shots, seed, wall), payload
+
+    def test_decoded_document_round_trips(self, showcase):
+        fast, _ = dense_pairs(showcase.frame, showcase.masses, "masses", False)
+        text = written(fast, shots=16, seed=3, wall_time_s=0.5)
+        assert dumps_result(json.loads(text)) == text
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_dense_value_refused(self, bad):
+        vector = np.linspace(0.0, 1.0, 16)
+        vector[5] = bad
+        with pytest.raises(ValidationError, match="^payload contains a non-finite value$"):
+            result_document("op", DIGEST, "classical",
+                            {"subsets": dense_subset_labels(make_frame(4)), "values": vector})
 
 
 class TestCircuitSerialization:

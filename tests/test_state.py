@@ -9,8 +9,9 @@ from qbelief.errors import (
     QubitCountMismatch,
     ValidationError,
 )
-from oracles import extract_register_oracle
+from oracles import extract_register_oracle, sample_counts_oracle
 from qbelief.qsim import RY, SWAP, H, StateVector, X, new_state, product_state
+from qbelief.qsim import state as state_module
 
 
 def random_state(k, rng):
@@ -295,6 +296,38 @@ class TestSampling:
         s = random_state(3, rng)
         record = s.sample(shots=1234, seed=5)
         assert sum(record.counts.values()) == 1234
+
+    @pytest.mark.parametrize("shots, seed", [(1, 0), (7, 3), (8, 5), (9, 5), (1000, 11),
+                                             (4097, 2**40)])
+    def test_chunked_draw_equals_one_draw(self, monkeypatch, rng, shots, seed):
+        monkeypatch.setattr(state_module, "_SAMPLE_CHUNK", 8)
+        s = random_state(4, rng)
+        record = s.sample(shots, seed)
+        assert list(record.counts.items()) == list(sample_counts_oracle(s, shots, seed).items())
+
+    def test_default_chunks_equal_one_draw(self, rng):
+        s = random_state(3, rng)
+        shots = (1 << 20) + 12345  # one full chunk and a partial one
+        assert s.sample(shots, 8).counts == sample_counts_oracle(s, shots, 8)
+
+    def test_memory_does_not_grow_with_shots(self, monkeypatch, rng):
+        import tracemalloc
+
+        monkeypatch.setattr(state_module, "_SAMPLE_CHUNK", 1 << 16)
+        s = random_state(3, rng)
+        tracemalloc.start()
+        try:
+            record = s.sample(2_000_000, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(record.counts.values()) == 2_000_000
+        # one draw of all the shots holds 16 MB of uniforms and 16 MB of outcomes
+        assert peak < 2 << 20
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValidationError, match="seed must be non-negative"):
+            new_state(2, 1).sample(16, seed=-1)
 
 
 class TestProductState:
