@@ -170,23 +170,31 @@ def dense_subset_labels(frame: Frame) -> JsonTexts:
 
 def _mass_texts(values: np.ndarray) -> list[str]:
     """``repr(float(f"{v:.12g}"))`` for each value, as ``json`` writes the
-    12-digit rounding, from one ``%.12g`` pass.  For a normal float that
+    12-digit rounding.  Zeros are written as ``0.0`` and ``-0.0`` in one
+    pass; the other values take one ``%.12g`` pass.  For a normal float that
     text already is the repr (12 digits tell doubles apart) but for two
-    layouts, which only a zero or a magnitude from 0.5 up can take: an
-    integer such as ``1`` or ``-0``, which gets ``.0``, and an exponent from
-    ``e+12`` up, which repr writes out in full below ``1e16``.  Only those
-    exponent texts and subnormal values take the repr round trip."""
-    texts = ("%.12g\n" * values.size % tuple(values.tolist())).split("\n")[:-1]
-    size = np.abs(values)
-    for i in np.flatnonzero((size < sys.float_info.min) & (size > 0)).tolist():
+    layouts, which only a magnitude from 0.5 up can take: an integer such
+    as ``1``, which gets ``.0``, and an exponent from ``e+12`` up, which
+    repr writes out in full below ``1e16``.  Only those exponent texts and
+    subnormal values take the repr round trip."""
+    nonzero = np.flatnonzero(values)
+    part = values[nonzero]
+    texts = ("%.12g\n" * part.size % tuple(part.tolist())).split("\n")[:-1]
+    size = np.abs(part)
+    for i in np.flatnonzero(size < sys.float_info.min).tolist():
         texts[i] = repr(float(texts[i]))
-    for i in np.flatnonzero((size >= 0.5) | (size == 0)).tolist():
+    for i in np.flatnonzero(size >= 0.5).tolist():
         text = texts[i]
         if "e+" in text:
             texts[i] = repr(float(text))
         elif "." not in text:
             texts[i] = text + ".0"
-    return texts
+    if part.size == values.size:
+        return texts
+    out = np.full(values.size, "0.0", dtype=object)
+    out[np.signbit(values) & (values == 0)] = "-0.0"
+    out[nonzero] = texts
+    return out.tolist()
 
 
 def _canonical_bba(m: MassFunction) -> str:

@@ -14,7 +14,8 @@ from .mass import (
     require_same_frame,
     validate_bba,
 )
-from .matrices import conjunctive_matrix, disjunctive_matrix, transform_matrix
+from .matrices import transform_matrix
+from .operators import transform_operator
 from .probability import bet_m, betp, pl_p
 from .similarity import (
     classical_fidelity,
@@ -56,8 +57,7 @@ __all__ = [
     "superset_sum",
     "superset_sum_inverse",
     "transform_matrix",
-    "conjunctive_matrix",
-    "disjunctive_matrix",
+    "transform_operator",
     "combine_conjunctive",
     "combine_disjunctive",
     "combine_dempster",

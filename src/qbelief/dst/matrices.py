@@ -1,8 +1,9 @@
 """Explicit transform matrices over the power-set basis.
 
 Dense 2^n x 2^n matrices with rows indexed by F and columns by G.  These
-are the reference implementations the fast lattice transforms are tested
-against, and the evolution operators fed to the quantum pipelines.
+are the reference implementations the fast lattice transforms and the
+operators of :mod:`qbelief.dst.operators` are tested against, and the
+matrices the circuit evolution backend evolves.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ import numpy as np
 
 from ..errors import DimensionMismatch, check_dense_budget
 from .frame import Frame, popcounts
-from .mass import MassFunction
-from .transforms import b_from_mass, q_from_mass
 
 KINDS = (
     "bel", "pl", "q", "q_inv", "fractal", "b", "b_inv", "bet", "jaccard", "cred", "card_inv",
@@ -120,27 +119,4 @@ def transform_matrix(kind: str, frame_or_n: Frame | int, v: np.ndarray | None = 
     raise DimensionMismatch(f"unknown matrix kind {kind!r}; known kinds: {KINDS}")
 
 
-def conjunctive_matrix(m: MassFunction) -> np.ndarray:
-    """Matrix S with S @ m2 = conjunctive combination of m and m2.
-
-    S = Mq^-1 @ diag(q) @ Mq, the commonality-product rule written as a
-    single operator.
-    """
-    n = m.frame.n
-    mq = transform_matrix("q", n)
-    mq_inv = transform_matrix("q_inv", n)
-    return mq_inv @ np.diag(q_from_mass(m).values) @ mq
-
-
-def disjunctive_matrix(m: MassFunction) -> np.ndarray:
-    """Matrix G with G @ m2 = disjunctive combination of m and m2.
-
-    G = Mb^-1 @ diag(b) @ Mb, the implicability-product rule.
-    """
-    n = m.frame.n
-    mb = transform_matrix("b", n)
-    mb_inv = transform_matrix("b_inv", n)
-    return mb_inv @ np.diag(b_from_mass(m).values) @ mb
-
-
-__all__ = ["KINDS", "transform_matrix", "conjunctive_matrix", "disjunctive_matrix"]
+__all__ = ["KINDS", "transform_matrix"]

@@ -11,7 +11,11 @@ Two interchangeable backends:
 
 - ``oracle``: computes A psi directly, with success probability
   (C ||A psi||)^2, which is what ideal phase estimation postselects.
-  This isolates pipeline correctness from discretization.
+  This isolates pipeline correctness from discretization.  It uses A
+  only through its action and its spectral norm: a transform operator
+  (:mod:`qbelief.dst.operators`) applies its lattice sweeps and takes
+  its norm in closed form, so no 2^n x 2^n array is built; an explicit
+  matrix is multiplied and its norm taken from an SVD.
 - ``circuit``: the full register-level simulation, with each stage of
   phase estimation applied as the exact operator it is on the
   (ancilla, clock, system) view of the amplitudes (Cleve, Ekert,
@@ -30,8 +34,9 @@ Only the circuit backend embeds: it evolves a non-Hermitian matrix
 through the block embedding [[0, A^dagger], [A, 0]] with the input
 widened as [psi; 0], where the result sits in the embedding-bit-1 half.
 The oracle takes the spectral radius as A's spectral norm; the circuit
-takes max|lambda| from the eigendecomposition it evolves with, which is
-the same number (an embedding's spectrum is the +/- singular values of
+evolves the operator's dense matrix, under the dense budget, and takes
+max|lambda| from the eigendecomposition it evolves with, which is the
+same number (an embedding's spectrum is the +/- singular values of
 A).  Both backends refuse a success probability below 1e-12.
 
 Eigenvalue decoding is two's-complement: clock values below 2^{t-1} are
@@ -48,6 +53,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ..dst.operators import as_operator
 from ..errors import (
     BadDimension,
     ClockOverflow,
@@ -136,37 +142,36 @@ def _evolution_constants(lam_max: float, config: MEoBConfig) -> tuple[float, flo
     return t0, c
 
 
-def meob_apply(
-    matrix: np.ndarray, state: StateVector, config: MEoBConfig
-) -> tuple[StateVector, float]:
+def meob_apply(matrix, state: StateVector, config: MEoBConfig) -> tuple[StateVector, float]:
     """Evolve ``state`` by ``matrix``; returns (normalized output, success probability).
 
+    ``matrix`` is an operator from :func:`~qbelief.dst.operators.transform_operator`
+    or an ndarray, which is wrapped by :func:`~qbelief.dst.operators.as_operator`
+    (a non-finite entry is refused there with :class:`ValidationError`).
     Each backend yields the unnormalized postselected output and its
-    success probability: for the oracle, A psi and
-    sum_j beta_j^2 C^2 lambda_j^2 = (C ||A psi||)^2 exactly, computed at a
-    scale that neither overflows nor underflows; for the circuit, the
-    postselected block and its squared norm.  Both then share one tail: a
-    success below 1e-12 (or NaN) raises :class:`PostselectionFailed`,
-    otherwise the output is normalized.  A non-finite matrix entry is
-    refused with :class:`ValidationError` before any decomposition.
+    success probability: for the oracle, A psi from the operator's action
+    and sum_j beta_j^2 C^2 lambda_j^2 = (C ||A psi||)^2 exactly, computed at
+    a scale that neither overflows nor underflows; for the circuit, the
+    postselected block of the register that evolves the dense matrix, and
+    its squared norm.  Both then share one tail: a success below 1e-12 (or
+    NaN) raises :class:`PostselectionFailed`, otherwise the output is
+    normalized.
     """
-    a = np.asarray(matrix, dtype=np.complex128)
+    op = as_operator(matrix)
     d = state.amps.size
-    if a.shape != (d, d):
-        raise BadDimension(f"matrix shape {a.shape} does not match state dimension {d}")
-    if not np.isfinite(a).all():
-        raise ValidationError("matrix entries must be finite")
+    if op.shape != (d, d):
+        raise BadDimension(f"matrix shape {op.shape} does not match state dimension {d}")
 
     if config.backend == "oracle":
-        norm = float(np.linalg.norm(a, 2))
+        norm = op.norm
         _, c = _evolution_constants(norm, config)
         # the power of two that brings ||A|| into [0.5, 1): scaling by it is
         # exact, so A psi cannot under- or overflow and normalizes unchanged
         scale = math.ldexp(1.0, -math.frexp(norm)[1])
-        out = a @ (state.amps * scale)
+        out = op.matvec(state.amps * scale)
         success = float(np.real(np.vdot(out, out))) * (c / scale) ** 2
     else:
-        out = _run_circuit(a, state.amps, config)
+        out = _run_circuit(op.dense(), state.amps, config)
         success = float(np.real(np.vdot(out, out)))
     if not success >= _MIN_SUCCESS:
         raise PostselectionFailed(f"evolution annihilates the state (success {success:.3g})")

@@ -7,6 +7,11 @@ matrices act on masses exactly as in the classical engine.  Outputs are
 normalized states; where the classical target has a known total (mass
 vectors and pignistic spreads sum to one) the scale is recovered from
 measured magnitudes.
+
+Each stage is built by :func:`~qbelief.dst.operators.transform_operator`:
+the oracle backend applies it through its lattice sweeps and closed-form
+norm, so no 2^n x 2^n matrix is built; the circuit backend evolves its
+dense matrix.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 from ..dst.combine import renormalize_conflict
 from ..dst.frame import singleton_indices
 from ..dst.mass import MassFunction, require_same_frame
-from ..dst.matrices import transform_matrix
+from ..dst.operators import transform_operator
 from ..dst.transforms import b_from_mass, q_from_mass
 from ..errors import (
     DegenerateEmptyMass,
@@ -46,15 +51,14 @@ def _chain(
     return state, success
 
 
-def evolve_mass(
-    m: MassFunction, matrix: np.ndarray, config: MEoBConfig
-) -> tuple[StateVector, float]:
-    """Apply a transform matrix to the mass *vector*: diag(sqrt(m)), then the matrix.
+def evolve_mass(m: MassFunction, matrix, config: MEoBConfig) -> tuple[StateVector, float]:
+    """Apply a transform to the mass *vector*: diag(sqrt(m)), then ``matrix``
+    (an operator or an ndarray, as :func:`meob_apply` takes).
 
     Output amplitudes are matrix @ masses, normalized.
     """
     n = m.frame.n
-    diag = transform_matrix("diag", n, np.sqrt(m.masses))
+    diag = transform_operator("diag", n, np.sqrt(m.masses))
     return _chain(m, [diag, matrix], config)
 
 
@@ -71,7 +75,7 @@ def belief_functions_qc(m: MassFunction, kind: str, config: MEoBConfig) -> State
     """
     if kind not in _TRANSFORM_MATRIX:
         raise ValidationError(f"kind must be one of {sorted(_TRANSFORM_MATRIX)}, got {kind!r}")
-    state, _ = evolve_mass(m, transform_matrix(_TRANSFORM_MATRIX[kind], m.frame.n), config)
+    state, _ = evolve_mass(m, transform_operator(_TRANSFORM_MATRIX[kind], m.frame.n), config)
     return state
 
 
@@ -84,13 +88,13 @@ def _combination_chain(
     sum recovers the combination."""
     require_same_frame(m1, m2)
     n = m1.frame.n
-    mats = [
-        transform_matrix("diag", n, np.sqrt(m1.masses)),
-        transform_matrix(kind, n),
-        transform_matrix("diag", n, lattice(m2).values),
-        transform_matrix(kind + "_inv", n),
+    ops = [
+        transform_operator("diag", n, np.sqrt(m1.masses)),
+        transform_operator(kind, n),
+        transform_operator("diag", n, lattice(m2).values),
+        transform_operator(kind + "_inv", n),
     ]
-    state, _ = _chain(m1, mats, config)
+    state, _ = _chain(m1, ops, config)
     mags = np.abs(state.amps)
     mags[mags < 1e-9] = 0.0  # measurement floor: drop numerically dark states
     return MassFunction(m1.frame, mags / mags.sum())
@@ -123,7 +127,7 @@ def ppt_qc(m: MassFunction, config: MEoBConfig) -> np.ndarray:
     """
     if float(m.masses[0]) > 1e-12:
         raise DegenerateEmptyMass("pignistic evolution needs m({}) = 0")
-    state, _ = evolve_mass(m, transform_matrix("bet", m.frame.n), config)
+    state, _ = evolve_mass(m, transform_operator("bet", m.frame.n), config)
     mags = np.abs(state.amps)[singleton_indices(m.frame.n)]
     return mags / mags.sum()
 
@@ -157,7 +161,7 @@ def fb_inner_product_qc(m1: MassFunction, m2: MassFunction, config: MEoBConfig) 
     """
     require_same_frame(m1, m2)
     n = m1.frame.n
-    mf = transform_matrix("fractal", n)
+    mf = transform_operator("fractal", n)
     s1, _ = evolve_mass(m1, mf, config)
     s2, _ = evolve_mass(m2, mf, config)
     estimate = swap_test(s1, s2)

@@ -11,12 +11,13 @@ controlled SWAPs together exchange the two registers wherever the
 ancilla reads 1, which is one transpose of that (2^k, 2^k) block.  The
 two Hadamards are applied as the gate itself, so the state, and every
 estimate and sampled count drawn from it, is bit-identical to replaying
-``swap_test_circuit(k)``.
+``swap_test_circuit(k)``.  The 2k + 1-qubit register is refused before
+it is allocated when its amplitudes would exceed the dense budget.
 """
 
 from __future__ import annotations
 
-from ..errors import QubitCountMismatch
+from ..errors import QubitCountMismatch, check_dense_budget
 from ..qsim.circuit import Circuit
 from ..qsim.gates import SWAP, H
 from ..qsim.state import StateVector, new_state, product_state, read_qubit
@@ -38,6 +39,7 @@ def swap_test_state(s1: StateVector, s2: StateVector) -> StateVector:
     if s1.k != s2.k:
         raise QubitCountMismatch(f"register sizes differ: {s1.k} vs {s2.k}")
     k = s1.k
+    check_dense_budget(16 << (2 * k + 1), f"the {2 * k + 1}-qubit swap-test register")
     joint = product_state([s1, s2, new_state(1, 0)])
     joint.apply(H(), 2 * k)
     swapped = joint.amps.reshape(2, 1 << k, 1 << k)[1]

@@ -22,6 +22,10 @@ The phase-estimation references are the closed form of the circuit
 the simulator (``phase_estimation_replay``); the library applies the
 same circuit as fused register operators.
 
+``conjunctive_matrix`` and ``disjunctive_matrix`` write each combination
+rule as one matrix product, Mq^-1 diag(q) Mq and Mb^-1 diag(b) Mb, from
+the library's transform matrices and lattice transforms.
+
 ``qasm_replay`` reads exported OpenQASM 2.0 text line by line and applies
 each gate as its 2x2 matrix, with no use of the library's simulator.
 """
@@ -35,7 +39,7 @@ import re
 
 import numpy as np
 
-from qbelief.dst import MassFunction
+from qbelief.dst import MassFunction, b_from_mass, q_from_mass, transform_matrix
 from qbelief.qsim import (
     Circuit,
     H,
@@ -104,6 +108,29 @@ def disjunctive_oracle(m1: np.ndarray, m2: np.ndarray, n: int) -> np.ndarray:
         for h in range(1 << n):
             out[g | h] += m1[g] * m2[h]
     return out
+
+
+def conjunctive_matrix(m: MassFunction) -> np.ndarray:
+    """Matrix S with S @ m2 = conjunctive combination of m and m2.
+
+    S = Mq^-1 @ diag(q) @ Mq, the commonality-product rule written as a
+    single operator.
+    """
+    n = m.frame.n
+    mq = transform_matrix("q", n)
+    mq_inv = transform_matrix("q_inv", n)
+    return mq_inv @ np.diag(q_from_mass(m).values) @ mq
+
+
+def disjunctive_matrix(m: MassFunction) -> np.ndarray:
+    """Matrix G with G @ m2 = disjunctive combination of m and m2.
+
+    G = Mb^-1 @ diag(b) @ Mb, the implicability-product rule.
+    """
+    n = m.frame.n
+    mb = transform_matrix("b", n)
+    mb_inv = transform_matrix("b_inv", n)
+    return mb_inv @ np.diag(b_from_mass(m).values) @ mb
 
 
 def betp_oracle(masses: np.ndarray, n: int) -> np.ndarray:

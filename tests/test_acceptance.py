@@ -13,15 +13,18 @@ import numpy as np
 import pytest
 
 from conftest import make_frame, random_bbas
-from oracles import conjunctive_oracle, disjunctive_oracle
+from oracles import (
+    conjunctive_matrix,
+    conjunctive_oracle,
+    disjunctive_matrix,
+    disjunctive_oracle,
+)
 from qbelief.cli import demo_mass_function, trend_rows
 from qbelief.dst import (
     b_from_mass,
     bel_from_mass,
     betp,
     combine_dempster,
-    conjunctive_matrix,
-    disjunctive_matrix,
     fb_entropy,
     fb_inner_product,
     js_entropy,

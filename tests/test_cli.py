@@ -535,11 +535,8 @@ def test_cli_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
-def test_dense_allocation_refused_before_it_is_made(tmp_path):
-    # an n = 14 transform matrix takes 2 GiB; under a 3 GiB address-space
-    # limit a missing budget check dies of MemoryError instead of exit 2
-    (m,) = random_bbas(1, 14, seed=14)
-    path = write_doc(tmp_path, m, "n14.json")
+def _run_under_3gib(argv):
+    """``qbelief`` on ``argv`` in a fresh process with a 3 GiB address space."""
     src = str(Path(qbelief.__file__).resolve().parents[1])
     code = (
         "import resource, sys\n"
@@ -547,14 +544,60 @@ def test_dense_allocation_refused_before_it_is_made(tmp_path):
         "from qbelief.cli import main\n"
         "main(sys.argv[1:])\n"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", code, "transform", "--kind", "q", "--backend",
-         "quantum-oracle", path],
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
         env={**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])), "OPENBLAS_NUM_THREADS": "1"},
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_dense_allocation_refused_before_it_is_made(tmp_path):
+    # an n = 14 transform matrix takes 2 GiB; under a 3 GiB address-space
+    # limit a missing budget check dies of MemoryError instead of exit 2.
+    # The circuit backend evolves the dense matrix; the oracle needs none.
+    (m,) = random_bbas(1, 14, seed=14)
+    path = write_doc(tmp_path, m, "n14.json")
+    done = _run_under_3gib(["transform", "--kind", "q", "--backend", "quantum-circuit", path])
     assert (done.returncode, done.stdout) == (2, ""), done.stderr
     assert json.loads(done.stderr)["error"] == "DenseBudgetExceeded"
+
+
+@pytest.mark.parametrize("measure", ["fidelity", "fb-inner"])
+def test_swap_test_register_refused_before_it_is_made(tmp_path, measure):
+    # two n = 13 states make a 27-qubit register, 2 GiB of amplitudes
+    frame = make_frame(13)
+    rng = np.random.default_rng(13)
+    paths = [
+        write_doc(tmp_path, random_mass_function(frame, rng, max_focal=40), f"n13-{i}.json")
+        for i in range(2)
+    ]
+    done = _run_under_3gib(
+        ["similarity", "--measure", measure, "--backend", "quantum-oracle", *paths])
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert json.loads(done.stderr)["error"] == "DenseBudgetExceeded"
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--kind", "q"],
+    ["combine", "--rule", "ccr"],
+], ids=["transform-q", "combine-ccr"])
+def test_oracle_chains_run_at_the_frame_cap(tmp_path, argv):
+    # under the same limit the oracle backend applies each stage by its
+    # action, with no 2^20 x 2^20 matrix
+    frame = make_frame(20)
+    rng = np.random.default_rng(20)
+    paths = [
+        write_doc(tmp_path, random_mass_function(frame, rng, max_focal=64), f"n20-{i}.json")
+        for i in range(2 if argv[0] == "combine" else 1)
+    ]
+    out = tmp_path / "out.json"
+    done = _run_under_3gib(
+        [*argv, "--backend", "quantum-oracle", "--out", str(out), *paths])
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(out.read_text())["payload"]
+    values = np.array(payload["values" if argv[0] == "transform" else "masses"])
+    assert values.shape == (1 << 20,) and np.isfinite(values).all()
+    assert len(payload["subsets"]) == 1 << 20

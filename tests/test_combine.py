@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import random_bbas
-from oracles import conjunctive_oracle, disjunctive_oracle
+from oracles import (
+    conjunctive_matrix,
+    conjunctive_oracle,
+    disjunctive_matrix,
+    disjunctive_oracle,
+)
 from qbelief.dst import (
     combine_conjunctive,
     combine_dempster,
     combine_disjunctive,
-    conjunctive_matrix,
-    disjunctive_matrix,
     b_from_mass,
     q_from_mass,
     validate_bba,

@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_bbas
-from oracles import jaccard_oracle, popcount
-from qbelief.dst import (
-    conjunctive_matrix,
-    disjunctive_matrix,
-    transform_matrix,
-)
+from oracles import conjunctive_matrix, disjunctive_matrix, jaccard_oracle, popcount
+from qbelief.dst import transform_matrix
 from qbelief.dst.combine import combine_conjunctive, combine_disjunctive
 from qbelief.errors import DenseBudgetExceeded, DimensionMismatch
 

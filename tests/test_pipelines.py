@@ -12,6 +12,7 @@ from qbelief.dst import (
     pl_p,
     q_from_mass,
     transform_matrix,
+    transform_operator,
     validate_bba,
 )
 from qbelief.errors import DegenerateEmptyMass, TotalConflict, ValidationError
@@ -98,7 +99,9 @@ class TestBeliefFunctionStates:
     def test_reallocation_kinds_evolve_their_matrix(self, showcase, kind, matrix, backend):
         cfg = MEoBConfig(backend=backend)
         state = belief_functions_qc(showcase, kind, cfg)
-        expect, _ = evolve_mass(showcase, transform_matrix(matrix, 3), cfg)
+        # the operator of that kind, whose dense() the circuit evolves; the
+        # oracle's sweeps meet the dense product to 1e-12 (test_operators.py)
+        expect, _ = evolve_mass(showcase, transform_operator(matrix, 3), cfg)
         assert state.amps.tobytes() == expect.amps.tobytes()
 
     def test_unknown_kind(self, showcase):
