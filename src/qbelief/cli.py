@@ -8,12 +8,15 @@ counts produce byte-identical result documents.
 
 from __future__ import annotations
 
+import argparse
+import inspect
 import json
+import os
 import sys
 import time
 from pathlib import Path
+from typing import NoReturn
 
-import click
 import numpy as np
 
 from . import dst, quantum
@@ -33,13 +36,57 @@ from .quantum.prepare import build_preparation_tree, synthesize_preparation_circ
 
 BACKENDS = ("classical", "quantum-oracle", "quantum-circuit")
 
-_backend_option = click.option(
-    "--backend", type=click.Choice(BACKENDS), default="classical", show_default=True
-)
-_out_option = click.option("--out", type=click.Path(dir_okay=False), default=None)
-_timing_option = click.option(
-    "--timing", is_flag=True, help="Attach wall time (breaks byte-identity)."
-)
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        """Usage errors exit 1: argparse's own 2 is the computation-error code."""
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _file(path: str) -> str:
+    """A PATH or ``--out`` value; a directory is a usage error."""
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path!r} is a directory")
+    return path
+
+
+def _required(flag: str, *choices: str) -> tuple[str, dict]:
+    return flag, {"choices": choices, "required": True}
+
+
+_DEFAULT = "[default: %(default)s]"
+_BACKEND = ("--backend", {"choices": BACKENDS, "default": "classical", "help": _DEFAULT})
+_OUT = ("--out", {"type": _file, "metavar": "FILE"})
+_TIMING = ("--timing", {"action": "store_true", "help": "Attach wall time (breaks byte-identity)."})
+_SHOTS = ("--shots", {"type": int})
+_SEED = ("--seed", {"type": int})
+_HELP = {"action": "help", "help": "Show this message and exit."}
+
+_PARSER = _Parser(prog="qbelief", allow_abbrev=False, add_help=False,
+                  description="Belief-function computation on simulated quantum circuits.")
+_PARSER.add_argument("--help", **_HELP)
+_COMMANDS = _PARSER.add_subparsers(metavar="COMMAND", required=True)
+
+
+def _command(*options: tuple[str, dict], paths: tuple[str, ...] = ("path",)):
+    """Register the decorated function, run on the parsed namespace, as a subcommand."""
+
+    def register(run):
+        doc = inspect.cleandoc(run.__doc__ or "")  # None under python -OO
+        sub = _COMMANDS.add_parser(
+            run.__name__.replace("_", "-"), help=doc.partition("\n\n")[0], description=doc,
+            formatter_class=argparse.RawDescriptionHelpFormatter, allow_abbrev=False,
+            add_help=False)
+        for flag, spec in options:
+            sub.add_argument(flag, **spec)
+        for path in paths:
+            sub.add_argument(path, type=_file, metavar=path.upper())
+        sub.add_argument("--help", **_HELP)
+        sub.set_defaults(run=run)
+        return run
+
+    return register
 
 
 def _meob_config(backend: str) -> MEoBConfig:
@@ -50,7 +97,7 @@ def _write(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
 def _respond(
@@ -72,16 +119,10 @@ def _respond(
     _write(dumps_result(doc), out)
 
 
-@click.group()
-def cli() -> None:
-    """Belief-function computation on simulated quantum circuits."""
-
-
-@cli.command()
-@click.argument("path", type=click.Path(dir_okay=False))
-def validate(path: str) -> None:
+@_command()
+def validate(args: argparse.Namespace) -> None:
     """Check a mass-function document and report its shape."""
-    m = load_bba_document(path)
+    m = load_bba_document(args.path)
     flags = [
         name
         for name, active in [
@@ -93,26 +134,20 @@ def validate(path: str) -> None:
         if active
     ]
     shape = ", ".join(flags) if flags else "normal"
-    click.echo(
-        f"valid, {m.focal.size} focal sets, {shape} "
-        f"(mass sum {m.masses.sum():.12g}, n={m.frame.n})"
-    )
+    print(f"valid, {m.focal.size} focal sets, {shape} "
+          f"(mass sum {m.masses.sum():.12g}, n={m.frame.n})")
 
 
-@cli.command()
-@click.option("--kind", type=click.Choice(["bel", "pl", "q", "fbba", "betm"]), required=True)
-@_backend_option
-@_out_option
-@_timing_option
-@click.argument("path", type=click.Path(dir_okay=False))
-def transform(kind: str, backend: str, out: str | None, timing: bool, path: str) -> None:
+@_command(_required("--kind", "bel", "pl", "q", "fbba", "betm"), _BACKEND, _OUT, _TIMING)
+def transform(args: argparse.Namespace) -> None:
     """Belief-function transform of one mass function.
 
     Classical backends print the full vector; quantum backends print the
     normalized state amplitudes, which carry the vector only up to scale.
     """
     started = time.perf_counter()
-    m = load_bba_document(path)
+    kind, backend = args.kind, args.backend
+    m = load_bba_document(args.path)
     labels = dense_subset_labels(m.frame)
 
     if backend == "classical":
@@ -136,22 +171,18 @@ def transform(kind: str, backend: str, out: str | None, timing: bool, path: str)
             "note": "amplitudes carry the vector up to scale; totals are not observable",
         }
     _respond(("transform", kind, backend, m), "transform." + kind, backend, payload,
-             out, timing, started)
+             args.out, args.timing, started)
 
 
-@cli.command()
-@click.option("--rule", type=click.Choice(["ccr", "dcr", "dempster"]), required=True)
-@_backend_option
-@_out_option
-@_timing_option
-@click.argument("path1", type=click.Path(dir_okay=False))
-@click.argument("path2", type=click.Path(dir_okay=False))
-def combine(rule: str, backend: str, out: str | None, timing: bool, path1: str, path2: str) -> None:
+@_command(_required("--rule", "ccr", "dcr", "dempster"), _BACKEND, _OUT, _TIMING,
+          paths=("path1", "path2"))
+def combine(args: argparse.Namespace) -> None:
     """Combine two mass functions; quantum Dempster is quantum conjunctive
     combination plus the classical renormalization step."""
     started = time.perf_counter()
-    m1 = load_bba_document(path1)
-    m2 = load_bba_document(path2)
+    rule, backend = args.rule, args.backend
+    m1 = load_bba_document(args.path1)
+    m2 = load_bba_document(args.path2)
     if backend == "classical":
         combined = {
             "ccr": dst.combine_conjunctive,
@@ -170,21 +201,12 @@ def combine(rule: str, backend: str, out: str | None, timing: bool, path1: str, 
         "masses": combined.masses,
     }
     _respond(("combine", rule, backend, m1, m2), "combine." + rule, backend, payload,
-             out, timing, started)
+             args.out, args.timing, started)
 
 
-@cli.command()
-@click.option(
-    "--measure",
-    type=click.Choice(["jousselme", "fb-inner", "fidelity", "euclidean", "inner-bba"]),
-    required=True,
-)
-@_backend_option
-@_out_option
-@_timing_option
-@click.argument("path1", type=click.Path(dir_okay=False))
-@click.argument("path2", type=click.Path(dir_okay=False))
-def similarity(measure: str, backend: str, out: str | None, timing: bool, path1: str, path2: str) -> None:
+@_command(_required("--measure", "jousselme", "fb-inner", "fidelity", "euclidean", "inner-bba"),
+          _BACKEND, _OUT, _TIMING, paths=("path1", "path2"))
+def similarity(args: argparse.Namespace) -> None:
     """Similarity or distance between two mass functions.
 
     Quantum backends exist for the swap-test measures (fb-inner,
@@ -192,8 +214,9 @@ def similarity(measure: str, backend: str, out: str | None, timing: bool, path1:
     circuit formulation.
     """
     started = time.perf_counter()
-    m1 = load_bba_document(path1)
-    m2 = load_bba_document(path2)
+    measure, backend = args.measure, args.backend
+    m1 = load_bba_document(args.path1)
+    m2 = load_bba_document(args.path2)
     if backend == "classical":
         value = {
             "jousselme": dst.jousselme_distance,
@@ -210,36 +233,29 @@ def similarity(measure: str, backend: str, out: str | None, timing: bool, path1:
     else:
         raise ValidationError(f"measure {measure!r} has no quantum backend")
     _respond(("similarity", measure, backend, m1, m2), "similarity." + measure, backend,
-             {"value": value}, out, timing, started)
+             {"value": value}, args.out, args.timing, started)
 
 
-@cli.command()
-@click.option("--kind", type=click.Choice(["js", "fb"]), required=True)
-@_out_option
-@_timing_option
-@click.argument("path", type=click.Path(dir_okay=False))
-def entropy(kind: str, out: str | None, timing: bool, path: str) -> None:
+@_command(_required("--kind", "js", "fb"), _OUT, _TIMING)
+def entropy(args: argparse.Namespace) -> None:
     """Total-uncertainty measure of a mass function, in bits."""
     started = time.perf_counter()
-    m = load_bba_document(path)
-    value = dst.js_entropy(m) if kind == "js" else dst.fb_entropy(m)
-    _respond(("entropy", kind, m), "entropy." + kind, None, {"bits": value}, out, timing, started)
+    m = load_bba_document(args.path)
+    value = dst.js_entropy(m) if args.kind == "js" else dst.fb_entropy(m)
+    _respond(("entropy", args.kind, m), "entropy." + args.kind, None, {"bits": value},
+             args.out, args.timing, started)
 
 
-@cli.command()
-@click.option("--method", type=click.Choice(["ppt", "ptm"]), required=True)
-@_backend_option
-@click.option("--shots", type=int, default=None, help="Sample PTM extraction circuits.")
-@click.option("--seed", type=int, default=None)
-@_out_option
-@_timing_option
-@click.argument("path", type=click.Path(dir_okay=False))
-def prob(method: str, backend: str, shots, seed, out: str | None, timing: bool, path: str) -> None:
+@_command(_required("--method", "ppt", "ptm"), _BACKEND,
+          ("--shots", {"type": int, "help": "Sample PTM extraction circuits."}), _SEED, _OUT,
+          _TIMING)
+def prob(args: argparse.Namespace) -> None:
     """Probability transform of a mass function over the frame elements."""
     started = time.perf_counter()
+    method, backend, shots, seed = args.method, args.backend, args.shots, args.seed
     if shots is not None and (method != "ptm" or backend == "classical"):
         raise ValidationError("--shots samples only --method ptm on a quantum backend")
-    m = load_bba_document(path)
+    m = load_bba_document(args.path)
     if backend == "classical":
         values = dst.betp(m) if method == "ppt" else dst.pl_p(m)
     elif method == "ppt":
@@ -250,17 +266,11 @@ def prob(method: str, backend: str, shots, seed, out: str | None, timing: bool, 
         values = quantum.ptm_qc(m, shots, seed)
     payload = {"elements": list(m.frame.elements), "probabilities": values}
     _respond(("prob", method, backend, m, shots, seed), "prob." + method, backend, payload,
-             out, timing, started, shots, seed)
+             args.out, args.timing, started, shots, seed)
 
 
-@cli.command()
-@click.option("--emit", "emit_kind", type=click.Choice(["qasm", "circuit-json"]), default=None)
-@click.option("--shots", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@_out_option
-@_timing_option
-@click.argument("path", type=click.Path(dir_okay=False))
-def prepare(emit_kind, shots, seed, out, timing: bool, path: str) -> None:
+@_command(("--emit", {"choices": ("qasm", "circuit-json")}), _SHOTS, _SEED, _OUT, _TIMING)
+def prepare(args: argparse.Namespace) -> None:
     """Synthesize the state-preparation circuit for a mass function.
 
     ``--emit`` writes the circuit: QASM is written straight from the
@@ -270,7 +280,8 @@ def prepare(emit_kind, shots, seed, out, timing: bool, path: str) -> None:
     with ``--seed`` samples the prepared state.
     """
     started = time.perf_counter()
-    m = load_bba_document(path)
+    emit_kind, shots, seed, out = args.emit, args.shots, args.seed, args.out
+    m = load_bba_document(args.path)
     if emit_kind is not None:
         if shots is not None and out is None:
             raise ValidationError("--emit plus --shots needs --out for the circuit file")
@@ -294,18 +305,18 @@ def prepare(emit_kind, shots, seed, out, timing: bool, path: str) -> None:
         "frequencies": {label: c / shots for label, c in zip(labels, counts)},
     }
     _respond(("prepare", m, shots, seed), "prepare.sample", "quantum-circuit", payload,
-             out, timing, started, shots, seed)
+             out, args.timing, started, shots, seed)
 
 
-@cli.command()
-@click.option("--shots", type=int, default=1024, show_default=True)
-@click.option("--seed", type=int, default=7, show_default=True)
-def demo(shots: int, seed: int) -> None:
+@_command(("--shots", {"type": int, "default": 1024, "help": _DEFAULT}),
+          ("--seed", {"type": int, "default": 7, "help": _DEFAULT}), paths=())
+def demo(args: argparse.Namespace) -> None:
     """Three-element walkthrough: prepare, extract, sample, compare.
 
     Uses the built-in showcase assignment over {A, B, C} whose
     plausibility of C is 2/3 and commonality of {B, C} is 4/9.
     """
+    shots, seed = args.shots, args.seed
     m = demo_mass_function()
     state = quantum.prepare_bba_state(m)
     # sample before printing, so a refused --shots or --seed prints no partial report
@@ -313,42 +324,37 @@ def demo(shots: int, seed: int) -> None:
     q_s = quantum.estimate_belief(m, quantum.BeliefQuery("q", 0b110), shots, seed + 1)
     record = state.sample(shots, seed)
 
-    click.echo("prepared amplitudes (statevector mode):")
-    click.echo(f"  {'subset':<8} {'amplitude':>12} {'amp^2':>12} {'mass':>12} {'delta':>10}")
+    print("prepared amplitudes (statevector mode):")
+    print(f"  {'subset':<8} {'amplitude':>12} {'amp^2':>12} {'mass':>12} {'delta':>10}")
     for i in range(m.frame.size):
         amp = state.amps[i].real
-        click.echo(
+        print(
             f"  {m.frame.format_subset(i):<8} {amp:>12.9f} {amp * amp:>12.9f}"
             f" {m.masses[i]:>12.9f} {abs(amp * amp - m.masses[i]):>10.2e}"
         )
 
     pl_c = quantum.estimate_belief(m, quantum.BeliefQuery("pl", 0b100))
     q_bc = quantum.estimate_belief(m, quantum.BeliefQuery("q", 0b110))
-    click.echo(f"\nextraction (statevector): Pl(C) = {pl_c:.6f}, q(BC) = {q_bc:.6f}")
-    click.echo(f"exact targets:            Pl(C) = {2 / 3:.6f}, q(BC) = {4 / 9:.6f}")
+    print(f"\nextraction (statevector): Pl(C) = {pl_c:.6f}, q(BC) = {q_bc:.6f}")
+    print(f"exact targets:            Pl(C) = {2 / 3:.6f}, q(BC) = {4 / 9:.6f}")
 
     sigma_pl = 3 * np.sqrt((2 / 3) * (1 / 3) / shots)
     sigma_q = 3 * np.sqrt((4 / 9) * (5 / 9) / shots)
-    click.echo(f"\nsampled with shots={shots}, seed={seed}:")
-    click.echo(
-        f"  Pl(C) = {pl_s:.6f}  delta {abs(pl_s - 2 / 3):.2e}  (3-sigma bound {sigma_pl:.2e})"
-    )
-    click.echo(
-        f"  q(BC) = {q_s:.6f}  delta {abs(q_s - 4 / 9):.2e}  (3-sigma bound {sigma_q:.2e})"
-    )
+    print(f"\nsampled with shots={shots}, seed={seed}:")
+    print(f"  Pl(C) = {pl_s:.6f}  delta {abs(pl_s - 2 / 3):.2e}  (3-sigma bound {sigma_pl:.2e})")
+    print(f"  q(BC) = {q_s:.6f}  delta {abs(q_s - 4 / 9):.2e}  (3-sigma bound {sigma_q:.2e})")
 
-    click.echo(f"\npreparation sampling, shots={shots}, seed={seed}:")
+    print(f"\npreparation sampling, shots={shots}, seed={seed}:")
     for i in range(m.frame.size):
         freq = record.frequency(i)
-        click.echo(
+        print(
             f"  {m.frame.format_subset(i):<8} count {record.counts.get(i, 0):>6}"
             f"  freq {freq:.4f}  mass {m.masses[i]:.4f}"
         )
 
 
-@cli.command(name="trend-fb")
-@_out_option
-def trend_fb(out: str | None) -> None:
+@_command(_OUT, paths=())
+def trend_fb(args: argparse.Namespace) -> None:
     """Similarity trend over a growing focal set, as CSV.
 
     Ten rows: the variable focal set walks {t1}, {t1,t2}, ..., up to the
@@ -360,7 +366,7 @@ def trend_fb(out: str | None) -> None:
     lines = [header]
     for label, values in rows:
         lines.append(label + "," + ",".join(f"{v:.12g}" for v in values))
-    _write("\n".join(lines) + "\n", out)
+    _write("\n".join(lines) + "\n", args.out)
 
 
 def trend_rows() -> list[tuple[str, tuple[float, float, float, float, float]]]:
@@ -383,16 +389,10 @@ def trend_rows() -> list[tuple[str, tuple[float, float, float, float, float]]]:
 
 
 def main(argv: list[str] | None = None) -> None:
+    args = _PARSER.parse_args(argv)
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(1)
-    except click.Abort:
-        sys.exit(1)
-    except ValidationError as exc:
-        _diagnostic(exc)
-        sys.exit(1)
+        args.run(args)
+        sys.stdout.flush()  # a closed pipe is an I/O error here, not at interpreter exit
     except ComputationError as exc:
         _diagnostic(exc)
         sys.exit(2)
@@ -405,7 +405,7 @@ def main(argv: list[str] | None = None) -> None:
 
 
 def _diagnostic(exc: Exception) -> None:
-    click.echo(json.dumps({"error": type(exc).__name__, "message": str(exc)}), err=True)
+    print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -263,28 +263,37 @@ def result_document(
 def dumps_result(doc: dict) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, with each
     :class:`JsonTexts` array written as its texts, one per line."""
-    return _indented(doc, "\n") + "\n"
+    pieces: list[str] = []
+    _lay_out(doc, "\n", pieces)
+    pieces.append("\n")
+    return "".join(pieces)
 
 
-def _indented(value: Any, newline: str) -> str:
-    """``value`` in the key-sorted indent-2 layout; ``newline`` starts each of
-    its lines after the first.  :class:`JsonTexts` and the dicts that hold
-    them are laid out here.  Any other value is one ``json.dumps`` call: a
-    container is re-indented (a JSON text holds no raw newline, so each one
-    in the output starts a line), and a scalar is one line in either layout."""
+def _lay_out(value: Any, newline: str, pieces: list[str]) -> None:
+    """Append ``value`` to ``pieces`` in the key-sorted indent-2 layout;
+    ``newline`` starts each of its lines after the first.  :class:`JsonTexts`
+    and the dicts that hold them are laid out here, so that each dense array
+    text is built once and copied once, by the document's one ``"".join``.
+    Any other value is one ``json.dumps`` call: a container is re-indented
+    (a JSON text holds no raw newline, so each one in the output starts a
+    line), and a scalar is one line in either layout."""
     inner = newline + "  "
     if isinstance(value, JsonTexts):
-        if not value.texts:
-            return "[]"
-        return "[" + inner + ("," + inner).join(value.texts) + newline + "]"
-    if _holds_texts(value):
-        items = [
-            f"{inner}{json.dumps(k)}: {_indented(v, inner)}" for k, v in sorted(value.items())
-        ]
-        return "{" + ",".join(items) + newline + "}"
-    if isinstance(value, (dict, list, tuple)):
-        return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
-    return json.dumps(value)
+        if value.texts:
+            pieces += ("[", inner, ("," + inner).join(value.texts), newline, "]")
+        else:
+            pieces.append("[]")
+    elif _holds_texts(value):
+        opening = "{"
+        for k, v in sorted(value.items()):
+            pieces += (opening, inner, json.dumps(k), ": ")
+            _lay_out(v, inner, pieces)
+            opening = ","
+        pieces += (newline, "}")
+    elif isinstance(value, (dict, list, tuple)):
+        pieces.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", newline))
+    else:
+        pieces.append(json.dumps(value))
 
 
 def _holds_texts(value: Any) -> bool:

@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -71,6 +73,17 @@ class TestValidate:
     def test_missing_file_exits_three(self, capsys):
         code, _, _ = run(capsys, ["validate", "/no/such/file.json"])
         assert code == 3
+
+    def test_closed_stdout_exits_three(self, capsys, monkeypatch, showcase_path):
+        class ClosedPipe(io.StringIO):
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", showcase_path])
+        assert exc.value.code == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "BrokenPipeError"
 
     def test_unparseable_json_exits_three(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -517,12 +530,112 @@ class TestDemo:
         assert "{B,C}" in out
 
 
-def test_cli_import_loads_no_scipy():
+# (argv, tokens stderr must name); DOC stands for a valid document and DIR
+# for a directory
+USAGE_ERRORS = [
+    pytest.param([], ["COMMAND"], id="no-arguments"),
+    pytest.param(["bogus"], ["bogus"], id="unknown-command"),
+    pytest.param(["entropy", "--kind", "js", "--verbose", "DOC"], ["--verbose"],
+                 id="unknown-option"),
+    pytest.param(["transform", "--kind", "q", "--back", "classical", "DOC"], ["--back"],
+                 id="abbreviated-option"),
+    pytest.param(["entropy", "--kind", "js", "--tim", "DOC"], ["--tim"], id="abbreviated-flag"),
+    pytest.param(["entropy", "--kind", "nope", "DOC"], ["--kind", "nope"], id="bad-kind"),
+    pytest.param(["combine", "--rule", "nope", "DOC", "DOC"], ["--rule", "nope"],
+                 id="bad-rule"),
+    pytest.param(["similarity", "--measure", "nope", "DOC", "DOC"], ["--measure", "nope"],
+                 id="bad-measure"),
+    pytest.param(["prob", "--method", "nope", "DOC"], ["--method", "nope"], id="bad-method"),
+    pytest.param(["prepare", "--emit", "nope", "DOC"], ["--emit", "nope"], id="bad-emit"),
+    pytest.param(["transform", "--kind", "q", "--backend", "nope", "DOC"],
+                 ["--backend", "nope"], id="bad-backend"),
+    pytest.param(["combine", "DOC", "DOC"], ["--rule"], id="missing-option"),
+    pytest.param(["entropy", "--kind", "js"], ["PATH"], id="missing-path"),
+    pytest.param(["prob", "--method", "ptm", "--shots", "many", "DOC"], ["--shots", "many"],
+                 id="non-integer-shots"),
+    pytest.param(["demo", "--seed", "seven"], ["--seed", "seven"], id="non-integer-seed"),
+    pytest.param(["validate", "DIR"], ["DIR"], id="directory-path"),
+    pytest.param(["entropy", "--kind", "js", "--out", "DIR", "DOC"], ["--out", "DIR"],
+                 id="directory-out"),
+]
+
+BACKEND_HELP = ["--backend", "classical", "quantum-oracle", "quantum-circuit",
+                "default: classical"]
+RESULT_HELP = ["--out", "--timing", "Attach wall time (breaks byte-identity)."]
+
+# (argv, tokens stdout must name): the first line of the command's docstring
+# and every option, choice, default and help text of the command
+HELP_PAGES = [
+    pytest.param([], ["Belief-function computation on simulated quantum circuits.", "validate",
+                      "transform", "combine", "similarity", "entropy", "prob", "prepare", "demo",
+                      "trend-fb"], id="top-level"),
+    pytest.param(["validate"], ["Check a mass-function document and report its shape.", "PATH"],
+                 id="validate"),
+    pytest.param(["transform"], ["Belief-function transform of one mass function.", "--kind",
+                                 "bel", "pl", "q", "fbba", "betm", *BACKEND_HELP, *RESULT_HELP,
+                                 "PATH"], id="transform"),
+    pytest.param(["combine"], ["Combine two mass functions; quantum Dempster is quantum",
+                               "--rule", "ccr", "dcr", "dempster", *BACKEND_HELP, *RESULT_HELP,
+                               "PATH1", "PATH2"], id="combine"),
+    pytest.param(["similarity"], ["Similarity or distance between two mass functions.",
+                                  "--measure", "jousselme", "fb-inner", "fidelity", "euclidean",
+                                  "inner-bba", *BACKEND_HELP, *RESULT_HELP, "PATH1", "PATH2"],
+                 id="similarity"),
+    pytest.param(["entropy"], ["Total-uncertainty measure of a mass function, in bits.",
+                               "--kind", "js", "fb", *RESULT_HELP, "PATH"], id="entropy"),
+    pytest.param(["prob"], ["Probability transform of a mass function over the frame elements.",
+                            "--method", "ppt", "ptm", *BACKEND_HELP, "--shots",
+                            "Sample PTM extraction circuits.", "--seed", *RESULT_HELP, "PATH"],
+                 id="prob"),
+    pytest.param(["prepare"], ["Synthesize the state-preparation circuit for a mass function.",
+                               "--emit", "qasm", "circuit-json", "--shots", "--seed",
+                               *RESULT_HELP, "PATH"], id="prepare"),
+    pytest.param(["demo"], ["Three-element walkthrough: prepare, extract, sample, compare.",
+                            "--shots", "default: 1024", "--seed", "default: 7"], id="demo"),
+    pytest.param(["trend-fb"], ["Similarity trend over a growing focal set, as CSV.", "--out"],
+                 id="trend-fb"),
+]
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv, tokens", USAGE_ERRORS)
+    def test_usage_error_exits_one(self, capsys, tmp_path, showcase_path, argv, tokens):
+        names = {"DOC": showcase_path, "DIR": str(tmp_path / "folder")}
+        (tmp_path / "folder").mkdir()
+        code, out, err = run(capsys, [names.get(a, a) for a in argv])
+        assert (code, out) == (1, "")
+        for token in tokens:
+            # the whole token: "--back" inside "--backend" does not count
+            assert re.search(rf"(?<![\w-]){re.escape(names.get(token, token))}(?![\w-])", err)
+
+    @pytest.mark.parametrize("argv", [
+        ["entropy", "DOC", "--kind", "js"],
+        ["entropy", "--kind=js", "DOC"],
+        ["entropy", "--kind", "js", "--", "DOC"],
+        ["entropy", "--kind", "fb", "--kind", "js", "DOC"],
+    ], ids=["option-after-path", "equals-form", "double-dash", "last-repeat-wins"])
+    def test_argument_forms_are_accepted(self, capsys, showcase_path, argv):
+        expected = run(capsys, ["entropy", "--kind", "js", showcase_path])
+        assert expected[0] == 0
+        assert run(capsys, [showcase_path if a == "DOC" else a for a in argv]) == expected
+
+    @pytest.mark.parametrize("argv, tokens", HELP_PAGES)
+    def test_help_exits_zero(self, capsys, argv, tokens):
+        code, out, err = run(capsys, argv + ["--help"])
+        assert (code, err) == (0, "")
+        words = " ".join(out.split())
+        for token in tokens:
+            assert token in words
+
+
+def _modules_loaded_with_cli(package):
+    """Modules of ``package`` that ``import qbelief.cli`` loads in a fresh
+    interpreter, as the printed sorted list."""
     src = str(Path(qbelief.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
         "import sys, qbelief.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code],
@@ -532,7 +645,15 @@ def test_cli_import_loads_no_scipy():
         timeout=60,
         check=True,
     )
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    assert _modules_loaded_with_cli("scipy") == "[]"
+
+
+def test_cli_import_loads_no_click():
+    assert _modules_loaded_with_cli("click") == "[]"
 
 
 def _run_under_3gib(argv):
