@@ -83,7 +83,7 @@ def _command(*options: tuple[str, dict], paths: tuple[str, ...] = ("path",)):
         for path in paths:
             sub.add_argument(path, type=_file, metavar=path.upper())
         sub.add_argument("--help", **_HELP)
-        sub.set_defaults(run=run)
+        sub.set_defaults(run=run, parser=sub)
         return run
 
     return register
@@ -389,7 +389,9 @@ def trend_rows() -> list[tuple[str, tuple[float, float, float, float, float]]]:
 
 
 def main(argv: list[str] | None = None) -> None:
-    args = _PARSER.parse_args(argv)
+    args, extra = _PARSER.parse_known_args(argv)
+    if extra:  # reported with the command's usage line, not the top level's
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         args.run(args)
         sys.stdout.flush()  # a closed pipe is an I/O error here, not at interpreter exit

@@ -7,13 +7,7 @@ Standalone library and the brute-force oracle every quantum pipeline in
 from .combine import combine_conjunctive, combine_dempster, combine_disjunctive
 from .entropy import fb_entropy, js_entropy
 from .frame import Frame, popcounts, singleton_indices
-from .mass import (
-    BeliefVector,
-    MassFunction,
-    random_mass_function,
-    require_same_frame,
-    validate_bba,
-)
+from .mass import BeliefVector, MassFunction, require_same_frame, validate_bba
 from .matrices import transform_matrix
 from .operators import transform_operator
 from .probability import bet_m, betp, pl_p
@@ -43,7 +37,6 @@ __all__ = [
     "BeliefVector",
     "validate_bba",
     "require_same_frame",
-    "random_mass_function",
     "popcounts",
     "singleton_indices",
     "bel_from_mass",

@@ -218,29 +218,6 @@ def require_same_frame(m1: MassFunction, m2: MassFunction) -> None:
         )
 
 
-def random_mass_function(
-    frame: Frame,
-    rng: np.random.Generator,
-    allow_empty: bool = False,
-    max_focal: int | None = None,
-) -> MassFunction:
-    """Random mass function, for tests and fixtures.
-
-    Draws a random support (optionally excluding the empty set) and
-    exponential weights normalized to one.
-    """
-    lo = 0 if allow_empty else 1
-    candidates = np.arange(lo, frame.size)
-    k = int(rng.integers(1, len(candidates) + 1))
-    if max_focal is not None:
-        k = min(k, max_focal)
-    support = rng.choice(candidates, size=k, replace=False)
-    weights = rng.exponential(size=k)
-    dense = np.zeros(frame.size)
-    dense[support] = weights / weights.sum()
-    return MassFunction(frame, dense)
-
-
 def demo_mass_function() -> MassFunction:
     """The three-element showcase assignment used by the demo command."""
     frame = Frame(["A", "B", "C"])
@@ -286,7 +263,6 @@ __all__ = [
     "BeliefVector",
     "validate_bba",
     "require_same_frame",
-    "random_mass_function",
     "demo_mass_function",
     "trend_mass_functions",
     "popcounts",

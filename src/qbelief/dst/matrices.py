@@ -13,10 +13,8 @@ import numpy as np
 from ..errors import DimensionMismatch, check_dense_budget
 from .frame import Frame, popcounts
 
-KINDS = (
-    "bel", "pl", "q", "q_inv", "fractal", "b", "b_inv", "bet", "jaccard", "cred", "card_inv",
-    "diag",
-)
+#: the kinds the evolution pipelines evolve, each also a transform operator
+KINDS = ("diag", "q", "q_inv", "b", "b_inv", "bel", "pl", "fractal", "bet")
 
 #: per-element 2x2 blocks (rows: element in F, columns: element in G) whose
 #: n-fold Kronecker powers are the lattice matrices; ``pl`` is 1 minus the
@@ -28,13 +26,6 @@ _BLOCKS = {
     "b_inv": [[1, 0], [-1, 1]],
     "disjoint": [[1, 1], [1, 0]],
 }
-
-
-def _subset_masks(n: int):
-    idx = np.arange(1 << n)
-    F = idx[:, None]
-    G = idx[None, :]
-    return F, G
 
 
 def _kron_power(block: str, n: int) -> np.ndarray:
@@ -60,12 +51,8 @@ def transform_matrix(kind: str, frame_or_n: Frame | int, v: np.ndarray | None = 
       - ``b_inv``: inverse of ``b``, (-1)^|F - G| iff G is a subset of F
       - ``fractal``: fractal reallocation; identity on the empty set,
         1/(2^|G| - 1) on non-empty F <= G
-      - ``bet``: pignistic spread ``cred @ card_inv``, |F & G| / |G| with a
-        zero column on the empty set
-      - ``cred``: |F & G|
-      - ``card_inv``: diagonal 1/|F| (zero on the empty set)
-      - ``jaccard``: |F & G| / |F | G| with the empty/empty entry set to 1
-        so the matrix stays positive semidefinite
+      - ``bet``: pignistic spread, |F & G| / |G| with a zero column on the
+        empty set
       - ``diag``: diagonal of the supplied vector ``v``
 
     ``q``, ``b``, their inverses, ``bel``, ``pl`` and ``fractal`` are built
@@ -99,22 +86,12 @@ def transform_matrix(kind: str, frame_or_n: Frame | int, v: np.ndarray | None = 
         out *= weights
         out[0, 1:] = 0.0
         return out
-    F, G = _subset_masks(n)
-    if kind == "cred":
-        return np.bitwise_count((F & G).astype(np.uint32)).astype(np.float64)
-    if kind == "card_inv":
-        pc = popcounts(n).astype(np.float64)
-        d = np.zeros(size)
-        d[1:] = 1.0 / pc[1:]
-        return np.diag(d)
     if kind == "bet":
-        return transform_matrix("cred", n) @ transform_matrix("card_inv", n)
-    if kind == "jaccard":
-        inter = np.bitwise_count((F & G).astype(np.uint32)).astype(np.float64)
-        union = np.bitwise_count((F | G).astype(np.uint32)).astype(np.float64)
-        union[0, 0] = 1.0
-        out = inter / union
-        out[0, 0] = 1.0
+        inv_card = np.zeros(size)
+        inv_card[1:] = 1.0 / popcounts(n)[1:]
+        idx = np.arange(size, dtype=np.uint16)  # n <= 12 under the dense budget
+        out = np.bitwise_count(idx[:, None] & idx).astype(np.float64)
+        out *= inv_card
         return out
     raise DimensionMismatch(f"unknown matrix kind {kind!r}; known kinds: {KINDS}")
 

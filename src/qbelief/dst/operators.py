@@ -30,10 +30,8 @@ import numpy as np
 
 from ..errors import DimensionMismatch, ValidationError
 from .frame import popcounts, singleton_indices
-from .matrices import transform_matrix
+from .matrices import KINDS, transform_matrix
 from .transforms import subset_sum, subset_sum_inverse, superset_sum, superset_sum_inverse
-
-OPERATOR_KINDS = ("diag", "q", "q_inv", "b", "b_inv", "bel", "pl", "fractal", "bet")
 
 
 class TransformOperator:
@@ -41,8 +39,8 @@ class TransformOperator:
 
     def __init__(self, kind: str, n: int, v: np.ndarray | None = None):
         size = 1 << n
-        if kind not in OPERATOR_KINDS:
-            raise DimensionMismatch(f"no operator for kind {kind!r}; known kinds: {OPERATOR_KINDS}")
+        if kind not in KINDS:
+            raise DimensionMismatch(f"no operator for kind {kind!r}; known kinds: {KINDS}")
         if kind == "diag":
             if v is None:
                 raise DimensionMismatch("diag kind needs a vector")
@@ -193,4 +191,4 @@ def _quotient_norm(kind: str, n: int) -> float:
     return float(np.linalg.norm(q, 2))
 
 
-__all__ = ["OPERATOR_KINDS", "TransformOperator", "MatrixOperator", "transform_operator", "as_operator"]
+__all__ = ["TransformOperator", "MatrixOperator", "transform_operator", "as_operator"]

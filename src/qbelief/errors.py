@@ -97,10 +97,6 @@ class NotUnitary(ValidationError):
     pass
 
 
-class NotHermitian(ValidationError):
-    pass
-
-
 class ImpossibleOutcome(ComputationError):
     pass
 

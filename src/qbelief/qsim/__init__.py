@@ -1,9 +1,7 @@
 """Deterministic dense state-vector simulator."""
 
 from .circuit import Circuit, CircuitOp
-from .gates import RY, RZ, SWAP, U3, Gate, H, X, gate_matrix
-from .linalg import hermiticity_defect, hermitian_eigh, matrix_exponential
-from .qft import inverse_qft_circuit, qft_circuit
+from .gates import RY, Gate, H, X, gate_matrix
 from .state import (
     ControlSpec,
     MeasurementRecord,
@@ -18,9 +16,6 @@ __all__ = [
     "X",
     "H",
     "RY",
-    "RZ",
-    "U3",
-    "SWAP",
     "gate_matrix",
     "StateVector",
     "new_state",
@@ -30,9 +25,4 @@ __all__ = [
     "MeasurementRecord",
     "Circuit",
     "CircuitOp",
-    "qft_circuit",
-    "inverse_qft_circuit",
-    "hermitian_eigh",
-    "matrix_exponential",
-    "hermiticity_defect",
 ]

@@ -1,9 +1,8 @@
 """Gate definitions.
 
-Single-qubit rotations follow the convention RY(a) = [[cos a/2, -sin a/2],
-[sin a/2, cos a/2]] and RZ(a) = diag(1, e^{ia}) (a pure phase on |1>),
-so ``ry``/``rz`` lines emitted to OpenQASM 2.0 reproduce the same
-matrices under qelib1.inc.
+The program's gates are the single-qubit X, H and RY, with the
+convention RY(a) = [[cos a/2, -sin a/2], [sin a/2, cos a/2]], so ``ry``
+lines emitted to OpenQASM 2.0 reproduce the same matrix under qelib1.inc.
 """
 
 from __future__ import annotations
@@ -19,10 +18,6 @@ _SQRT2 = np.sqrt(2.0)
 class Gate:
     kind: str
     params: tuple[float, ...] = field(default=())
-
-    @property
-    def num_qubits(self) -> int:
-        return 2 if self.kind == "swap" else 1
 
     def matrix(self) -> np.ndarray:
         return gate_matrix(self.kind, self.params)
@@ -45,18 +40,6 @@ def RY(theta: float) -> Gate:
     return Gate("ry", (float(theta),))
 
 
-def RZ(lam: float) -> Gate:
-    return Gate("rz", (float(lam),))
-
-
-def U3(theta: float, phi: float, lam: float) -> Gate:
-    return Gate("u3", (float(theta), float(phi), float(lam)))
-
-
-def SWAP() -> Gate:
-    return Gate("swap")
-
-
 def gate_matrix(kind: str, params: tuple[float, ...] = ()) -> np.ndarray:
     if kind == "x":
         return np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -66,23 +49,7 @@ def gate_matrix(kind: str, params: tuple[float, ...] = ()) -> np.ndarray:
         (theta,) = params
         c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
         return np.array([[c, -s], [s, c]], dtype=np.complex128)
-    if kind == "rz":
-        (lam,) = params
-        return np.array([[1, 0], [0, np.exp(1j * lam)]], dtype=np.complex128)
-    if kind == "u3":
-        theta, phi, lam = params
-        c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-        return np.array(
-            [
-                [c, -np.exp(1j * lam) * s],
-                [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
-            ],
-            dtype=np.complex128,
-        )
-    if kind == "swap":
-        m = np.eye(4, dtype=np.complex128)
-        return m[[0, 2, 1, 3]]
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
-__all__ = ["Gate", "X", "H", "RY", "RZ", "U3", "SWAP", "gate_matrix"]
+__all__ = ["Gate", "X", "H", "RY", "gate_matrix"]

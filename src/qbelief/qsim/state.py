@@ -96,14 +96,9 @@ class StateVector:
         if not 0 <= q < self.k:
             raise IndexOutOfRange(f"qubit {q} out of range for k={self.k}")
 
-    def apply(self, gate: Gate, target: int | Sequence[int], controls: ControlSpec = ()) -> "StateVector":
-        """Apply a gate in place, restricted to control-matching amplitudes."""
-        targets = (target,) if isinstance(target, (int, np.integer)) else tuple(target)
-        if len(targets) != gate.num_qubits:
-            raise QubitCountMismatch(
-                f"{gate.kind} acts on {gate.num_qubits} qubit(s), got targets {targets}"
-            )
-        return self._apply_matrix(gate.matrix(), targets, controls)
+    def apply(self, gate: Gate, target: int, controls: ControlSpec = ()) -> "StateVector":
+        """Apply a single-qubit gate in place, restricted to control-matching amplitudes."""
+        return self._apply_matrix(gate.matrix(), (target,), controls)
 
     def apply_dense_unitary(
         self, u: np.ndarray, targets: Sequence[int], controls: ControlSpec = ()

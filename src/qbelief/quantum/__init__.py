@@ -27,7 +27,7 @@ from .prepare import (
     synthesize_preparation_circuit,
 )
 from .query import BeliefQuery, belief_query_circuit, estimate_belief
-from .swap import swap_test, swap_test_circuit
+from .swap import swap_test
 
 __all__ = [
     "PreparationTree",
@@ -46,7 +46,6 @@ __all__ = [
     "decode_eigenvalue",
     "BACKENDS",
     "swap_test",
-    "swap_test_circuit",
     "evolve_mass",
     "belief_functions_qc",
     "ccr_qc",

@@ -38,16 +38,6 @@ class PreparationTree:
     values: tuple[np.ndarray, ...]
     angles: tuple[np.ndarray, ...]
 
-    @property
-    def root_value(self) -> float:
-        return float(self.values[0][0])
-
-    def node_value(self, level: int, path: int) -> float:
-        return float(self.values[level][path])
-
-    def node_angle(self, level: int, path: int) -> float:
-        return float(self.angles[level][path])
-
     def levels(self) -> list[tuple[int, tuple[int, ...], np.ndarray]]:
         """One ``(target, controls, angles)`` per level, root first.
 

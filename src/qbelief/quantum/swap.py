@@ -10,32 +10,22 @@ branch carries the antisymmetrized remainder.
 controlled SWAPs together exchange the two registers wherever the
 ancilla reads 1, which is one transpose of that (2^k, 2^k) block.  The
 two Hadamards are applied as the gate itself, so the state, and every
-estimate and sampled count drawn from it, is bit-identical to replaying
-``swap_test_circuit(k)``.  The 2k + 1-qubit register is refused before
-it is allocated when its amplitudes would exceed the dense budget.
+estimate and sampled count drawn from it, is bit-identical to the
+circuit replayed gate by gate (``tests/oracles.py::swap_test_circuit``).
+The 2k + 1-qubit register is refused before it is allocated when its
+amplitudes would exceed the dense budget.
 """
 
 from __future__ import annotations
 
 from ..errors import QubitCountMismatch, check_dense_budget
-from ..qsim.circuit import Circuit
-from ..qsim.gates import SWAP, H
+from ..qsim.gates import H
 from ..qsim.state import StateVector, new_state, product_state, read_qubit
 
 
-def swap_test_circuit(k: int) -> Circuit:
-    """Circuit on 2k + 1 qubits: registers [0, k) and [k, 2k), ancilla 2k."""
-    anc = 2 * k
-    circ = Circuit(2 * k + 1)
-    circ.append(H(), anc)
-    for j in range(k):
-        circ.append(SWAP(), (j, k + j), [(anc, 1)])
-    circ.append(H(), anc)
-    return circ
-
-
 def swap_test_state(s1: StateVector, s2: StateVector) -> StateVector:
-    """The joint state ``swap_test_circuit(k)`` leaves on |s1>|s2>|0>."""
+    """The joint state the swap test leaves on |s1>|s2>|0>: registers
+    [0, k) and [k, 2k), ancilla 2k."""
     if s1.k != s2.k:
         raise QubitCountMismatch(f"register sizes differ: {s1.k} vs {s2.k}")
     k = s1.k
@@ -59,4 +49,4 @@ def swap_test(
     return 2.0 * read_qubit(joint, 2 * s1.k, 0, shots, seed) - 1.0
 
 
-__all__ = ["swap_test", "swap_test_circuit", "swap_test_state"]
+__all__ = ["swap_test", "swap_test_state"]

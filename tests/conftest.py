@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from qbelief.dst import Frame, MassFunction, random_mass_function, validate_bba
+from qbelief.dst import Frame, MassFunction, validate_bba
 
 
 @pytest.fixture
@@ -50,6 +50,29 @@ SHOWCASE_DENSE = np.array(
     ],
     dtype=np.float64,
 )
+
+
+def random_mass_function(
+    frame: Frame,
+    rng: np.random.Generator,
+    allow_empty: bool = False,
+    max_focal: int | None = None,
+) -> MassFunction:
+    """Random mass function, for tests and fixtures.
+
+    Draws a random support (optionally excluding the empty set) and
+    exponential weights normalized to one.
+    """
+    lo = 0 if allow_empty else 1
+    candidates = np.arange(lo, frame.size)
+    k = int(rng.integers(1, len(candidates) + 1))
+    if max_focal is not None:
+        k = min(k, max_focal)
+    support = rng.choice(candidates, size=k, replace=False)
+    weights = rng.exponential(size=k)
+    dense = np.zeros(frame.size)
+    dense[support] = weights / weights.sum()
+    return MassFunction(frame, dense)
 
 
 def make_frame(n: int) -> Frame:

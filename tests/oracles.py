@@ -20,7 +20,16 @@ definition-level loops cannot.
 The phase-estimation references are the closed form of the circuit
 (``fejer_meob_oracle``) and the circuit itself replayed gate by gate on
 the simulator (``phase_estimation_replay``); the library applies the
-same circuit as fused register operators.
+same circuit as fused register operators.  The gate-level pieces the
+program does not run live here: the QFT circuit (``qft_circuit``), with
+its ``rz`` controlled phases and ``swap`` layer, the matrix exponentials
+of the controlled evolution powers (``matrix_exponential``) and the
+swap-test circuit (``swap_test_circuit``).  Each such circuit is a list
+of steps replayed through ``StateVector.apply_dense_unitary``, which
+reaches the same gate kernel as the library's own gates.
+
+``circuit_from_json`` reads exported circuit JSON back into a circuit,
+so the tests can check that the export round-trips losslessly.
 
 ``conjunctive_matrix`` and ``disjunctive_matrix`` write each combination
 rule as one matrix product, Mq^-1 diag(q) Mq and Mb^-1 diag(b) Mb, from
@@ -40,15 +49,8 @@ import re
 import numpy as np
 
 from qbelief.dst import MassFunction, b_from_mass, q_from_mass, transform_matrix
-from qbelief.qsim import (
-    Circuit,
-    H,
-    StateVector,
-    matrix_exponential,
-    new_state,
-    product_state,
-    qft_circuit,
-)
+from qbelief.errors import ValidationError
+from qbelief.qsim import Circuit, Gate, H, StateVector, new_state, product_state
 
 
 def popcount(x: int) -> int:
@@ -357,6 +359,87 @@ def fejer_meob_oracle(
     return out / np.sqrt(success), success
 
 
+#: the two-qubit SWAP, targets[0] carrying the low bit of its index
+SWAP = np.eye(4, dtype=np.complex128)[[0, 2, 1, 3]]
+
+
+def step_matrix(kind: str, angle: float) -> np.ndarray:
+    """The unitary of one circuit step: ``h``, ``swap``, or ``rz``, the
+    phase diag(1, e^{i angle}) on |1>."""
+    if kind == "h":
+        return H().matrix()
+    if kind == "rz":
+        return np.array([[1, 0], [0, np.exp(1j * angle)]], dtype=np.complex128)
+    assert kind == "swap", kind
+    return SWAP
+
+
+def replay(steps, state: StateVector) -> StateVector:
+    """Apply ``(kind, angle, targets, controls)`` steps in order, in place."""
+    for kind, angle, targets, controls in steps:
+        state.apply_dense_unitary(step_matrix(kind, angle), targets, controls)
+    return state
+
+
+def inverse_circuit(steps) -> list:
+    """The adjoint steps: reversed order, phases negated."""
+    return [(kind, -angle, targets, controls) for kind, angle, targets, controls in reversed(steps)]
+
+
+def qft_circuit(t: int, wires=None) -> list:
+    """QFT|x> = 2^{-t/2} sum_y exp(2 pi i x y / 2^t) |y> on ``wires``
+    (default 0..t-1), wires[j] holding bit j of x: Hadamards and controlled
+    phase rotations, then a swap layer restoring bit order."""
+    w = list(range(t)) if wires is None else list(wires)
+    steps = []
+    for i in range(t - 1, -1, -1):
+        steps.append(("h", 0.0, (w[i],), ()))
+        for j in range(i - 1, -1, -1):
+            steps.append(("rz", 2.0 * np.pi / (1 << (i - j + 1)), (w[i],), ((w[j], 1),)))
+    for i in range(t // 2):
+        steps.append(("swap", 0.0, (w[i], w[t - 1 - i]), ()))
+    return steps
+
+
+def swap_test_circuit(k: int) -> list:
+    """The swap test on 2k + 1 qubits: registers [0, k) and [k, 2k), ancilla
+    2k; H, one SWAP per register pair under the ancilla, H."""
+    anc = 2 * k
+    swaps = [("swap", 0.0, (j, k + j), ((anc, 1),)) for j in range(k)]
+    return [("h", 0.0, (anc,), ()), *swaps, ("h", 0.0, (anc,), ())]
+
+
+def matrix_exponential(h: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+    """exp(i h t) for Hermitian h, via eigendecomposition.
+
+    A scalar t gives one d x d matrix; a 1-D array of times gives one
+    matrix per time, stacked along a leading axis, from a single
+    diagonalization.  Diagonalizing once keeps repeated powers
+    exp(i h t 2^j) free of the error accumulation a squared-product
+    scheme would introduce.  A non-Hermitian h is refused: ``eigh``
+    would read only its lower triangle and return a wrong unitary.
+    """
+    h = np.asarray(h, dtype=np.complex128)
+    if np.abs(h - h.conj().T).max() > 1e-9:
+        raise ValueError("matrix_exponential needs a Hermitian matrix")
+    evals, evecs = np.linalg.eigh(h)
+    phases = np.exp(1j * np.multiply.outer(t, evals))
+    return (evecs * phases[..., None, :]) @ evecs.conj().T
+
+
+def circuit_from_json(text: str) -> Circuit:
+    """Circuit JSON read back into a circuit, through ``Circuit.append``."""
+    doc = json.loads(text)
+    if doc.get("schema") != "qbelief/circuit-v1":
+        raise ValidationError(f"unknown circuit schema {doc.get('schema')!r}")
+    circ = Circuit(int(doc["qubits"]))
+    for op in doc["ops"]:
+        gate = Gate(op["gate"], tuple(float(p) for p in op["params"]))
+        (target,) = op["targets"]
+        circ.append(gate, int(target), [(int(q), int(pol)) for q, pol in op["controls"]])
+    return circ
+
+
 def phase_estimation_replay(
     a: np.ndarray, psi: np.ndarray, t0: float, c: float, t: int
 ) -> tuple[np.ndarray, float]:
@@ -379,7 +462,7 @@ def phase_estimation_replay(
 
     system = list(range(s))
     powers = matrix_exponential(h, t0 * 2.0 ** np.arange(t))
-    iqft = Circuit(k).append_circuit(qft_circuit(t).inverse(), list(clock))
+    iqft = inverse_circuit(qft_circuit(t, clock))
 
     size = 1 << t
     x = np.arange(size)
@@ -390,9 +473,9 @@ def phase_estimation_replay(
         state.apply(H(), j)
     for j in range(t):
         state.apply_dense_unitary(powers[j], system, [(s + j, 1)])
-    iqft.run(state)
+    replay(iqft, state)
     state.apply_multiplexed_ry(angles, anc, clock)
-    iqft.inverse().run(state)
+    replay(inverse_circuit(iqft), state)
     for j in reversed(range(t)):
         state.apply_dense_unitary(powers[j].conj().T, system, [(s + j, 1)])
     for j in reversed(clock):

@@ -9,11 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_frame, random_bbas
-from oracles import dumps_result_oracle, inputs_digest_oracle
+from conftest import make_frame, random_bbas, random_mass_function
+from oracles import circuit_from_json, dumps_result_oracle, inputs_digest_oracle
 import qbelief
 from qbelief.cli import main
-from qbelief.dst import Frame, random_mass_function, validate_bba
+from qbelief.dst import Frame, validate_bba
 from qbelief.documents import dump_bba_document, dumps_result
 
 
@@ -263,8 +263,6 @@ class TestPrepare:
     def test_circuit_json_round_trip(self, capsys, showcase_path, showcase):
         code, out, _ = run(capsys, ["prepare", showcase_path, "--emit", "circuit-json"])
         assert code == 0
-        from qbelief.qasm import circuit_from_json
-
         circ = circuit_from_json(out)
         np.testing.assert_allclose(
             circ.simulate(0).amps.real, np.sqrt(showcase.masses), atol=1e-10
@@ -535,11 +533,12 @@ class TestDemo:
 USAGE_ERRORS = [
     pytest.param([], ["COMMAND"], id="no-arguments"),
     pytest.param(["bogus"], ["bogus"], id="unknown-command"),
-    pytest.param(["entropy", "--kind", "js", "--verbose", "DOC"], ["--verbose"],
-                 id="unknown-option"),
-    pytest.param(["transform", "--kind", "q", "--back", "classical", "DOC"], ["--back"],
-                 id="abbreviated-option"),
-    pytest.param(["entropy", "--kind", "js", "--tim", "DOC"], ["--tim"], id="abbreviated-flag"),
+    pytest.param(["entropy", "--kind", "js", "--verbose", "DOC"],
+                 ["usage: qbelief entropy", "--verbose"], id="unknown-option"),
+    pytest.param(["transform", "--kind", "q", "--back", "classical", "DOC"],
+                 ["usage: qbelief transform", "--back"], id="abbreviated-option"),
+    pytest.param(["entropy", "--kind", "js", "--tim", "DOC"], ["usage: qbelief entropy", "--tim"],
+                 id="abbreviated-flag"),
     pytest.param(["entropy", "--kind", "nope", "DOC"], ["--kind", "nope"], id="bad-kind"),
     pytest.param(["combine", "--rule", "nope", "DOC", "DOC"], ["--rule", "nope"],
                  id="bad-rule"),
@@ -654,6 +653,20 @@ def test_cli_import_loads_no_scipy():
 
 def test_cli_import_loads_no_click():
     assert _modules_loaded_with_cli("click") == "[]"
+
+
+def test_cli_import_loads_only_program_modules():
+    # a module added to the import graph is added to this list on purpose
+    modules = [
+        "qbelief", "qbelief.cli", "qbelief.documents", "qbelief.errors", "qbelief.qasm",
+        "qbelief.dst", "qbelief.dst.combine", "qbelief.dst.entropy", "qbelief.dst.frame",
+        "qbelief.dst.mass", "qbelief.dst.matrices", "qbelief.dst.operators",
+        "qbelief.dst.probability", "qbelief.dst.similarity", "qbelief.dst.transforms",
+        "qbelief.qsim", "qbelief.qsim.circuit", "qbelief.qsim.gates", "qbelief.qsim.state",
+        "qbelief.quantum", "qbelief.quantum.meob", "qbelief.quantum.pipelines",
+        "qbelief.quantum.prepare", "qbelief.quantum.query", "qbelief.quantum.swap",
+    ]
+    assert _modules_loaded_with_cli("qbelief") == str(sorted(modules))
 
 
 def _run_under_3gib(argv):

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_frame
+from conftest import make_frame, random_mass_function
 from oracles import (
+    circuit_from_json,
     dump_bba_oracle,
     dumps_result_oracle,
     inputs_digest_oracle,
@@ -25,7 +26,6 @@ from qbelief.dst import (
     MassFunction,
     combine_conjunctive,
     pl_from_mass,
-    random_mass_function,
     validate_bba,
 )
 from qbelief.errors import (
@@ -35,7 +35,7 @@ from qbelief.errors import (
     UnknownElement,
     ValidationError,
 )
-from qbelief.qasm import circuit_from_json, circuit_to_json, circuit_to_qasm
+from qbelief.qasm import circuit_to_json, circuit_to_qasm
 from qbelief.quantum import build_preparation_tree, synthesize_preparation_circuit
 
 

@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_frame
+from conftest import make_frame, random_mass_function
 from oracles import (
     betp_oracle,
     betp_sweep_oracle,
@@ -45,7 +45,6 @@ from qbelief.dst import (
     fbba,
     js_entropy,
     pl_p,
-    random_mass_function,
     validate_bba,
 )
 

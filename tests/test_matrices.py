@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
 
-from conftest import random_bbas
+from conftest import make_frame, random_bbas
 from oracles import conjunctive_matrix, disjunctive_matrix, jaccard_oracle, popcount
-from qbelief.dst import transform_matrix
+from qbelief.dst import MassFunction, inner_bba, transform_matrix
 from qbelief.dst.combine import combine_conjunctive, combine_disjunctive
 from qbelief.errors import DenseBudgetExceeded, DimensionMismatch
+
+
+def jaccard_kernel(n: int) -> np.ndarray:
+    """The library's Jaccard kernel as a dense matrix: J(F, G) is the
+    inner product of the categorical mass functions on F and on G."""
+    frame = make_frame(n)
+    cats = [MassFunction(frame, row) for row in np.eye(1 << n)]
+    return np.array([[inner_bba(mf, mg) for mg in cats] for mf in cats])
 
 
 class TestSmallCases:
@@ -31,16 +39,18 @@ class TestSmallCases:
         assert m[1, 1] == pytest.approx(1.0)
         np.testing.assert_array_equal(m[:, 0], np.zeros(4))
 
-    def test_bet_is_cred_times_inverse_cardinality(self):
-        n = 3
-        np.testing.assert_allclose(
-            transform_matrix("bet", n),
-            transform_matrix("cred", n) @ transform_matrix("card_inv", n),
-            atol=0,
-        )
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_bet_is_cred_times_inverse_cardinality(self, n):
+        # cred is |F & G|, card_inv the diagonal 1/|G| (0 on the empty set)
+        idx = np.arange(1 << n)
+        cred = np.bitwise_count(idx[:, None] & idx).astype(np.float64)
+        inv_card = np.zeros(1 << n)
+        inv_card[1:] = 1.0 / np.bitwise_count(idx[1:])
+        expect = cred @ np.diag(inv_card)
+        assert transform_matrix("bet", n).tobytes() == expect.tobytes()
 
     def test_jaccard_entries(self):
-        d = transform_matrix("jaccard", 2)
+        d = jaccard_kernel(2)
         assert d[1, 3] == pytest.approx(0.5)  # |A & AB| / |A | AB|
         assert d[0, 0] == 1.0
         assert d[1, 2] == 0.0
@@ -54,8 +64,9 @@ class TestSmallCases:
             transform_matrix("diag", 2, np.ones(3))
 
     def test_unknown_kind(self):
-        with pytest.raises(DimensionMismatch):
-            transform_matrix("nope", 2)
+        for kind in ("nope", "jaccard", "cred", "card_inv"):
+            with pytest.raises(DimensionMismatch):
+                transform_matrix(kind, 2)
 
     @pytest.mark.parametrize("kind", ["q", "pl", "bet", "diag"])
     def test_over_the_dense_budget_is_refused(self, kind):
@@ -107,14 +118,12 @@ class TestStructure:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_jaccard_positive_semidefinite(self, n):
-        eigs = np.linalg.eigvalsh(transform_matrix("jaccard", n))
+        eigs = np.linalg.eigvalsh(jaccard_kernel(n))
         assert eigs.min() >= -1e-9
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_jaccard_matches_oracle(self, n):
-        np.testing.assert_allclose(
-            transform_matrix("jaccard", n), jaccard_oracle(n), atol=0
-        )
+        np.testing.assert_allclose(jaccard_kernel(n), jaccard_oracle(n), atol=0)
 
     def test_fractal_block_form(self):
         mf = transform_matrix("fractal", 3)

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import random_bbas
 from qbelief.dst import MassFunction, transform_matrix, transform_operator
-from qbelief.dst.operators import OPERATOR_KINDS, as_operator
+from qbelief.dst.matrices import KINDS
+from qbelief.dst.operators import as_operator
 from qbelief.errors import DenseBudgetExceeded, DimensionMismatch, ValidationError
 from qbelief.quantum import MEoBConfig, pipelines
 from qbelief.qsim import StateVector
@@ -20,7 +21,7 @@ def _operator_and_matrix(kind, n, rng):
 
 class TestMatvec:
     @pytest.mark.parametrize("n", NS)
-    @pytest.mark.parametrize("kind", OPERATOR_KINDS)
+    @pytest.mark.parametrize("kind", KINDS)
     def test_matches_the_dense_product(self, kind, n, rng):
         op, a = _operator_and_matrix(kind, n, rng)
         x = rng.standard_normal(1 << n)
@@ -34,7 +35,7 @@ class TestMatvec:
         assert op.matvec(rng.random(8).astype(np.complex128)).dtype == np.complex128
 
     def test_input_is_not_modified(self, rng):
-        for kind in OPERATOR_KINDS:
+        for kind in KINDS:
             op, _ = _operator_and_matrix(kind, 4, rng)
             x = rng.random(16)
             before = x.copy()
@@ -44,7 +45,7 @@ class TestMatvec:
 
 class TestNorm:
     @pytest.mark.parametrize("n", NS)
-    @pytest.mark.parametrize("kind", OPERATOR_KINDS)
+    @pytest.mark.parametrize("kind", KINDS)
     def test_closed_form_equals_the_svd(self, kind, n, rng):
         op, a = _operator_and_matrix(kind, n, rng)
         want = np.linalg.norm(a, 2)
@@ -59,7 +60,7 @@ class TestNorm:
 
 
 class TestDense:
-    @pytest.mark.parametrize("kind", OPERATOR_KINDS)
+    @pytest.mark.parametrize("kind", KINDS)
     def test_dense_is_the_transform_matrix(self, kind, rng):
         op, a = _operator_and_matrix(kind, 4, rng)
         assert op.dense().tobytes() == a.tobytes()

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import make_frame, random_bbas
-from qbelief.dst import random_mass_function, validate_bba
+from conftest import make_frame, random_bbas, random_mass_function
+from qbelief.dst import validate_bba
 from qbelief.qsim import new_state
 from qbelief.quantum import (
     build_preparation_tree,
@@ -15,14 +15,14 @@ class TestTreeValues:
     def test_showcase_root_split(self, showcase):
         tree = build_preparation_tree(showcase)
         # root splits on the third element: 1/3 of the mass avoids it
-        assert tree.node_value(1, 0) == pytest.approx(1 / 3, abs=1e-12)
-        assert tree.node_value(1, 1) == pytest.approx(2 / 3, abs=1e-12)
-        assert tree.node_angle(0, 0) == pytest.approx(2 * np.arctan(np.sqrt(2)), abs=1e-9)
-        assert tree.node_angle(0, 0) == pytest.approx(1.91063, abs=1e-5)
+        assert tree.values[1][0] == pytest.approx(1 / 3, abs=1e-12)
+        assert tree.values[1][1] == pytest.approx(2 / 3, abs=1e-12)
+        assert tree.angles[0][0] == pytest.approx(2 * np.arctan(np.sqrt(2)), abs=1e-9)
+        assert tree.angles[0][0] == pytest.approx(1.91063, abs=1e-5)
 
     def test_parents_sum_children(self, showcase):
         tree = build_preparation_tree(showcase)
-        assert tree.root_value == pytest.approx(1.0, abs=1e-12)
+        assert tree.values[0][0] == pytest.approx(1.0, abs=1e-12)
         for level in range(3):
             child = tree.values[level + 1]
             np.testing.assert_allclose(
@@ -38,7 +38,7 @@ class TestTreeValues:
         m = validate_bba(frame, {5: 1.0})
         tree = build_preparation_tree(m)
         # every populated node pins its branch: angles on the path are 0 or pi
-        path_angles = [tree.node_angle(0, 0), tree.node_angle(1, 1), tree.node_angle(2, 2)]
+        path_angles = [tree.angles[0][0], tree.angles[1][1], tree.angles[2][2]]
         for angle in path_angles:
             assert angle in (0.0, np.pi)
 
@@ -46,7 +46,7 @@ class TestTreeValues:
         frame = make_frame(1)
         m = validate_bba(frame, {("e0",): 1.0})
         tree = build_preparation_tree(m)
-        assert tree.node_angle(0, 0) == np.pi  # all mass on the |1> branch
+        assert tree.angles[0][0] == np.pi  # all mass on the |1> branch
 
 
 class TestCircuitShape:

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from conftest import make_frame, random_bbas
-from oracles import qasm_replay
+from oracles import circuit_from_json, qasm_replay
 from qbelief.dst import validate_bba
 from qbelief.errors import ValidationError
-from qbelief.qasm import _multiplexed_ry, circuit_from_json, circuit_to_qasm
+from qbelief.qasm import _multiplexed_ry, circuit_to_qasm
 from qbelief.qsim import RY, Circuit, new_state
 from qbelief.quantum import build_preparation_tree, synthesize_preparation_circuit
 

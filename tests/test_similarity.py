@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import make_frame, random_bbas
-from oracles import jousselme_oracle
+from conftest import make_frame, random_bbas, random_mass_function
+from oracles import jaccard_oracle, jousselme_oracle
 from qbelief.cli import trend_rows
 from qbelief.dst import (
     MassFunction,
@@ -11,8 +11,6 @@ from qbelief.dst import (
     fb_inner_product,
     inner_bba,
     jousselme_distance,
-    random_mass_function,
-    transform_matrix,
     validate_bba,
 )
 from qbelief.errors import FrameMismatch
@@ -49,8 +47,7 @@ class TestDistanceBasics:
             jousselme_distance(validate_bba(frame2, {("A",): 1.0}), showcase)
 
 
-def dense_forms(m1, m2):
-    jac = transform_matrix("jaccard", m1.frame.n)
+def dense_forms(m1, m2, jac):
     d = m1.masses - m2.masses
     return float(np.sqrt(max(0.5 * d @ jac @ d, 0.0))), float(m1.masses @ jac @ m2.masses)
 
@@ -62,6 +59,7 @@ class TestJaccardForms:
     def test_match_dense_matrix(self, n):
         rng = np.random.default_rng(300 + n)
         frame = make_frame(n)
+        jac = jaccard_oracle(n)
         for i in range(12):
             # alternate sparse and full supports, with and without the empty set
             max_focal = 3 if i % 2 else None
@@ -69,7 +67,7 @@ class TestJaccardForms:
                 random_mass_function(frame, rng, allow_empty=i % 3 == 0, max_focal=max_focal)
                 for _ in range(2)
             )
-            jousselme, inner = dense_forms(m1, m2)
+            jousselme, inner = dense_forms(m1, m2, jac)
             assert jousselme_distance(m1, m2) == pytest.approx(jousselme, abs=1e-12)
             assert inner_bba(m1, m2) == pytest.approx(inner, abs=1e-12)
 
@@ -81,7 +79,7 @@ class TestJaccardForms:
         for row in masses:
             row[rng.choice(frame.size, size=700, replace=False)] = rng.exponential(size=700)
         m1, m2 = (MassFunction(frame, row / row.sum()) for row in masses)
-        jousselme, inner = dense_forms(m1, m2)
+        jousselme, inner = dense_forms(m1, m2, jaccard_oracle(10))
         assert jousselme_distance(m1, m2) == pytest.approx(jousselme, abs=1e-12)
         assert inner_bba(m1, m2) == pytest.approx(inner, abs=1e-12)
 
