@@ -74,8 +74,9 @@ def _command(*options: tuple[str, dict], paths: tuple[str, ...] = ("path",)):
 
     def register(run):
         doc = inspect.cleandoc(run.__doc__ or "")  # None under python -OO
+        name = run.__name__.replace("_", "-")
         sub = _COMMANDS.add_parser(
-            run.__name__.replace("_", "-"), help=doc.partition("\n\n")[0], description=doc,
+            name, help=doc.partition("\n\n")[0], description=doc,
             formatter_class=argparse.RawDescriptionHelpFormatter, allow_abbrev=False,
             add_help=False)
         for flag, spec in options:
@@ -83,7 +84,7 @@ def _command(*options: tuple[str, dict], paths: tuple[str, ...] = ("path",)):
         for path in paths:
             sub.add_argument(path, type=_file, metavar=path.upper())
         sub.add_argument("--help", **_HELP)
-        sub.set_defaults(run=run, parser=sub)
+        sub.set_defaults(run=run, parser=sub, command=name)
         return run
 
     return register
@@ -390,8 +391,12 @@ def trend_rows() -> list[tuple[str, tuple[float, float, float, float, float]]]:
 
 def main(argv: list[str] | None = None) -> None:
     args, extra = _PARSER.parse_known_args(argv)
-    if extra:  # reported with the command's usage line, not the top level's
-        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    if extra:
+        # tokens left over before the command are the top level's, and the
+        # top level lists its leftovers first
+        tokens = sys.argv[1:] if argv is None else argv
+        owner = args.parser if tokens[0] == args.command else _PARSER
+        owner.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         args.run(args)
         sys.stdout.flush()  # a closed pipe is an I/O error here, not at interpreter exit

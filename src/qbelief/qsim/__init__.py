@@ -8,7 +8,7 @@ from .state import (
     StateVector,
     new_state,
     product_state,
-    read_qubit,
+    read_top_qubit,
 )
 
 __all__ = [
@@ -20,7 +20,7 @@ __all__ = [
     "StateVector",
     "new_state",
     "product_state",
-    "read_qubit",
+    "read_top_qubit",
     "ControlSpec",
     "MeasurementRecord",
     "Circuit",

@@ -8,7 +8,7 @@ frame makes the basis index and the focal-set bitmask the same integer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -244,17 +244,12 @@ class StateVector:
         memory used does not grow with ``shots`` and the counts equal those
         of one draw of all the shots.
         """
-        if shots < 1:
-            raise ValidationError("shots must be positive")
-        if seed < 0:
-            raise ValidationError(f"seed must be non-negative, not {seed}")
+        blocks = _uniform_blocks(shots, seed)
         probs = self.probabilities()
         cdf = np.cumsum(probs)
         cdf[-1] = 1.0
-        rng = np.random.Generator(np.random.PCG64(seed))
         counts = np.zeros(probs.size, dtype=np.int64)
-        for start in range(0, shots, _SAMPLE_CHUNK):
-            draws = rng.random(min(_SAMPLE_CHUNK, shots - start))
+        for draws in blocks:
             outcomes = np.searchsorted(cdf, draws, side="right")
             counts += np.bincount(outcomes, minlength=probs.size)
         seen = np.flatnonzero(counts)
@@ -263,17 +258,48 @@ class StateVector:
         )
 
 
-def read_qubit(
-    state: StateVector, qubit: int, outcome: int, shots: int | None = None, seed: int | None = None
+def _uniform_blocks(shots: int, seed: int) -> Iterator[np.ndarray]:
+    """The ``shots`` uniform draws of one PCG64 stream seeded ``seed``, in
+    blocks of ``_SAMPLE_CHUNK``.  ``shots`` and ``seed`` are checked at the
+    call, before anything is drawn."""
+    if shots < 1:
+        raise ValidationError("shots must be positive")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, not {seed}")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return (
+        rng.random(min(_SAMPLE_CHUNK, shots - start)) for start in range(0, shots, _SAMPLE_CHUNK)
+    )
+
+
+def read_top_qubit(
+    low: np.ndarray | None,
+    high: np.ndarray | None,
+    outcome: int,
+    shots: int | None = None,
+    seed: int | None = None,
 ) -> float:
-    """Pr(``qubit`` reads ``outcome``): exact when ``shots`` is None, otherwise
-    the fraction of ``shots`` seeded samples of the state that read it."""
+    """Pr(the top qubit of a register reads ``outcome``), from the basis
+    probabilities of the register's low half (top qubit 0) and high half
+    (top qubit 1), each a contiguous array in index order.
+
+    Exact when ``shots`` is None: the sum over the outcome's half, in the
+    pairwise order of ``StateVector.probability``.  Otherwise the fraction
+    of ``shots`` seeded draws that land in the outcome's half, from the
+    stream and blocks of ``StateVector.sample``: a draw lands in the high
+    half when it is at or above ``np.cumsum(low)[-1]``, the register's CDF
+    at the half boundary, so the counts equal the sampled register's.  An
+    exact read uses only the outcome's half and a sampled read only
+    ``low``, so a half the read does not use may be None.
+    """
     if shots is None:
-        return state.probability(qubit, outcome)
+        return float(np.sum(high if outcome else low))
     if seed is None:
         raise ValidationError("sampling needs an explicit seed")
-    record = state.sample(shots, seed)
-    return sum(c for idx, c in record.counts.items() if (idx >> qubit & 1) == outcome) / shots
+    blocks = _uniform_blocks(shots, seed)
+    boundary = np.cumsum(low)[-1]
+    in_high = sum(int(np.count_nonzero(draws >= boundary)) for draws in blocks)
+    return (in_high if outcome else shots - in_high) / shots
 
 
 def new_state(k: int, basis_index: int = 0) -> StateVector:
@@ -301,5 +327,5 @@ __all__ = [
     "StateVector",
     "new_state",
     "product_state",
-    "read_qubit",
+    "read_top_qubit",
 ]

@@ -15,11 +15,12 @@ in all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from ..dst.mass import MassFunction
-from ..qsim.circuit import Circuit
+from ..qsim.circuit import Circuit, CircuitOp
 from ..qsim.gates import RY
 from ..qsim.state import StateVector, new_state
 
@@ -76,14 +77,17 @@ def synthesize_preparation_circuit(tree: PreparationTree) -> Circuit:
 
     Controls pin the already-prepared higher qubits to the node's path,
     highest qubit first.  Empty subtrees still emit their (identity-angle)
-    gates so the gate count stays exactly 2^n - 1.
+    gates so the gate count stays exactly 2^n - 1.  The levels are valid
+    by construction, so the ops are built as they are, without the checks
+    of ``Circuit.append``.
     """
-    circ = Circuit(tree.n)
-    for target, controls, angles in tree.levels():
-        for path, alpha in enumerate(angles):
-            pins = [(q, (path >> b) & 1) for b, q in enumerate(controls)][::-1]
-            circ.append(RY(alpha), target, pins)
-    return circ
+    ops = [
+        CircuitOp(RY(alpha), (target,), tuple(zip(controls[::-1], path)))
+        for target, controls, angles in tree.levels()
+        # the paths in index order, highest control bit first
+        for alpha, path in zip(angles.tolist(), product((0, 1), repeat=len(controls)))
+    ]
+    return Circuit(tree.n, ops)
 
 
 def prepare_bba_state(m: MassFunction) -> StateVector:

@@ -12,17 +12,26 @@ flip selects is everything:
 - ``bel``: no single control pattern selects "non-empty subset of F";
   evaluated as the b-query minus the empty-set query (b with F = {}),
   combined classically.
+
+``belief_query_circuit`` is the circuit of a query.  ``estimate_belief``
+does not run it: the flip moves each selected amplitude, unchanged, to
+the ancilla-1 half of the widened register, so Pr(ancilla=1) is read from
+|prepared|^2 split by the query's selection into a selected half and an
+unselected half.  No widened register is built, and the exact and sampled
+reads are byte-identical to the read of the register the circuit leaves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..dst.mass import MassFunction
 from ..errors import EmptyFocal, IndexOutOfRange, ValidationError
 from ..qsim.circuit import Circuit
 from ..qsim.gates import X
-from ..qsim.state import StateVector, new_state, product_state, read_qubit
+from ..qsim.state import StateVector, read_top_qubit
 from .prepare import prepare_bba_state
 
 KINDS = ("bel", "pl", "q", "b")
@@ -48,8 +57,7 @@ def belief_query_circuit(query: BeliefQuery, n: int) -> Circuit:
     Supports kinds ``b``, ``q`` and ``pl``; a ``bel`` query is two ``b``
     circuits and lives in :func:`estimate_belief`.
     """
-    if query.focal >= (1 << n):
-        raise IndexOutOfRange(f"focal {query.focal} out of range for n={n}")
+    _check_focal(query, n)
     circ = Circuit(n + 1)
     member = [j for j in range(n) if query.focal >> j & 1]
     outside = [j for j in range(n) if not query.focal >> j & 1]
@@ -65,6 +73,11 @@ def belief_query_circuit(query: BeliefQuery, n: int) -> Circuit:
     return circ
 
 
+def _check_focal(query: BeliefQuery, n: int) -> None:
+    if query.focal >= (1 << n):
+        raise IndexOutOfRange(f"focal {query.focal} out of range for n={n}")
+
+
 def estimate_belief(
     m: MassFunction, query: BeliefQuery, shots: int | None = None, seed: int | None = None
 ) -> float:
@@ -72,7 +85,7 @@ def estimate_belief(
 
     Reads the exact ancilla-1 probability, or, when ``shots`` is given,
     samples the ancilla ``shots`` times from ``seed`` and returns the count
-    ratio.  A ``bel`` query runs the b-circuit and the empty-set circuit on
+    ratio.  A ``bel`` query reads the b-query and the empty-set query from
     one prepared state and subtracts.
     """
     return _estimate_prepared(prepare_bba_state(m), query, shots, seed)
@@ -82,7 +95,7 @@ def _estimate_prepared(
     prepared: StateVector, query: BeliefQuery, shots: int | None, seed: int | None
 ) -> float:
     """:func:`estimate_belief` on an already-prepared register, which it
-    leaves unchanged (the query runs on a widened copy)."""
+    leaves unchanged."""
     if query.kind == "bel":
         b_val = _estimate_prepared(prepared, BeliefQuery("b", query.focal), shots, seed)
         seed2 = None if seed is None else seed + 1
@@ -90,9 +103,18 @@ def _estimate_prepared(
         return b_val - empty
 
     n = prepared.k
-    full = product_state([prepared, new_state(1)])
-    belief_query_circuit(query, n).run(full)
-    return read_qubit(full, n, 1, shots, seed)
+    _check_focal(query, n)
+    sets, focal = np.arange(1 << n), query.focal
+    if query.kind == "b":
+        selected = (sets & ~focal) == 0  # the subsets of F
+    elif query.kind == "q":
+        selected = (sets & focal) == focal  # the supersets of F
+    else:
+        selected = (sets & focal) != 0  # the sets that meet F
+    probs = np.abs(prepared.amps) ** 2
+    low = np.where(selected, 0.0, probs)
+    high = np.where(selected, probs, 0.0)
+    return read_top_qubit(low, high, 1, shots, seed)
 
 
 __all__ = ["KINDS", "BeliefQuery", "belief_query_circuit", "estimate_belief"]

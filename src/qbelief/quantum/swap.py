@@ -5,31 +5,41 @@ again: Pr(ancilla = 0) = 1/2 + 1/2 |<s1|s2>|^2, so 2 Pr(0) - 1 estimates
 the squared overlap.  The informative outcome is ancilla 0; the |1>
 branch carries the antisymmetrized remainder.
 
-``swap_test`` runs the circuit as register operators on the
-(ancilla, s2, s1) = (2, 2^k, 2^k) view of the amplitudes: the k
-controlled SWAPs together exchange the two registers wherever the
-ancilla reads 1, which is one transpose of that (2^k, 2^k) block.  The
-two Hadamards are applied as the gate itself, so the state, and every
-estimate and sampled count drawn from it, is bit-identical to the
-circuit replayed gate by gate (``tests/oracles.py::swap_test_circuit``).
-The 2k + 1-qubit register is refused before it is allocated when its
-amplitudes would exceed the dense budget.
+On the (ancilla, s2, s1) = (2, 2^k, 2^k) view of the joint register the
+k controlled SWAPs together exchange the two registers wherever the
+ancilla reads 1, which is one transpose of that (2^k, 2^k) block.  Both
+ancilla halves start as the (s2, s1) outer product, so the ancilla-0
+half after the second Hadamard is h00 h00 P + h01 (h10 P)^T, and that
+half alone decides the read.  ``swap_test`` computes only it, with the
+Hadamard entries applied in the gate's order: it builds neither the
+ancilla-1 half nor the 2k + 1-qubit register, and its exact and sampled
+reads are byte-identical to the read of the register that
+``swap_test_state`` replays gate by gate.  The register is still refused
+before anything is allocated when its amplitudes would exceed the dense
+budget, so the refusal does not depend on which of the two runs.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import QubitCountMismatch, check_dense_budget
 from ..qsim.gates import H
-from ..qsim.state import StateVector, new_state, product_state, read_qubit
+from ..qsim.state import StateVector, new_state, product_state, read_top_qubit
+
+
+def _check_pair(s1: StateVector, s2: StateVector) -> None:
+    if s1.k != s2.k:
+        raise QubitCountMismatch(f"register sizes differ: {s1.k} vs {s2.k}")
+    k = s1.k
+    check_dense_budget(16 << (2 * k + 1), f"the {2 * k + 1}-qubit swap-test register")
 
 
 def swap_test_state(s1: StateVector, s2: StateVector) -> StateVector:
     """The joint state the swap test leaves on |s1>|s2>|0>: registers
     [0, k) and [k, 2k), ancilla 2k."""
-    if s1.k != s2.k:
-        raise QubitCountMismatch(f"register sizes differ: {s1.k} vs {s2.k}")
+    _check_pair(s1, s2)
     k = s1.k
-    check_dense_budget(16 << (2 * k + 1), f"the {2 * k + 1}-qubit swap-test register")
     joint = product_state([s1, s2, new_state(1, 0)])
     joint.apply(H(), 2 * k)
     swapped = joint.amps.reshape(2, 1 << k, 1 << k)[1]
@@ -43,10 +53,22 @@ def swap_test(
     """Squared-overlap estimate 2 Pr(ancilla=0) - 1 of two equal-size states.
 
     Pr(ancilla=0) is exact, or, when ``shots`` is given, the fraction of
-    ``shots`` samples drawn from ``seed`` that read 0.
+    ``shots`` samples drawn from ``seed`` that read 0.  The arithmetic is
+    real when neither state has an imaginary part (every RY-prepared state
+    is real) and complex otherwise; both give the register's bytes.
     """
-    joint = swap_test_state(s1, s2)
-    return 2.0 * read_qubit(joint, 2 * s1.k, 0, shots, seed) - 1.0
+    _check_pair(s1, s2)
+    real = not (s1.amps.imag.any() or s2.amps.imag.any())
+    v1, v2, u = (x.real if real else x for x in (s1.amps, s2.amps, H().matrix()))
+    pair = np.outer(v2, v1)
+    kept = u[0, 0] * (u[0, 0] * pair)
+    swapped = u[1, 0] * pair
+    del pair  # each block is freed once spent: at most three are alive
+    np.multiply(u[0, 1], swapped, out=swapped)
+    kept += swapped.T
+    del swapped
+    low = (np.abs(kept) ** 2).reshape(-1)
+    return 2.0 * read_top_qubit(low, None, 0, shots, seed) - 1.0
 
 
 __all__ = ["swap_test", "swap_test_state"]

@@ -108,20 +108,46 @@ def preparation_calls(monkeypatch) -> list:
     return calls
 
 
-def _count_state_methods(monkeypatch, names) -> dict:
-    """Counts calls of the named ``StateVector`` methods."""
-    from qbelief.qsim.state import StateVector
-
-    counts = dict.fromkeys(names, 0)
+def _count_methods(monkeypatch, cls, names, counts=None) -> dict:
+    """Counts calls of the named methods of ``cls``."""
+    counts = {} if counts is None else counts
     for name in names:
-        original = getattr(StateVector, name)
+        counts[name] = 0
+        original = getattr(cls, name)
 
         def counted(self, *args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
             return _original(self, *args, **kwargs)
 
-        monkeypatch.setattr(StateVector, name, counted)
+        monkeypatch.setattr(cls, name, counted)
     return counts
+
+
+def _count_functions(monkeypatch, module, names, counts=None) -> dict:
+    """Counts calls of the named functions of ``module``, in every qbelief
+    module, and in ``oracles``, that binds them by name."""
+    counts = {} if counts is None else counts
+    for name in names:
+        counts[name] = 0
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for modname, bound in list(sys.modules.items()):
+            if (modname.startswith("qbelief") or modname == "oracles") and (
+                getattr(bound, name, None) is original
+            ):
+                monkeypatch.setattr(bound, name, counted)
+    return counts
+
+
+def _count_state_methods(monkeypatch, names) -> dict:
+    """Counts calls of the named ``StateVector`` methods."""
+    from qbelief.qsim.state import StateVector
+
+    return _count_methods(monkeypatch, StateVector, names)
 
 
 @pytest.fixture
@@ -136,6 +162,17 @@ def readout_calls(monkeypatch) -> dict:
     return _count_state_methods(monkeypatch, ("postselect", "extract_register"))
 
 
+@pytest.fixture
+def register_calls(monkeypatch) -> dict:
+    """Counts the whole-register steps of an ancilla read on a widened
+    register: ``StateVector.sample``, ``Circuit.run`` and ``product_state``."""
+    from qbelief.qsim import circuit, state
+
+    counts = _count_state_methods(monkeypatch, ("sample",))
+    _count_methods(monkeypatch, circuit.Circuit, ("run",), counts)
+    return _count_functions(monkeypatch, state, ("product_state",), counts)
+
+
 SWEEPS = ("subset_sum", "subset_sum_inverse", "superset_sum", "superset_sum_inverse")
 
 
@@ -145,18 +182,7 @@ def sweep_calls(monkeypatch) -> dict:
     module that binds them by name."""
     from qbelief.dst import transforms
 
-    counts = dict.fromkeys(SWEEPS, 0)
-    for name in SWEEPS:
-        original = getattr(transforms, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        for modname, module in list(sys.modules.items()):
-            if modname.startswith("qbelief") and getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
-    return counts
+    return _count_functions(monkeypatch, transforms, SWEEPS)
 
 
 @pytest.fixture

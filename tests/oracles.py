@@ -28,6 +28,13 @@ swap-test circuit (``swap_test_circuit``).  Each such circuit is a list
 of steps replayed through ``StateVector.apply_dense_unitary``, which
 reaches the same gate kernel as the library's own gates.
 
+``read_qubit`` reads one qubit of a whole register, exactly or from the
+register's seeded samples.  ``estimate_prepared_oracle`` and
+``swap_test_oracle`` are the belief query and the swap test read that
+way: the query's circuit run on the prepared state widened by an
+ancilla, and the swap test's whole register from ``swap_test_state``.
+The library reads only the half of the register its ancilla read needs.
+
 ``circuit_from_json`` reads exported circuit JSON back into a circuit,
 so the tests can check that the export round-trips losslessly.
 
@@ -51,6 +58,8 @@ import numpy as np
 from qbelief.dst import MassFunction, b_from_mass, q_from_mass, transform_matrix
 from qbelief.errors import ValidationError
 from qbelief.qsim import Circuit, Gate, H, StateVector, new_state, product_state
+from qbelief.quantum import BeliefQuery, belief_query_circuit
+from qbelief.quantum.swap import swap_test_state
 
 
 def popcount(x: int) -> int:
@@ -425,6 +434,43 @@ def matrix_exponential(h: np.ndarray, t: float | np.ndarray) -> np.ndarray:
     evals, evecs = np.linalg.eigh(h)
     phases = np.exp(1j * np.multiply.outer(t, evals))
     return (evecs * phases[..., None, :]) @ evecs.conj().T
+
+
+def read_qubit(
+    state: StateVector, qubit: int, outcome: int, shots: int | None = None, seed: int | None = None
+) -> float:
+    """Pr(``qubit`` reads ``outcome``): exact when ``shots`` is None, otherwise
+    the fraction of ``shots`` seeded samples of the state that read it."""
+    if shots is None:
+        return state.probability(qubit, outcome)
+    if seed is None:
+        raise ValidationError("sampling needs an explicit seed")
+    record = state.sample(shots, seed)
+    return sum(c for idx, c in record.counts.items() if (idx >> qubit & 1) == outcome) / shots
+
+
+def estimate_prepared_oracle(
+    prepared: StateVector, query: BeliefQuery, shots: int | None = None, seed: int | None = None
+) -> float:
+    """A belief query on the widened register: the prepared state joined
+    with an ancilla (qubit n), the query circuit run on it, the ancilla
+    read; a ``bel`` query is the b-query minus the empty-set query, the
+    second seeded ``seed + 1``."""
+    if query.kind == "bel":
+        b_val = estimate_prepared_oracle(prepared, BeliefQuery("b", query.focal), shots, seed)
+        seed2 = None if seed is None else seed + 1
+        return b_val - estimate_prepared_oracle(prepared, BeliefQuery("b", 0), shots, seed2)
+    n = prepared.k
+    full = product_state([prepared, new_state(1)])
+    belief_query_circuit(query, n).run(full)
+    return read_qubit(full, n, 1, shots, seed)
+
+
+def swap_test_oracle(
+    s1: StateVector, s2: StateVector, shots: int | None = None, seed: int | None = None
+) -> float:
+    """2 Pr(ancilla = 0) - 1, read from the whole 2k + 1-qubit register."""
+    return 2.0 * read_qubit(swap_test_state(s1, s2), 2 * s1.k, 0, shots, seed) - 1.0
 
 
 def circuit_from_json(text: str) -> Circuit:

@@ -317,7 +317,8 @@ class TestPrepare:
         monkeypatch.setattr(cli, "synthesize_preparation_circuit", counted_synthesize)
         code, _, err = run(capsys, ["prepare", showcase_path, "--emit", emit])
         assert code == 0, err
-        assert calls == {"append": 7 * built, "synthesize": built}
+        # circuit JSON builds its 7 ops straight from the tree's levels
+        assert calls == {"append": 0, "synthesize": built}
 
 
 class TestDeterminism:
@@ -539,6 +540,8 @@ USAGE_ERRORS = [
                  ["usage: qbelief transform", "--back"], id="abbreviated-option"),
     pytest.param(["entropy", "--kind", "js", "--tim", "DOC"], ["usage: qbelief entropy", "--tim"],
                  id="abbreviated-flag"),
+    pytest.param(["--bogus", "entropy", "--kind", "js", "DOC"],
+                 ["usage: qbelief [--help] COMMAND", "--bogus"], id="option-before-command"),
     pytest.param(["entropy", "--kind", "nope", "DOC"], ["--kind", "nope"], id="bad-kind"),
     pytest.param(["combine", "--rule", "nope", "DOC", "DOC"], ["--rule", "nope"],
                  id="bad-rule"),

@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
 
-from conftest import random_bbas
-from oracles import b_oracle, bel_oracle, pl_oracle, q_oracle
+from conftest import make_frame, random_bbas
+from oracles import b_oracle, bel_oracle, estimate_prepared_oracle, pl_oracle, q_oracle
 from qbelief.dst import MassFunction, validate_bba
-from qbelief.errors import EmptyFocal
-from qbelief.quantum import BeliefQuery, belief_query_circuit, encode_state, estimate_belief
+from qbelief.errors import EmptyFocal, IndexOutOfRange, ValidationError
+from qbelief.quantum import (
+    BeliefQuery,
+    belief_query_circuit,
+    encode_state,
+    estimate_belief,
+    prepare_bba_state,
+    ptm_qc,
+)
+from qbelief.quantum.query import _estimate_prepared
 
 
 class TestCircuitShape:
@@ -118,3 +126,78 @@ class TestNegativeDust:
         assert m.masses[2] == 0.5 + 1e-10
         assert np.all(np.isfinite(encode_state(m).amps))
         assert np.isfinite(estimate_belief(m, BeliefQuery("pl", 1)))
+
+
+def _register_read_inputs(n: int) -> dict[str, MassFunction]:
+    """A random, a vacuous, a single-focal and an empty-set-mass input on n elements."""
+    frame = make_frame(n)
+    (random,) = random_bbas(1, n, seed=300 + n, allow_empty=True)
+    vacuous = np.zeros(frame.size)
+    vacuous[-1] = 1.0
+    single = np.zeros(frame.size)
+    single[(0b1011 * n) % (frame.size - 1) + 1] = 1.0
+    (rest,) = random_bbas(1, n, seed=400 + n)
+    conflict = 0.75 * rest.masses
+    conflict[0] = 0.25
+    return {
+        "random": random,
+        "vacuous": MassFunction(frame, vacuous),
+        "single-focal": MassFunction(frame, single),
+        "empty-set-mass": MassFunction(frame, conflict),
+    }
+
+
+class TestRegisterRead:
+    """Every read equals, byte for byte, the read of the widened register
+    that the query's circuit leaves (``oracles.estimate_prepared_oracle``)."""
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    @pytest.mark.parametrize("shots", [None, 1, 997, 4096])
+    def test_reads_are_byte_identical(self, n, shots):
+        rng = np.random.default_rng(n)
+        for m in _register_read_inputs(n).values():
+            prepared = prepare_bba_state(m)
+            focals = {1, (1 << n) - 1, int(rng.integers(1, 1 << n))}
+            for kind in ("b", "q", "pl", "bel"):
+                for focal in sorted(focals | ({0} if kind == "b" else set())):
+                    query = BeliefQuery(kind, focal)
+                    seed = None if shots is None else int(rng.integers(0, 1 << 31))
+                    got = _estimate_prepared(prepared, query, shots, seed)
+                    want = estimate_prepared_oracle(prepared, query, shots, seed)
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 6, 11])
+    def test_sampled_reads_across_a_block_are_byte_identical(self, n):
+        # 2^20 + 5 shots draw one full block of the stream and five more
+        m = _register_read_inputs(n)["random"]
+        prepared = prepare_bba_state(m)
+        for kind in ("b", "q", "pl", "bel"):
+            query = BeliefQuery(kind, (1 << n) - 1 if kind == "b" else 1)
+            got = _estimate_prepared(prepared, query, (1 << 20) + 5, 11)
+            want = estimate_prepared_oracle(prepared, query, (1 << 20) + 5, 11)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("shots, seed, message", [
+        (64, None, "sampling needs an explicit seed"),
+        (0, 3, "shots must be positive"),
+        (64, -1, "seed must be non-negative, not -1"),
+    ])
+    def test_sampling_refusals_are_kept(self, showcase, shots, seed, message):
+        with pytest.raises(ValidationError, match=message):
+            estimate_belief(showcase, BeliefQuery("pl", 0b100), shots, seed)
+
+    def test_focal_outside_the_frame_is_refused(self, showcase):
+        with pytest.raises(IndexOutOfRange, match="focal 8 out of range for n=3"):
+            estimate_belief(showcase, BeliefQuery("q", 8))
+
+    @pytest.mark.parametrize("shots, seed", [(None, None), (4096, 5)])
+    def test_no_register_is_widened(self, showcase, register_calls, shots, seed):
+        for kind in ("b", "q", "pl", "bel"):
+            estimate_belief(showcase, BeliefQuery(kind, 0b011), shots, seed)
+        ptm_qc(showcase, shots, seed)
+        assert register_calls == {"sample": 0, "run": 0, "product_state": 0}
+        # the counters see the register read they replace
+        estimate_prepared_oracle(prepare_bba_state(showcase), BeliefQuery("pl", 1), shots, seed)
+        assert register_calls == {
+            "sample": 0 if shots is None else 1, "run": 1, "product_state": 1
+        }

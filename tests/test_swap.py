@@ -1,15 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qbelief.errors import QubitCountMismatch
+from conftest import random_bbas
+from qbelief.errors import QubitCountMismatch, ValidationError
 from qbelief.qsim import H, StateVector, new_state, product_state
-from oracles import replay, swap_test_circuit
-from qbelief.quantum import swap_test
+from oracles import replay, swap_test_circuit, swap_test_oracle
+from qbelief.quantum import prepare_bba_state, swap_test
 from qbelief.quantum.swap import swap_test_state
 
 
-def random_state(k, rng):
-    amps = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
+def random_state(k, rng, real=False):
+    amps = rng.normal(size=1 << k) + (0 if real else 1j * rng.normal(size=1 << k))
     return StateVector(k, amps / np.linalg.norm(amps))
 
 
@@ -67,3 +70,62 @@ class TestSwapTest:
         joint = product_state([s1, s2, new_state(1, 0)])
         replay(swap_test_circuit(k), joint)
         assert swap_test_state(s1, s2).amps.tobytes() == joint.amps.tobytes()
+
+
+class TestRegisterRead:
+    """Every read equals, byte for byte, the read of the whole register
+    that ``swap_test_state`` leaves (``oracles.swap_test_oracle``)."""
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_reads_are_byte_identical(self, k, real):
+        rng = np.random.default_rng(k + 10 * real)
+        s1, s2 = random_state(k, rng, real), random_state(k, rng, real)
+        for shots, seed in [(None, None), (1, 3), (997, 4), (4096, 5)]:
+            got = swap_test(s1, s2, shots, seed)
+            assert np.float64(got).tobytes() == np.float64(
+                swap_test_oracle(s1, s2, shots, seed)).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 5, 9])
+    def test_prepared_and_sampled_across_a_block(self, k):
+        # RY-prepared states, as the CLI runs them; 2^20 + 5 shots cross a block
+        s1, s2 = (prepare_bba_state(m) for m in random_bbas(2, k, seed=k))
+        for shots, seed in [(None, None), ((1 << 20) + 5, 6)]:
+            got = swap_test(s1, s2, shots, seed)
+            assert np.float64(got).tobytes() == np.float64(
+                swap_test_oracle(s1, s2, shots, seed)).tobytes()
+
+    @pytest.mark.parametrize("shots, seed, message", [
+        (64, None, "sampling needs an explicit seed"),
+        (0, 3, "shots must be positive"),
+        (64, -1, "seed must be non-negative, not -1"),
+    ])
+    def test_sampling_refusals_are_kept(self, rng, shots, seed, message):
+        with pytest.raises(ValidationError, match=message):
+            swap_test(random_state(2, rng), random_state(2, rng), shots, seed)
+
+    @pytest.mark.parametrize("shots, seed", [(None, None), (4096, 5)])
+    def test_no_register_is_built(self, rng, register_calls, shots, seed):
+        s1, s2 = random_state(3, rng), random_state(3, rng)
+        swap_test(s1, s2, shots, seed)
+        assert register_calls == {"sample": 0, "run": 0, "product_state": 0}
+        # the counters see the register read it replaces
+        swap_test_oracle(s1, s2, shots, seed)
+        assert register_calls == {"sample": 0 if shots is None else 1, "run": 0,
+                                  "product_state": 1}
+
+    def test_exact_read_peak_memory_at_k9(self):
+        # the register read peaks at about 2.5 times the 8 MB register
+        k = 9
+        s1, s2 = (prepare_bba_state(m) for m in random_bbas(2, k, seed=4))
+        peaks = []
+        for read in (swap_test, swap_test_oracle):
+            tracemalloc.start()
+            try:
+                read(s1, s2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        new, register_read = peaks
+        assert new < register_read / 2
+        assert new < 16 << (2 * k + 1)
