@@ -2,7 +2,6 @@
 
 from .meob import (
     BACKENDS,
-    HermitianEmbedding,
     MEoBConfig,
     decode_eigenvalue,
     hermitian_embed,
@@ -39,7 +38,6 @@ __all__ = [
     "belief_query_circuit",
     "estimate_belief",
     "MEoBConfig",
-    "HermitianEmbedding",
     "hermitian_embed",
     "meob",
     "meob_apply",

@@ -16,19 +16,20 @@ Two interchangeable backends:
   (:mod:`qbelief.dst.operators`) applies its lattice sweeps and takes
   its norm in closed form, so no 2^n x 2^n array is built; an explicit
   matrix is multiplied and its norm taken from an SVD.
-- ``circuit``: the full register-level simulation, with each stage of
-  phase estimation applied as the exact operator it is on the
-  (ancilla, clock, system) view of the amplitudes (Cleve, Ekert,
-  Macchiavello and Mosca, quant-ph/9708016).  The clock Hadamard layer
-  is H on each clock qubit.  The t controlled powers of exp(i H t0)
-  together apply exp(i H t0 x) wherever the clock reads x; in the
-  eigenbasis of H, from one ``eigh``, that is the phase
-  exp(i t0 x lambda_j).  The inverse Fourier transform is an orthonormal
-  FFT along the clock axis.  One multiplexed RY on the ancilla applies
-  all 2^t clock-conditioned rotations; the same stages in reverse, with
-  conjugate phases, uncompute the clock.  The result is read as one
-  postselected block of the register: ancilla 1, clock 0 (and embedding
-  bit 1), whose squared norm is the success probability.
+- ``circuit``: the phase-estimation circuit simulated stage by stage
+  (Cleve, Ekert, Macchiavello and Mosca, quant-ph/9708016), on the one
+  branch of the (ancilla, clock, system) register that is kept: ancilla
+  1.  That branch is a (2^t, 2^s) block, clock by eigen-index of H, from
+  one ``eigh``.  The Hadamard layer on the |0> clock fills every clock
+  row with the input's eigencomponents / sqrt(2^t).  The t controlled
+  powers of exp(i H t0) together apply the phase exp(i t0 x lambda_j)
+  wherever the clock reads x.  The inverse Fourier transform is an
+  orthonormal FFT along the clock axis.  The ancilla RY from |0> scales
+  clock row x by sin(theta_x / 2), the amplitude it sends to ancilla 1.
+  The same stages in reverse, with conjugate phases, uncompute the
+  clock, and reading the clock at 0 after the last Hadamard layer sums
+  its rows / sqrt(2^t).  The result (with embedding bit 1) is the
+  postselected output, and its squared norm the success probability.
 
 Only the circuit backend embeds: it evolves a non-Hermitian matrix
 through the block embedding [[0, A^dagger], [A, 0]] with the input
@@ -49,7 +50,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -98,18 +98,12 @@ class MEoBConfig:
                 raise ValidationError(f"{name}={value} is not finite and positive")
 
 
-@dataclass(frozen=True)
-class HermitianEmbedding:
-    """The Hermitian matrix the circuit evolves, and whether it is a block embedding."""
+def hermitian_embed(matrix: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix the circuit evolves: a square power-of-two
+    matrix A as the block embedding [[0, A^dagger], [A, 0]].
 
-    embedded: np.ndarray
-    was_embedded: bool
-
-
-def hermitian_embed(matrix: np.ndarray) -> HermitianEmbedding:
-    """Embed a square power-of-two matrix as [[0, A^dagger], [A, 0]].
-
-    Matrices already Hermitian (within 1e-10) pass through unchanged.
+    Matrices already Hermitian (within 1e-10) pass through unchanged, so
+    a (2d, 2d) result for a (d, d) input means A was embedded.
     """
     shape = np.shape(matrix)
     if len(shape) != 2 or shape[0] != shape[1]:
@@ -120,10 +114,9 @@ def hermitian_embed(matrix: np.ndarray) -> HermitianEmbedding:
     check_dense_budget(16 * (2 * d) ** 2, f"the Hermitian embedding of a {d}x{d} matrix")
     a = np.asarray(matrix, dtype=np.complex128)
     if np.abs(a - a.conj().T).max() <= _HERMITIAN_TOL:
-        return HermitianEmbedding(a, False)
+        return a
     zero = np.zeros((d, d), dtype=np.complex128)
-    embedded = np.block([[zero, a.conj().T], [a, zero]])
-    return HermitianEmbedding(embedded, True)
+    return np.block([[zero, a.conj().T], [a, zero]])
 
 
 def _evolution_constants(lam_max: float, config: MEoBConfig) -> tuple[float, float]:
@@ -151,10 +144,10 @@ def meob_apply(matrix, state: StateVector, config: MEoBConfig) -> tuple[StateVec
     success probability: for the oracle, A psi from the operator's action
     and sum_j beta_j^2 C^2 lambda_j^2 = (C ||A psi||)^2 exactly, computed at
     a scale that neither overflows nor underflows; for the circuit, the
-    postselected block of the register that evolves the dense matrix, and
-    its squared norm.  Both then share one tail: a success below 1e-12 (or
-    NaN) raises :class:`PostselectionFailed`, otherwise the output is
-    normalized.
+    kept branch of the phase-estimation circuit on the dense matrix, read
+    at clock 0, and its squared norm.  Both then share one tail: a success
+    below 1e-12 (or NaN) raises :class:`PostselectionFailed`, otherwise
+    the output is normalized.
     """
     op = as_operator(matrix)
     d = state.amps.size
@@ -198,81 +191,54 @@ def decode_eigenvalue(clock_value, t: int, t0: float):
     return 2.0 * np.pi * k / (size * t0)
 
 
-@lru_cache(maxsize=None)
-def _sylvester(m: int) -> np.ndarray:
-    """H^{(x) m} as a real 2^m x 2^m matrix (m <= 6)."""
-    w = np.ones((1, 1))
-    for _ in range(m):
-        w = np.kron(w, [[1.0, 1.0], [1.0, -1.0]])
-    w /= np.sqrt(2.0) ** m
-    w.flags.writeable = False
-    return w
-
-
-def _hadamard_clock(view: np.ndarray) -> None:
-    """H on every clock qubit of the (2, 2^t, d) amplitude view, in place.
-
-    H^{(x) t} = H^{(x) a} (x) H^{(x) t-a} with a = t // 2 acts on the high
-    and the low clock bits in turn, as two real matmuls on the float view
-    of the amplitudes (H is real); each factor is at most 64 x 64.
-    """
-    size = view.shape[1]
-    t = size.bit_length() - 1
-    a = t // 2
-    f = view.view(np.float64)
-    high = np.matmul(_sylvester(a), f.reshape(2, 1 << a, -1))
-    f[...] = np.matmul(_sylvester(t - a), high.reshape(2 << a, size >> a, -1)).reshape(f.shape)
-
-
 def _run_circuit(a: np.ndarray, psi: np.ndarray, config: MEoBConfig) -> np.ndarray:
-    """Full register-level simulation of the evolution pipeline.
+    """The evolution pipeline, evolving only the branch it keeps.
 
-    Register layout, low bits first: evolved register (s qubits: the n
-    input qubits, plus the embedding bit s - 1 when A is not Hermitian),
-    clock (t qubits, clock qubit j = bit j of the readout), rotation
-    ancilla; the amplitudes read as a (2, 2^t, 2^s) array.  Returns the
-    postselected block, unnormalized: ancilla 1, clock back at 0 after
-    uncomputation, and the embedding bit 1, i.e. ``view[1, 0, 2^s - 2^n:]``.
-    Its squared norm is the joint success probability; with exactly
+    The register is rotation ancilla, clock (t qubits, clock qubit j = bit
+    j of the readout) and evolved register (s qubits: the n input qubits,
+    plus the embedding bit s - 1 when A is not Hermitian).  Only its
+    ancilla-1 half is read, and that half is zero until the RY, so the
+    state is one (2^t, 2^s) block, clock by eigen-index of H.  The clock
+    starts at |0> and is read at <0|, so its Hadamard layers are a
+    broadcast and a sum.  Returns the postselected amplitudes,
+    unnormalized: ancilla 1, clock 0 after uncomputation, embedding bit 1.
+    Their squared norm is the joint success probability; with exactly
     representable eigenphases the clock projection is lossless.
     """
-    emb = hermitian_embed(a)
+    h = hermitian_embed(a)
     # Hermitian to 1e-10, or exactly for a block embedding
-    lam, vecs = np.linalg.eigh(emb.embedded)
+    lam, vecs = np.linalg.eigh(h)
     defect = np.abs(vecs.conj().T @ vecs - np.eye(lam.size)).max()
     if defect > 1e-9:
         raise NotUnitary(f"eigenbasis deviates from unitarity by {defect:.3g}")
     t0, c = _evolution_constants(float(np.abs(lam).max()), config)
-    t = config.t
-    s = int(lam.size).bit_length() - 1
-    amps = np.zeros(1 << (s + t + 1), dtype=np.complex128)
-    amps[: psi.size] = psi  # |psi> on the low qubits, every other qubit |0>
-    state = StateVector(s + t + 1, amps)
-    view = state.amps.reshape(2, 1 << t, lam.size)
+    size = 1 << config.t
+    # 16 * 2^(t + s) bytes per block pass the dense budget only at s >= 13
+    # when t <= 12, and hermitian_embed refuses those matrices first
 
     # exp(i H t0 x) on clock value x, in the eigenbasis of H
-    phases = np.exp(1j * t0 * np.multiply.outer(np.arange(1 << t), lam))
-    lam_grid = decode_eigenvalue(np.arange(1 << t), t, t0)
+    phases = np.exp(1j * t0 * np.multiply.outer(np.arange(size), lam))
+    lam_grid = decode_eigenvalue(np.arange(size), config.t, t0)
     # far grid points can exceed the C window by design headroom; they
     # carry (near-)zero amplitude, so saturating the rotation is safe
     angles = 2.0 * np.arcsin(np.clip(c * lam_grid, -1.0, 1.0))
 
-    _hadamard_clock(view)
-    view[...] = view @ vecs.conj()
-    view *= phases
-    view[...] = np.fft.fft(view, axis=1, norm="ortho")
-    state.apply_multiplexed_ry(angles, s + t, range(s, s + t))
-    view[...] = np.fft.ifft(view, axis=1, norm="ortho")
-    view *= phases.conj()
-    view[...] = view @ vecs.T
-    _hadamard_clock(view)
-    return view[1, 0, lam.size - psi.size:]
+    # Hadamard layer on |0>: every clock row is vecs^dagger [psi; 0] / sqrt(2^t)
+    block = np.broadcast_to(psi @ vecs[: psi.size].conj() / math.sqrt(size), phases.shape)
+    block = block * phases  # controlled powers
+    block = np.fft.fft(block, axis=0, norm="ortho")  # inverse QFT
+    # RY from ancilla |0>: its (1, 0) entry is the ancilla-1 amplitude
+    block *= np.sin(angles / 2.0)[:, None]
+    block = np.fft.ifft(block, axis=0, norm="ortho")
+    block *= phases.conj()
+    # Hadamard layer, then clock 0
+    kept = block.sum(axis=0) / math.sqrt(size)
+    return (vecs @ kept)[lam.size - psi.size:]
 
 
 __all__ = [
     "BACKENDS",
     "MEoBConfig",
-    "HermitianEmbedding",
     "hermitian_embed",
     "meob",
     "meob_apply",

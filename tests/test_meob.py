@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import make_frame, random_bbas
+from conftest import _count_state_methods, make_frame, random_bbas
 from oracles import fejer_meob_oracle, phase_estimation_replay
 from qbelief.dst import transform_matrix, validate_bba
 from qbelief.errors import (
@@ -38,22 +40,21 @@ class TestHermitianEmbedding:
     def test_hermitian_passthrough(self):
         h = np.array([[1.0, 2.0], [2.0, -1.0]])
         emb = hermitian_embed(h)
-        assert not emb.was_embedded
-        np.testing.assert_array_equal(emb.embedded, h)
+        assert emb.shape == h.shape  # not embedded
+        np.testing.assert_array_equal(emb, h)
 
     def test_block_form(self):
         mq = np.array([[1.0, 1.0], [0.0, 1.0]])
         emb = hermitian_embed(mq)
-        assert emb.was_embedded
-        assert emb.embedded.shape == (4, 4)
-        np.testing.assert_array_equal(emb.embedded[2:, :2], mq)
-        np.testing.assert_array_equal(emb.embedded[:2, 2:], mq.T)
-        assert np.abs(emb.embedded - emb.embedded.conj().T).max() == 0.0
+        assert emb.shape == (4, 4)  # embedded: twice the input's size
+        np.testing.assert_array_equal(emb[2:, :2], mq)
+        np.testing.assert_array_equal(emb[:2, 2:], mq.T)
+        assert np.abs(emb - emb.conj().T).max() == 0.0
 
     def test_nilpotent_spectrum_is_singular_values(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
         emb = hermitian_embed(m)
-        eigs = np.sort(np.linalg.eigvalsh(emb.embedded))
+        eigs = np.sort(np.linalg.eigvalsh(emb))
         np.testing.assert_allclose(eigs, [-1.0, 0.0, 0.0, 1.0], atol=1e-12)
 
     def test_bad_dimensions(self):
@@ -266,6 +267,23 @@ class TestCircuitBackend:
         assert np.mean(fids[10]) >= np.mean(fids[6])
         assert np.mean(fids[10]) > 1.0 - 1e-4
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_peak_memory_under_twice_the_register(self, n):
+        # the widest clock on an embedded matrix (s = n + 1): the pipeline
+        # holds the kept branch, not the 2^(s+t+1)-amplitude register
+        (m,) = random_bbas(1, n, seed=4300 + n)
+        psi = np.sqrt(m.masses)
+        a = transform_matrix("q", n)
+        t = 12
+        register = 16 << (n + 1 + t + 1)
+        tracemalloc.start()
+        try:
+            meob_apply(a, StateVector(n, psi), MEoBConfig(backend="circuit", t=t))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * register
+
 
 class TestOracleCircuitAgreement:
     @pytest.mark.parametrize("n", [1, 2])
@@ -307,7 +325,7 @@ def default_constants(a: np.ndarray) -> tuple[float, float]:
 class TestCircuitClosedForm:
     """The circuit backend against the Fejer-kernel closed form of its circuit."""
 
-    @pytest.mark.parametrize("t", [4, 8])
+    @pytest.mark.parametrize("t", [4, 8, 12])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("kind", ["q", "q_inv", "b", "b_inv", "fractal", "bet", "diag"])
     def test_output_and_success_to_1e12(self, kind, n, t):
@@ -356,3 +374,9 @@ class TestFusedEqualsGateReplay:
         # the counter sees a gate when one is applied
         StateVector(1).apply_dense_unitary(np.eye(2), [0])
         assert gate_calls == {"_apply_matrix": 1, "apply_dense_unitary": 1}
+
+    def test_circuit_combination_applies_no_multiplexed_ry(self, monkeypatch):
+        ry_calls = _count_state_methods(monkeypatch, ("apply_multiplexed_ry",))
+        m1, m2 = random_bbas(2, 3, seed=4207)
+        ccr_qc(m1, m2, MEoBConfig(backend="circuit"))
+        assert ry_calls == {"apply_multiplexed_ry": 0}

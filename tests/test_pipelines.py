@@ -66,7 +66,7 @@ class TestEvolveMass:
         from qbelief.quantum import hermitian_embed
 
         emb = hermitian_embed(matrix)
-        evals = np.linalg.eigvalsh(emb.embedded)
+        evals = np.linalg.eigvalsh(emb)
         c2 = 0.99 / np.abs(evals).max()
         stage2 = c2**2 * float(np.linalg.norm(matrix @ normalized(m.masses)) ** 2)
         assert p == pytest.approx(stage1 * stage2, rel=1e-10)
