@@ -53,12 +53,11 @@ class StateVector:
             amps = np.zeros(1 << k, dtype=np.complex128)
             amps[0] = 1.0
         else:
-            amps = np.asarray(amps, dtype=np.complex128)
+            amps = np.array(amps, dtype=np.complex128)  # one copy, whatever the input dtype
             if amps.shape != (1 << k,):
                 raise QubitCountMismatch(
                     f"amplitude vector of shape {amps.shape} does not fit {k} qubits"
                 )
-            amps = amps.copy()
         self.amps = amps
 
     # --- constructors ---
@@ -150,6 +149,8 @@ class StateVector:
 
         One pass over the amplitudes does the work of the 2^len(controls)
         controlled RYs it replaces, with the same arithmetic per amplitude.
+        The program does not call it: it is the gate-level reference that
+        ``prepare_bba_state`` is tested against, byte for byte.
         """
         controls = tuple(controls)
         angles = np.asarray(angles, dtype=np.float64)

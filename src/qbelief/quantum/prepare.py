@@ -6,10 +6,19 @@ one Y-rotation per node: level l (0-based from the root) splits on
 qubit n-1-l, the |0> branch is the "left" child, and leaf order
 therefore equals focal-index order.  ``PreparationTree.levels`` is the
 one statement of that layout: each level is one uniformly controlled RY
-with an angle per control pattern.  The simulator applies it as one
-multiplexed RY, QASM export writes it as one Gray-code multiplexor, and
-circuit JSON spells it out as 2^l native controlled rotations, 2^n - 1
-in all.
+with an angle per control pattern.  QASM export writes it as one
+Gray-code multiplexor, and circuit JSON spells it out as 2^l native
+controlled rotations, 2^n - 1 in all.
+
+``prepare_bba_state`` runs no gate.  Before level l only the 2^l
+amplitudes on the prepared prefix (every lower qubit at |0>) can be
+non-zero, so it doubles them level by level: node p's amplitude a becomes
+cos(angle/2) a and sin(angle/2) a on paths 2p and 2p + 1, 2^(n+1) - 2
+products in all.  Every factor is non-negative and the target qubit's
+amplitudes are +0 before its level, so each complex product of the
+multiplexed RY reduces to this real product and its additions of +-0
+leave it unchanged: the state is byte-identical to |0...0> with each
+level applied by ``StateVector.apply_multiplexed_ry``.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ import numpy as np
 from ..dst.mass import MassFunction
 from ..qsim.circuit import Circuit, CircuitOp
 from ..qsim.gates import RY
-from ..qsim.state import StateVector, new_state
+from ..qsim.state import StateVector
 
 
 @dataclass(frozen=True)
@@ -91,21 +100,27 @@ def synthesize_preparation_circuit(tree: PreparationTree) -> Circuit:
 
 
 def prepare_bba_state(m: MassFunction) -> StateVector:
-    """Apply the tree level by level; amplitudes come out as +sqrt(mass)."""
+    """Double the amplitudes level by level, root first, in O(2^n); they
+    come out as +sqrt(mass), in the bytes of the tree's circuit."""
     tree = build_preparation_tree(m)
-    state = new_state(tree.n, 0)
-    for target, controls, angles in tree.levels():
-        state.apply_multiplexed_ry(angles, target, controls)
-    return state
+    amps = np.ones(1)
+    for angles in tree.angles:
+        half = angles / 2.0
+        doubled = np.empty((amps.size, 2))  # row p holds paths 2p and 2p + 1
+        np.multiply(np.cos(half), amps, out=doubled[:, 0])
+        np.multiply(np.sin(half), amps, out=doubled[:, 1])
+        amps = doubled.reshape(-1)
+    return StateVector(tree.n, amps)
 
 
 def encode_state(m: MassFunction) -> StateVector:
     """Direct amplitude write-down of sqrt(m), bypassing the circuit.
 
-    Used by oracle backends; the circuit route must agree with this
-    exactly and tests enforce it.
+    Used by oracle backends.  ``prepare_bba_state`` agrees with it to
+    rounding, not bit for bit: the tests hold the prepared amplitudes to
+    sqrt(m) within 1e-10.
     """
-    return StateVector(m.frame.n, np.sqrt(m.masses).astype(np.complex128))
+    return StateVector(m.frame.n, np.sqrt(m.masses))
 
 
 __all__ = [

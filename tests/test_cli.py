@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -738,3 +739,15 @@ def test_oracle_chains_run_at_the_frame_cap(tmp_path, argv):
     values = np.array(payload["values" if argv[0] == "transform" else "masses"])
     assert values.shape == (1 << 20,) and np.isfinite(values).all()
     assert len(payload["subsets"]) == 1 << 20
+
+
+def test_prepare_shots_pinned_at_the_frame_cap(capsys, tmp_path):
+    # n = 20 with 64 focal sets, a size no benchmark workload prepares: the
+    # digest pins the samples of the 2^20-amplitude state, byte for byte
+    m = random_mass_function(make_frame(20), np.random.default_rng(20), max_focal=64)
+    assert m.focal.size == 64
+    code, out, err = run(capsys, ["prepare", "--shots", "4096", "--seed", "3",
+                                  write_doc(tmp_path, m, "n20.json")])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a558e483c2e9a4c9f707f0c7a30e4b9d68d7f70e3ceb8576c94c675c3bc1e200")

@@ -1,12 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
-from conftest import make_frame, random_bbas, random_mass_function
+from conftest import _count_methods, make_frame, random_bbas, random_mass_function
+from qbelief.cli import main
+from qbelief.documents import dump_bba_document
 from qbelief.dst import validate_bba
-from qbelief.qsim import new_state
+from qbelief.qsim import StateVector, new_state
 from qbelief.quantum import (
     build_preparation_tree,
     prepare_bba_state,
+    ptm_qc,
     synthesize_preparation_circuit,
 )
 
@@ -127,3 +132,54 @@ class TestSimulatedEqualsExported:
             circ = synthesize_preparation_circuit(build_preparation_tree(m))
             expect = circ.run(new_state(n)).amps.tobytes()
             assert prepare_bba_state(m).amps.tobytes() == expect
+
+
+def multiplexed_ry_reference(m):
+    """|0...0> with each tree level applied as one uniformly controlled RY."""
+    tree = build_preparation_tree(m)
+    state = new_state(tree.n)
+    for target, controls, angles in tree.levels():
+        state.apply_multiplexed_ry(angles, target, controls)
+    return state
+
+
+def doubling_cases(n):
+    """Random, vacuous, single-focal, empty-set-mass and left-empty inputs."""
+    frame = make_frame(n)
+    rng = np.random.default_rng(1300 + n)
+    top = 1 << (n - 1)
+    # every focal set holds the top element, so the root's left subtree is
+    # empty and its angle is pi, whose cos(pi / 2) = 6.1e-17 is not 0
+    left_empty = rng.choice(np.arange(top, 1 << n), size=min(top, 5), replace=False)
+    weights = rng.exponential(size=left_empty.size)
+    return {
+        "random": random_mass_function(frame, rng, allow_empty=True),
+        "sparse": random_mass_function(frame, rng, max_focal=3),
+        "vacuous": validate_bba(frame, {tuple(frame.elements): 1.0}),
+        "single": validate_bba(frame, {int(rng.integers(1, 1 << n)): 1.0}),
+        "empty-set": validate_bba(frame, {0: 0.25, tuple(frame.elements): 0.75}),
+        "left-empty": validate_bba(
+            frame, dict(zip(left_empty.tolist(), (weights / weights.sum()).tolist()))),
+    }
+
+
+class TestDoubling:
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_bytes_equal_the_multiplexed_ry_levels(self, n):
+        cases = doubling_cases(n)
+        assert build_preparation_tree(cases["left-empty"]).angles[0][0] == np.pi
+        for name, m in cases.items():
+            got = prepare_bba_state(m).amps.tobytes()
+            assert got == multiplexed_ry_reference(m).amps.tobytes(), name
+
+    def test_no_gate_is_applied(self, monkeypatch, capsys, tmp_path):
+        calls = _count_methods(monkeypatch, StateVector, ("apply_multiplexed_ry", "apply"))
+        (m,) = random_bbas(1, 6, seed=61, allow_empty=True)
+        prepare_bba_state(m)
+        ptm_qc(m)
+        ptm_qc(m, 256, 3)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(dump_bba_document(m)))
+        main(["prepare", "--shots", "256", "--seed", "3", str(path)])
+        assert json.loads(capsys.readouterr().out)["operation"] == "prepare.sample"
+        assert calls == {"apply_multiplexed_ry": 0, "apply": 0}

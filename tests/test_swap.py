@@ -115,7 +115,8 @@ class TestRegisterRead:
                                   "product_state": 1}
 
     def test_exact_read_peak_memory_at_k9(self):
-        # the register read peaks at about 2.5 times the 8 MB register
+        # the register read peaks at about 2.5 times the 8 MB register; the
+        # half read holds two 8 * 4^k-byte blocks and squares in place
         k = 9
         s1, s2 = (prepare_bba_state(m) for m in random_bbas(2, k, seed=4))
         peaks = []
@@ -129,3 +130,4 @@ class TestRegisterRead:
         new, register_read = peaks
         assert new < register_read / 2
         assert new < 16 << (2 * k + 1)
+        assert new < 2.5 * (8 << (2 * k))
