@@ -120,7 +120,7 @@ def encode_state(m: MassFunction) -> StateVector:
     rounding, not bit for bit: the tests hold the prepared amplitudes to
     sqrt(m) within 1e-10.
     """
-    return StateVector(m.frame.n, np.sqrt(m.masses))
+    return StateVector(m.frame.n, np.sqrt(m.masses).astype(np.complex128))
 
 
 __all__ = [

@@ -61,17 +61,15 @@ def swap_test(
     real = not (s1.amps.imag.any() or s2.amps.imag.any())
     v1, v2, u = (x.real if real else x for x in (s1.amps, s2.amps, H().matrix()))
     kept = np.outer(v2, v1)
-    # the swapped block is P^T: a real product commutes, so that is the outer
-    # product taken the other way round, bit for bit; a complex product may
-    # round differently under FMA, so there it is a copy of the transpose
-    swapped = np.outer(v1, v2) if real else kept.T.copy()
+    swapped = kept.T.copy()
     kept *= u[0, 0]  # in place, in the gates' order: h00 (h00 P) + h01 (h10 P^T)
     kept *= u[0, 0]
     swapped *= u[1, 0]
     swapped *= u[0, 1]
     kept += swapped
     del swapped  # the two blocks are all that is alive at once
-    low = np.square(kept, out=kept) if real else np.abs(kept) ** 2
+    low = np.abs(kept)
+    low **= 2
     return 2.0 * read_top_qubit(low.reshape(-1), None, 0, shots, seed) - 1.0
 
 

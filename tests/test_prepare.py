@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from conftest import _count_methods, make_frame, random_bbas, random_mass_function
+from conftest import _count_state_methods, make_frame, random_bbas, random_mass_function
 from qbelief.cli import main
 from qbelief.documents import dump_bba_document
 from qbelief.dst import validate_bba
-from qbelief.qsim import StateVector, new_state
+from qbelief.qsim import new_state
 from qbelief.quantum import (
     build_preparation_tree,
     prepare_bba_state,
@@ -115,25 +115,6 @@ class TestPreparedAmplitudes:
         np.testing.assert_allclose(state.amps.real, np.sqrt(m.masses), atol=1e-12)
 
 
-class TestSimulatedEqualsExported:
-    @pytest.mark.parametrize("n", range(1, 12))
-    def test_prepared_state_is_the_synthesized_circuit_bytewise(self, n):
-        # the level-wise multiplexed path and the 2^n - 1 exported RYs are
-        # one construction, down to the last bit of every amplitude
-        frame = make_frame(n)
-        rng = np.random.default_rng(1200 + n)
-        masses = [
-            random_mass_function(frame, rng, allow_empty=True),
-            random_mass_function(frame, rng, max_focal=3),  # mostly empty subtrees
-            validate_bba(frame, {int(rng.integers(0, 1 << n)): 1.0}),
-            validate_bba(frame, {tuple(frame.elements): 1.0}),
-        ]
-        for m in masses:
-            circ = synthesize_preparation_circuit(build_preparation_tree(m))
-            expect = circ.run(new_state(n)).amps.tobytes()
-            assert prepare_bba_state(m).amps.tobytes() == expect
-
-
 def multiplexed_ry_reference(m):
     """|0...0> with each tree level applied as one uniformly controlled RY."""
     tree = build_preparation_tree(m)
@@ -143,37 +124,39 @@ def multiplexed_ry_reference(m):
     return state
 
 
-def doubling_cases(n):
-    """Random, vacuous, single-focal, empty-set-mass and left-empty inputs."""
-    frame = make_frame(n)
-    rng = np.random.default_rng(1300 + n)
-    top = 1 << (n - 1)
-    # every focal set holds the top element, so the root's left subtree is
-    # empty and its angle is pi, whose cos(pi / 2) = 6.1e-17 is not 0
-    left_empty = rng.choice(np.arange(top, 1 << n), size=min(top, 5), replace=False)
-    weights = rng.exponential(size=left_empty.size)
-    return {
-        "random": random_mass_function(frame, rng, allow_empty=True),
-        "sparse": random_mass_function(frame, rng, max_focal=3),
-        "vacuous": validate_bba(frame, {tuple(frame.elements): 1.0}),
-        "single": validate_bba(frame, {int(rng.integers(1, 1 << n)): 1.0}),
-        "empty-set": validate_bba(frame, {0: 0.25, tuple(frame.elements): 0.75}),
-        "left-empty": validate_bba(
-            frame, dict(zip(left_empty.tolist(), (weights / weights.sum()).tolist()))),
-    }
+class TestSimulatedEqualsExported:
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_prepared_state_is_the_synthesized_circuit_bytewise(self, n):
+        # the doubled amplitudes, the tree's levels as multiplexed RYs and the
+        # 2^n - 1 exported RYs are one construction, down to the last bit of
+        # every amplitude
+        frame = make_frame(n)
+        rng = np.random.default_rng(1200 + n)
+        masses = [
+            random_mass_function(frame, rng, allow_empty=True),
+            random_mass_function(frame, rng, max_focal=3),  # mostly empty subtrees
+            validate_bba(frame, {int(rng.integers(0, 1 << n)): 1.0}),
+            validate_bba(frame, {tuple(frame.elements): 1.0}),
+            validate_bba(frame, {0: 0.25, tuple(frame.elements): 0.75}),
+        ]
+        # every focal set holds the top element, so the root's left subtree is
+        # empty and its angle is pi, whose cos(pi / 2) = 6.1e-17 is not 0
+        top = 1 << (n - 1)
+        left_empty = rng.choice(np.arange(top, 1 << n), size=min(top, 5), replace=False)
+        weights = rng.exponential(size=left_empty.size)
+        masses.append(validate_bba(
+            frame, dict(zip(left_empty.tolist(), (weights / weights.sum()).tolist()))))
+        assert build_preparation_tree(masses[-1]).angles[0][0] == np.pi
+        for m in masses:
+            got = prepare_bba_state(m).amps.tobytes()
+            circ = synthesize_preparation_circuit(build_preparation_tree(m))
+            assert got == circ.run(new_state(n)).amps.tobytes()
+            assert got == multiplexed_ry_reference(m).amps.tobytes()
 
 
 class TestDoubling:
-    @pytest.mark.parametrize("n", range(1, 14))
-    def test_bytes_equal_the_multiplexed_ry_levels(self, n):
-        cases = doubling_cases(n)
-        assert build_preparation_tree(cases["left-empty"]).angles[0][0] == np.pi
-        for name, m in cases.items():
-            got = prepare_bba_state(m).amps.tobytes()
-            assert got == multiplexed_ry_reference(m).amps.tobytes(), name
-
     def test_no_gate_is_applied(self, monkeypatch, capsys, tmp_path):
-        calls = _count_methods(monkeypatch, StateVector, ("apply_multiplexed_ry", "apply"))
+        calls = _count_state_methods(monkeypatch, ("apply_multiplexed_ry", "apply"))
         (m,) = random_bbas(1, 6, seed=61, allow_empty=True)
         prepare_bba_state(m)
         ptm_qc(m)
