@@ -328,7 +328,7 @@ def demo(args: argparse.Namespace) -> None:
     print("prepared amplitudes (statevector mode):")
     print(f"  {'subset':<8} {'amplitude':>12} {'amp^2':>12} {'mass':>12} {'delta':>10}")
     for i in range(m.frame.size):
-        amp = state.amps[i].real
+        amp = state.amps[i]
         print(
             f"  {m.frame.format_subset(i):<8} {amp:>12.9f} {amp * amp:>12.9f}"
             f" {m.masses[i]:>12.9f} {abs(amp * amp - m.masses[i]):>10.2e}"

@@ -69,8 +69,7 @@ class TransformOperator:
         if not np.iscomplexobj(x):
             return self._apply(x)
         out = self._apply(x.real).astype(np.complex128)
-        if x.imag.any():
-            out.imag = self._apply(x.imag)
+        out.imag = self._apply(x.imag)
         return out
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
@@ -107,10 +106,11 @@ class TransformOperator:
 
 
 class MatrixOperator:
-    """An explicit square matrix behind the operator interface."""
+    """An explicit square matrix behind the operator interface, stored
+    float64 when its entries are real and complex128 when they are not."""
 
     def __init__(self, matrix):
-        a = np.asarray(matrix, dtype=np.complex128)
+        a = np.asarray(matrix, dtype=np.complex128 if np.iscomplexobj(matrix) else np.float64)
         if not np.isfinite(a).all():
             raise ValidationError("matrix entries must be finite")
         self.shape = a.shape

@@ -42,13 +42,13 @@ def RY(theta: float) -> Gate:
 
 def gate_matrix(kind: str, params: tuple[float, ...] = ()) -> np.ndarray:
     if kind == "x":
-        return np.array([[0, 1], [1, 0]], dtype=np.complex128)
+        return np.array([[0.0, 1.0], [1.0, 0.0]])
     if kind == "h":
-        return np.array([[1, 1], [1, -1]], dtype=np.complex128) / _SQRT2
+        return np.array([[1.0, 1.0], [1.0, -1.0]]) / _SQRT2
     if kind == "ry":
         (theta,) = params
         c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-        return np.array([[c, -s], [s, c]], dtype=np.complex128)
+        return np.array([[c, -s], [s, c]])
     raise ValueError(f"unknown gate kind {kind!r}")
 
 

@@ -41,7 +41,17 @@ class MeasurementRecord:
 
 
 class StateVector:
-    """Mutable amplitude vector over 2^k basis states, unit L2 norm."""
+    """Mutable amplitude vector over 2^k basis states, unit L2 norm.
+
+    The amplitudes are float64 when their values are real and complex128
+    when they are not: the constructor copies its input once into the one
+    or the other, a new state starts real, the X, H and RY gates are real,
+    and only ``apply_dense_unitary`` turns a real state complex.  Writing
+    complex values into a real state would drop their imaginary part with
+    numpy's ``ComplexWarning``, a ``RuntimeWarning``: pytest (through
+    ``pyproject.toml``) and the CI entry-point step make that warning an
+    error, so a missed promotion fails them rather than passing silently.
+    """
 
     __slots__ = ("k", "amps")
 
@@ -50,10 +60,11 @@ class StateVector:
             raise ValidationError("need at least one qubit")
         self.k = k
         if amps is None:
-            amps = np.zeros(1 << k, dtype=np.complex128)
+            amps = np.zeros(1 << k)
             amps[0] = 1.0
         else:
-            amps = np.array(amps, dtype=np.complex128)  # one copy, whatever the input dtype
+            # one copy, real values stored real
+            amps = np.array(amps, dtype=np.complex128 if np.iscomplexobj(amps) else np.float64)
             if amps.shape != (1 << k,):
                 raise QubitCountMismatch(
                     f"amplitude vector of shape {amps.shape} does not fit {k} qubits"
@@ -104,7 +115,8 @@ class StateVector:
     ) -> "StateVector":
         """Apply an explicit unitary on a listed qubit subset.
 
-        targets[j] carries bit j of the unitary's row/column index.
+        targets[j] carries bit j of the unitary's row/column index.  The
+        unitary may be complex, so the state is complex from here on.
         """
         u = np.asarray(u, dtype=np.complex128)
         s = len(targets)
@@ -113,6 +125,7 @@ class StateVector:
         err = np.abs(u @ u.conj().T - np.eye(1 << s)).max()
         if err > 1e-9:
             raise NotUnitary(f"matrix deviates from unitarity by {err:.3g}")
+        self.amps = self.amps.astype(np.complex128, copy=False)
         return self._apply_matrix(u, tuple(targets), controls)
 
     def _apply_matrix(self, u: np.ndarray, targets: tuple[int, ...], controls: ControlSpec) -> "StateVector":
@@ -174,10 +187,9 @@ class StateVector:
         )
         a0 = view[(slice(None),) * c + (slice(0, 1),)]
         a1 = view[(slice(None),) * c + (slice(1, 2),)]
-        # the complex entries of RY's matrix, cast from real as gate_matrix does
         half = angles / 2.0
         cos, sin, neg_sin = (
-            x.astype(np.complex128).reshape((2,) * c + (1,) * (self.k - c))
+            x.reshape((2,) * c + (1,) * (self.k - c))
             for x in (np.cos(half), np.sin(half), -np.sin(half))
         )
         new0 = cos * a0 + neg_sin * a1
@@ -307,14 +319,14 @@ def new_state(k: int, basis_index: int = 0) -> StateVector:
     """Computational-basis state |basis_index> on k qubits."""
     if not 0 <= basis_index < (1 << k):
         raise IndexOutOfRange(f"basis index {basis_index} out of range for k={k}")
-    amps = np.zeros(1 << k, dtype=np.complex128)
+    amps = np.zeros(1 << k)
     amps[basis_index] = 1.0
     return StateVector(k, amps)
 
 
 def product_state(parts: Iterable[StateVector]) -> StateVector:
     """Join independent registers; the first part occupies the low bits."""
-    amps = np.array([1.0], dtype=np.complex128)
+    amps = np.ones(1)
     k = 0
     for part in parts:
         amps = np.kron(part.amps, amps)

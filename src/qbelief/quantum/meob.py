@@ -34,11 +34,11 @@ Two interchangeable backends:
 Only the circuit backend embeds: it evolves a non-Hermitian matrix
 through the block embedding [[0, A^dagger], [A, 0]] with the input
 widened as [psi; 0], where the result sits in the embedding-bit-1 half.
-The oracle takes the spectral radius as A's spectral norm; the circuit
-evolves the operator's dense matrix, under the dense budget, and takes
-max|lambda| from the eigendecomposition it evolves with, which is the
-same number (an embedding's spectrum is the +/- singular values of
-A).  Both backends refuse a success probability below 1e-12.
+It evolves the operator's dense matrix, under the dense budget, in the
+matrix's own dtype: a real A gets the real symmetric ``eigh``, and
+complex arithmetic starts at the clock phases.  Both backends take t0
+and C from one spectral radius, A's spectral norm, and refuse a success
+probability below 1e-12.
 
 Eigenvalue decoding is two's-complement: clock values below 2^{t-1} are
 positive phases, the rest negative, which covers the +/- singular-value
@@ -103,7 +103,9 @@ def hermitian_embed(matrix: np.ndarray) -> np.ndarray:
     matrix A as the block embedding [[0, A^dagger], [A, 0]].
 
     Matrices already Hermitian (within 1e-10) pass through unchanged, so
-    a (2d, 2d) result for a (d, d) input means A was embedded.
+    a (2d, 2d) result for a (d, d) input means A was embedded.  The
+    result keeps the input's dtype, so a real A gives a real symmetric
+    matrix.
     """
     shape = np.shape(matrix)
     if len(shape) != 2 or shape[0] != shape[1]:
@@ -112,10 +114,10 @@ def hermitian_embed(matrix: np.ndarray) -> np.ndarray:
     if d & (d - 1) or d == 0:
         raise BadDimension(f"dimension {d} is not a power of two")
     check_dense_budget(16 * (2 * d) ** 2, f"the Hermitian embedding of a {d}x{d} matrix")
-    a = np.asarray(matrix, dtype=np.complex128)
+    a = np.asarray(matrix)
     if np.abs(a - a.conj().T).max() <= _HERMITIAN_TOL:
         return a
-    zero = np.zeros((d, d), dtype=np.complex128)
+    zero = np.zeros((d, d), dtype=a.dtype)
     return np.block([[zero, a.conj().T], [a, zero]])
 
 
@@ -154,16 +156,15 @@ def meob_apply(matrix, state: StateVector, config: MEoBConfig) -> tuple[StateVec
     if op.shape != (d, d):
         raise BadDimension(f"matrix shape {op.shape} does not match state dimension {d}")
 
+    t0, c = _evolution_constants(op.norm, config)
     if config.backend == "oracle":
-        norm = op.norm
-        _, c = _evolution_constants(norm, config)
         # the power of two that brings ||A|| into [0.5, 1): scaling by it is
         # exact, so A psi cannot under- or overflow and normalizes unchanged
-        scale = math.ldexp(1.0, -math.frexp(norm)[1])
+        scale = math.ldexp(1.0, -math.frexp(op.norm)[1])
         out = op.matvec(state.amps * scale)
         success = float(np.real(np.vdot(out, out))) * (c / scale) ** 2
     else:
-        out = _run_circuit(op.dense(), state.amps, config)
+        out = _run_circuit(op.dense(), state.amps, config.t, t0, c)
         success = float(np.real(np.vdot(out, out)))
     if not success >= _MIN_SUCCESS:
         raise PostselectionFailed(f"evolution annihilates the state (success {success:.3g})")
@@ -191,7 +192,7 @@ def decode_eigenvalue(clock_value, t: int, t0: float):
     return 2.0 * np.pi * k / (size * t0)
 
 
-def _run_circuit(a: np.ndarray, psi: np.ndarray, config: MEoBConfig) -> np.ndarray:
+def _run_circuit(a: np.ndarray, psi: np.ndarray, t: int, t0: float, c: float) -> np.ndarray:
     """The evolution pipeline, evolving only the branch it keeps.
 
     The register is rotation ancilla, clock (t qubits, clock qubit j = bit
@@ -203,7 +204,8 @@ def _run_circuit(a: np.ndarray, psi: np.ndarray, config: MEoBConfig) -> np.ndarr
     broadcast and a sum.  Returns the postselected amplitudes,
     unnormalized: ancilla 1, clock 0 after uncomputation, embedding bit 1.
     Their squared norm is the joint success probability; with exactly
-    representable eigenphases the clock projection is lossless.
+    representable eigenphases the clock projection is lossless.  ``t0``
+    and ``c`` are the evolution constants of :func:`meob_apply`.
     """
     h = hermitian_embed(a)
     # Hermitian to 1e-10, or exactly for a block embedding
@@ -211,14 +213,13 @@ def _run_circuit(a: np.ndarray, psi: np.ndarray, config: MEoBConfig) -> np.ndarr
     defect = np.abs(vecs.conj().T @ vecs - np.eye(lam.size)).max()
     if defect > 1e-9:
         raise NotUnitary(f"eigenbasis deviates from unitarity by {defect:.3g}")
-    t0, c = _evolution_constants(float(np.abs(lam).max()), config)
-    size = 1 << config.t
+    size = 1 << t
     # 16 * 2^(t + s) bytes per block pass the dense budget only at s >= 13
     # when t <= 12, and hermitian_embed refuses those matrices first
 
     # exp(i H t0 x) on clock value x, in the eigenbasis of H
     phases = np.exp(1j * t0 * np.multiply.outer(np.arange(size), lam))
-    lam_grid = decode_eigenvalue(np.arange(size), config.t, t0)
+    lam_grid = decode_eigenvalue(np.arange(size), t, t0)
     # far grid points can exceed the C window by design headroom; they
     # carry (near-)zero amplitude, so saturating the rotation is safe
     angles = 2.0 * np.arcsin(np.clip(c * lam_grid, -1.0, 1.0))

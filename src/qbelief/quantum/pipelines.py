@@ -140,11 +140,11 @@ def ptm_qc(m: MassFunction, shots: int | None = None, seed: int | None = None) -
     ``shots`` samples seeded ``seed + 2 j`` for singleton j.
     """
     n = m.frame.n
-    prepared = prepare_bba_state(m)
+    probs = prepare_bba_state(m).probabilities()
     values = np.empty(n)
     for j in range(n):
         shot_seed = None if seed is None else seed + 2 * j
-        values[j] = _estimate_prepared(prepared, BeliefQuery("pl", 1 << j), shots, shot_seed)
+        values[j] = _estimate_prepared(probs, BeliefQuery("pl", 1 << j), shots, shot_seed)
     total = values.sum()
     if total <= 1e-12:
         raise ZeroPlausibility("every singleton has zero plausibility")

@@ -15,10 +15,10 @@ amplitudes on the prepared prefix (every lower qubit at |0>) can be
 non-zero, so it doubles them level by level: node p's amplitude a becomes
 cos(angle/2) a and sin(angle/2) a on paths 2p and 2p + 1, 2^(n+1) - 2
 products in all.  Every factor is non-negative and the target qubit's
-amplitudes are +0 before its level, so each complex product of the
-multiplexed RY reduces to this real product and its additions of +-0
-leave it unchanged: the state is byte-identical to |0...0> with each
-level applied by ``StateVector.apply_multiplexed_ry``.
+amplitudes are +0 before its level, so the multiplexed RY computes the
+same real products and its additions of +-0 leave them unchanged: the
+state, real like every amplitude encoding, is byte-identical to |0...0>
+with each level applied by ``StateVector.apply_multiplexed_ry``.
 """
 
 from __future__ import annotations
@@ -116,11 +116,12 @@ def prepare_bba_state(m: MassFunction) -> StateVector:
 def encode_state(m: MassFunction) -> StateVector:
     """Direct amplitude write-down of sqrt(m), bypassing the circuit.
 
-    Used by oracle backends.  ``prepare_bba_state`` agrees with it to
+    Used by oracle backends.  The amplitudes are real, stored float64 as
+    the prepared ones are.  ``prepare_bba_state`` agrees with it to
     rounding, not bit for bit: the tests hold the prepared amplitudes to
     sqrt(m) within 1e-10.
     """
-    return StateVector(m.frame.n, np.sqrt(m.masses).astype(np.complex128))
+    return StateVector(m.frame.n, np.sqrt(m.masses))
 
 
 __all__ = [

@@ -31,7 +31,7 @@ from ..dst.mass import MassFunction
 from ..errors import EmptyFocal, IndexOutOfRange, ValidationError
 from ..qsim.circuit import Circuit
 from ..qsim.gates import X
-from ..qsim.state import StateVector, read_top_qubit
+from ..qsim.state import read_top_qubit
 from .prepare import prepare_bba_state
 
 KINDS = ("bel", "pl", "q", "b")
@@ -88,21 +88,21 @@ def estimate_belief(
     ratio.  A ``bel`` query reads the b-query and the empty-set query from
     one prepared state and subtracts.
     """
-    return _estimate_prepared(prepare_bba_state(m), query, shots, seed)
+    return _estimate_prepared(prepare_bba_state(m).probabilities(), query, shots, seed)
 
 
 def _estimate_prepared(
-    prepared: StateVector, query: BeliefQuery, shots: int | None, seed: int | None
+    probs: np.ndarray, query: BeliefQuery, shots: int | None, seed: int | None
 ) -> float:
-    """:func:`estimate_belief` on an already-prepared register, which it
-    leaves unchanged."""
+    """:func:`estimate_belief` on the basis probabilities of an
+    already-prepared register."""
     if query.kind == "bel":
-        b_val = _estimate_prepared(prepared, BeliefQuery("b", query.focal), shots, seed)
+        b_val = _estimate_prepared(probs, BeliefQuery("b", query.focal), shots, seed)
         seed2 = None if seed is None else seed + 1
-        empty = _estimate_prepared(prepared, BeliefQuery("b", 0), shots, seed2)
+        empty = _estimate_prepared(probs, BeliefQuery("b", 0), shots, seed2)
         return b_val - empty
 
-    n = prepared.k
+    n = probs.size.bit_length() - 1
     _check_focal(query, n)
     sets, focal = np.arange(1 << n), query.focal
     if query.kind == "b":
@@ -111,7 +111,6 @@ def _estimate_prepared(
         selected = (sets & focal) == focal  # the supersets of F
     else:
         selected = (sets & focal) != 0  # the sets that meet F
-    probs = np.abs(prepared.amps) ** 2
     low = np.where(selected, 0.0, probs)
     high = np.where(selected, probs, 0.0)
     return read_top_qubit(low, high, 1, shots, seed)

@@ -53,14 +53,13 @@ def swap_test(
     """Squared-overlap estimate 2 Pr(ancilla=0) - 1 of two equal-size states.
 
     Pr(ancilla=0) is exact, or, when ``shots`` is given, the fraction of
-    ``shots`` samples drawn from ``seed`` that read 0.  The arithmetic is
-    real when neither state has an imaginary part (every RY-prepared state
-    is real) and complex otherwise; both give the register's bytes.
+    ``shots`` samples drawn from ``seed`` that read 0.  The arithmetic
+    follows the states' dtype, as the register's does: real when both
+    states are real (every prepared state is), complex otherwise.
     """
     _check_pair(s1, s2)
-    real = not (s1.amps.imag.any() or s2.amps.imag.any())
-    v1, v2, u = (x.real if real else x for x in (s1.amps, s2.amps, H().matrix()))
-    kept = np.outer(v2, v1)
+    u = H().matrix()
+    kept = np.outer(s2.amps, s1.amps)
     swapped = kept.T.copy()
     kept *= u[0, 0]  # in place, in the gates' order: h00 (h00 P) + h01 (h10 P^T)
     kept *= u[0, 0]

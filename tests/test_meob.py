@@ -57,6 +57,10 @@ class TestHermitianEmbedding:
         eigs = np.sort(np.linalg.eigvalsh(emb))
         np.testing.assert_allclose(eigs, [-1.0, 0.0, 0.0, 1.0], atol=1e-12)
 
+    def test_dtype_is_kept(self):
+        assert hermitian_embed(transform_matrix("q", 3)).dtype == np.float64
+        assert hermitian_embed(1j * transform_matrix("q", 3)).dtype == np.complex128
+
     def test_bad_dimensions(self):
         with pytest.raises(BadDimension):
             hermitian_embed(np.ones((3, 3)))
@@ -111,6 +115,16 @@ class TestOracleBackend:
         betas = evecs.T @ psi
         expect = float(np.sum(betas**2 * c**2 * evals**2))
         assert p == pytest.approx(expect, abs=1e-12)
+
+    def test_state_dtype_is_kept(self, showcase):
+        # a real state stays real; a complex one keeps its imaginary part
+        a = transform_matrix("q", 3)
+        real, p = meob(a, showcase, ORACLE)
+        assert real.amps.dtype == np.float64
+        phased, p_phased = meob_apply(a, StateVector(3, 1j * np.sqrt(showcase.masses)), ORACLE)
+        assert phased.amps.dtype == np.complex128
+        np.testing.assert_allclose(phased.amps, 1j * real.amps, atol=1e-15)
+        assert p_phased == pytest.approx(p, abs=1e-15)
 
     def test_zero_matrix_is_singular(self, frame2):
         m = validate_bba(frame2, {("A",): 1.0})

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,19 @@ ORACLE = MEoBConfig(backend="oracle")
 def normalized(v):
     v = np.asarray(v, dtype=float)
     return v / np.linalg.norm(v)
+
+
+def peak_vectors(run, n):
+    """The tracemalloc peak of a second ``run()`` (the first fills the
+    caches), in float64 vectors of 2^n entries."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 << n)
 
 
 class TestEvolveMass:
@@ -108,6 +123,11 @@ class TestBeliefFunctionStates:
         with pytest.raises(ValidationError):
             belief_functions_qc(showcase, "fractal", ORACLE)
 
+    def test_oracle_peak_memory_at_n16(self):
+        # real states keep each stage's vectors at 8 bytes an amplitude
+        (m,) = random_bbas(1, 16, seed=16)
+        assert peak_vectors(lambda: belief_functions_qc(m, "q", ORACLE), 16) < 6.5
+
 
 class TestConjunctivePipeline:
     def test_worked_pair(self, frame2):
@@ -143,6 +163,10 @@ class TestConjunctivePipeline:
             out = ccr_qc(m1, m2, ORACLE)
             expect = combine_conjunctive(m1, m2)
             np.testing.assert_allclose(out.masses, expect.masses, atol=1e-8)
+
+    def test_oracle_peak_memory_at_n16(self):
+        m1, m2 = random_bbas(2, 16, seed=16)
+        assert peak_vectors(lambda: ccr_qc(m1, m2, ORACLE), 16) < 7.5
 
     def test_circuit_backend_close_at_wide_clock(self):
         # representative spectra case from the chained q-route

@@ -10,6 +10,7 @@ from qbelief.dst import validate_bba
 from qbelief.qsim import new_state
 from qbelief.quantum import (
     build_preparation_tree,
+    encode_state,
     prepare_bba_state,
     ptm_qc,
     synthesize_preparation_circuit,
@@ -84,6 +85,10 @@ class TestPreparedAmplitudes:
         np.testing.assert_allclose(
             state.amps.real, np.sqrt(showcase.masses), atol=1e-10
         )
+
+    def test_real_masses_give_real_amplitudes(self, showcase):
+        assert prepare_bba_state(showcase).amps.dtype == np.float64
+        assert encode_state(showcase).amps.dtype == np.float64
 
     def test_vacuous_two_elements(self, frame2):
         m = validate_bba(frame2, {("A", "B"): 1.0})

@@ -162,7 +162,7 @@ class TestRegisterRead:
                 for focal in sorted(focals | ({0} if kind == "b" else set())):
                     query = BeliefQuery(kind, focal)
                     seed = None if shots is None else int(rng.integers(0, 1 << 31))
-                    got = _estimate_prepared(prepared, query, shots, seed)
+                    got = _estimate_prepared(prepared.probabilities(), query, shots, seed)
                     want = estimate_prepared_oracle(prepared, query, shots, seed)
                     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
@@ -173,7 +173,7 @@ class TestRegisterRead:
         prepared = prepare_bba_state(m)
         for kind in ("b", "q", "pl", "bel"):
             query = BeliefQuery(kind, (1 << n) - 1 if kind == "b" else 1)
-            got = _estimate_prepared(prepared, query, (1 << 20) + 5, 11)
+            got = _estimate_prepared(prepared.probabilities(), query, (1 << 20) + 5, 11)
             want = estimate_prepared_oracle(prepared, query, (1 << 20) + 5, 11)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
 

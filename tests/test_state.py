@@ -63,6 +63,14 @@ class TestNewState:
         with pytest.raises(IndexOutOfRange):
             new_state(2, 5)
 
+    def test_real_amplitudes_are_stored_real(self, rng):
+        real = [StateVector(2), new_state(2, 3), StateVector(1, [0, 1]),
+                product_state([new_state(1, 1), StateVector(1, [0.6, 0.8])])]
+        assert [s.amps.dtype for s in real] == [np.float64] * 4
+        s = random_state(2, rng)
+        assert s.amps.dtype == np.complex128
+        assert product_state([s, new_state(1, 0)]).amps.dtype == np.complex128
+
 
 class TestSingleQubitGates:
     def test_x_flips(self):
@@ -116,6 +124,16 @@ class TestDenseUnitaries:
         u = np.diag(np.exp(1j * np.array([0.0, np.pi])))
         s.apply_dense_unitary(u, [0])
         np.testing.assert_allclose(s.amps, [1 / np.sqrt(2), -1 / np.sqrt(2)], atol=1e-12)
+
+    def test_complex_unitary_promotes_a_real_state(self, rng):
+        amps = rng.normal(size=8)
+        real = StateVector(3, amps / np.linalg.norm(amps))
+        typed = StateVector(3, real.amps.astype(np.complex128))
+        u = np.diag(np.exp(1j * np.array([0.3, -1.1, 2.0, 0.7])))
+        for s in (real, typed):
+            s.apply_dense_unitary(u, [2, 0]).apply(H(), 1)
+        assert real.amps.dtype == np.complex128
+        assert real.amps.tobytes() == typed.amps.tobytes()
 
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitary):

@@ -30,6 +30,14 @@ class TestSwapTest:
         # Pr(0) = 3/4, squared overlap 1/2
         assert est == pytest.approx(0.5, abs=1e-12)
 
+    def test_dtype_follows_the_states(self):
+        real = prepare_bba_state(random_bbas(1, 2, seed=5)[0])
+        assert swap_test_state(real, real).amps.dtype == np.float64
+        phased = StateVector(2, 1j * real.amps)
+        assert swap_test_state(phased, real).amps.dtype == np.complex128
+        # a global phase leaves the overlap whole: the imaginary part is kept
+        assert swap_test(phased, real) == pytest.approx(1.0, abs=1e-12)
+
     def test_fifty_random_pairs_match_identity(self, rng):
         for _ in range(50):
             k = int(rng.integers(1, 4))
