@@ -4,7 +4,6 @@ from .meob import (
     BACKENDS,
     MEoBConfig,
     decode_eigenvalue,
-    hermitian_embed,
     meob,
     meob_apply,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "belief_query_circuit",
     "estimate_belief",
     "MEoBConfig",
-    "hermitian_embed",
     "meob",
     "meob_apply",
     "decode_eigenvalue",

@@ -19,30 +19,31 @@ Two interchangeable backends:
 - ``circuit``: the phase-estimation circuit simulated stage by stage
   (Cleve, Ekert, Macchiavello and Mosca, quant-ph/9708016), on the one
   branch of the (ancilla, clock, system) register that is kept: ancilla
-  1.  That branch is a (2^t, 2^s) block, clock by eigen-index of H, from
-  one ``eigh``.  The Hadamard layer on the |0> clock fills every clock
-  row with the input's eigencomponents / sqrt(2^t).  The t controlled
-  powers of exp(i H t0) together apply the phase exp(i t0 x lambda_j)
-  wherever the clock reads x.  The inverse Fourier transform is an
-  orthonormal FFT along the clock axis.  The ancilla RY from |0> scales
-  clock row x by sin(theta_x / 2), the amplitude it sends to ancilla 1.
-  The same stages in reverse, with conjugate phases, uncompute the
-  clock, and reading the clock at 0 after the last Hadamard layer sums
-  its rows / sqrt(2^t).  The result (with embedding bit 1) is the
-  postselected output, and its squared norm the success probability.
+  1, clock 0.  The stages act on each eigencomponent of the evolved
+  Hermitian matrix H alone, so the kept branch is g(H) psi, with
+  g(lambda) the clock filter of one eigenvalue (:func:`_clock_filter`):
+  the Hadamard layer on the |0> clock, the t controlled powers of
+  exp(i H t0) (the phase exp(i t0 x lambda) wherever the clock reads
+  x), the inverse Fourier transform as an orthonormal FFT, the ancilla
+  RY from |0> (clock value x keeps sin(theta_x / 2) on ancilla 1), the
+  same stages in reverse with conjugate phases, and the read of clock
+  0.  A Hermitian A is evolved from one ``eigh``.  A non-Hermitian A enters
+  the circuit through the block embedding [[0, A^dagger], [A, 0]] on
+  [psi; 0], whose eigenvectors are [v; +/-u] / sqrt(2) at +/-sigma for
+  each singular triple (sigma, u, v) of A; its kept half is therefore
+  U diag((g(sigma) - g(-sigma)) / 2) V^dagger psi, from one SVD of A,
+  and the embedding is never built.  The squared norm of the output is
+  the success probability.
 
-Only the circuit backend embeds: it evolves a non-Hermitian matrix
-through the block embedding [[0, A^dagger], [A, 0]] with the input
-widened as [psi; 0], where the result sits in the embedding-bit-1 half.
-It evolves the operator's dense matrix, under the dense budget, in the
-matrix's own dtype: a real A gets the real symmetric ``eigh``, and
-complex arithmetic starts at the clock phases.  Both backends take t0
-and C from one spectral radius, A's spectral norm, and refuse a success
-probability below 1e-12.
+The circuit backend evolves the operator's dense matrix, under the
+dense budget, in the matrix's own dtype: a real A gets the real
+``eigh`` or SVD, and complex arithmetic starts at the clock phases.
+Both backends take t0 and C from one spectral radius, A's spectral
+norm, and refuse a success probability below 1e-12.
 
 Eigenvalue decoding is two's-complement: clock values below 2^{t-1} are
-positive phases, the rest negative, which covers the +/- singular-value
-spectrum of embeddings.  The evolution time is capped so that
+positive phases, the rest negative, which covers the +/- singular values
+of an embedded A.  The evolution time is capped so that
 |lambda| * t0 < pi, keeping the decoding unambiguous.
 """
 
@@ -98,29 +99,6 @@ class MEoBConfig:
                 raise ValidationError(f"{name}={value} is not finite and positive")
 
 
-def hermitian_embed(matrix: np.ndarray) -> np.ndarray:
-    """The Hermitian matrix the circuit evolves: a square power-of-two
-    matrix A as the block embedding [[0, A^dagger], [A, 0]].
-
-    Matrices already Hermitian (within 1e-10) pass through unchanged, so
-    a (2d, 2d) result for a (d, d) input means A was embedded.  The
-    result keeps the input's dtype, so a real A gives a real symmetric
-    matrix.
-    """
-    shape = np.shape(matrix)
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise BadDimension(f"matrix shape {shape} is not square")
-    d = shape[0]
-    if d & (d - 1) or d == 0:
-        raise BadDimension(f"dimension {d} is not a power of two")
-    check_dense_budget(16 * (2 * d) ** 2, f"the Hermitian embedding of a {d}x{d} matrix")
-    a = np.asarray(matrix)
-    if np.abs(a - a.conj().T).max() <= _HERMITIAN_TOL:
-        return a
-    zero = np.zeros((d, d), dtype=a.dtype)
-    return np.block([[zero, a.conj().T], [a, zero]])
-
-
 def _evolution_constants(lam_max: float, config: MEoBConfig) -> tuple[float, float]:
     """The t0 / C constants for a spectral radius ``lam_max``."""
     if lam_max == 0.0:
@@ -147,9 +125,11 @@ def meob_apply(matrix, state: StateVector, config: MEoBConfig) -> tuple[StateVec
     and sum_j beta_j^2 C^2 lambda_j^2 = (C ||A psi||)^2 exactly, computed at
     a scale that neither overflows nor underflows; for the circuit, the
     kept branch of the phase-estimation circuit on the dense matrix, read
-    at clock 0, and its squared norm.  Both then share one tail: a success
-    below 1e-12 (or NaN) raises :class:`PostselectionFailed`, otherwise
-    the output is normalized.
+    at clock 0, and its squared norm (a matrix that does not fit the
+    dense budget with the two factors of its decomposition is refused
+    before it is built).  Both then share one tail: a success below
+    1e-12 (or NaN) raises :class:`PostselectionFailed`, otherwise the
+    output is normalized.
     """
     op = as_operator(matrix)
     d = state.amps.size
@@ -164,6 +144,8 @@ def meob_apply(matrix, state: StateVector, config: MEoBConfig) -> tuple[StateVec
         out = op.matvec(state.amps * scale)
         success = float(np.real(np.vdot(out, out))) * (c / scale) ** 2
     else:
+        # the matrix and the two factors of its decomposition
+        check_dense_budget(24 * d * d, f"the circuit evolution of a {d}x{d} matrix")
         out = _run_circuit(op.dense(), state.amps, config.t, t0, c)
         success = float(np.real(np.vdot(out, out)))
     if not success >= _MIN_SUCCESS:
@@ -192,55 +174,66 @@ def decode_eigenvalue(clock_value, t: int, t0: float):
     return 2.0 * np.pi * k / (size * t0)
 
 
-def _run_circuit(a: np.ndarray, psi: np.ndarray, t: int, t0: float, c: float) -> np.ndarray:
-    """The evolution pipeline, evolving only the branch it keeps.
+def _clock_filter(lam: np.ndarray, t: int, t0: float, c: float) -> np.ndarray:
+    """The kept amplitude g(lambda) of one unit eigencomponent, per eigenvalue.
 
-    The register is rotation ancilla, clock (t qubits, clock qubit j = bit
-    j of the readout) and evolved register (s qubits: the n input qubits,
-    plus the embedding bit s - 1 when A is not Hermitian).  Only its
-    ancilla-1 half is read, and that half is zero until the RY, so the
-    state is one (2^t, 2^s) block, clock by eigen-index of H.  The clock
-    starts at |0> and is read at <0|, so its Hadamard layers are a
-    broadcast and a sum.  Returns the postselected amplitudes,
-    unnormalized: ancilla 1, clock 0 after uncomputation, embedding bit 1.
-    Their squared norm is the joint success probability; with exactly
-    representable eigenphases the clock projection is lossless.  ``t0``
-    and ``c`` are the evolution constants of :func:`meob_apply`.
+    The stages of the circuit on the clock vector of each eigenvalue,
+    one row per eigenvalue: the Hadamard layer on |0> gives every clock
+    value 1 / sqrt(2^t), the controlled powers multiply clock value x by
+    exp(i t0 x lambda), the inverse QFT is an orthonormal FFT, the RY
+    from ancilla |0> scales clock value x by sin(theta_x / 2), its
+    amplitude on ancilla 1, and the iFFT, the conjugate phases and the
+    last Hadamard layer read at clock 0 (a sum / sqrt(2^t)) uncompute.
     """
-    h = hermitian_embed(a)
-    # Hermitian to 1e-10, or exactly for a block embedding
-    lam, vecs = np.linalg.eigh(h)
-    defect = np.abs(vecs.conj().T @ vecs - np.eye(lam.size)).max()
-    if defect > 1e-9:
-        raise NotUnitary(f"eigenbasis deviates from unitarity by {defect:.3g}")
     size = 1 << t
-    # 16 * 2^(t + s) bytes per block pass the dense budget only at s >= 13
-    # when t <= 12, and hermitian_embed refuses those matrices first
-
-    # exp(i H t0 x) on clock value x, in the eigenbasis of H
-    phases = np.exp(1j * t0 * np.multiply.outer(np.arange(size), lam))
+    phases = np.exp(1j * t0 * np.multiply.outer(lam, np.arange(size)))
     lam_grid = decode_eigenvalue(np.arange(size), t, t0)
     # far grid points can exceed the C window by design headroom; they
     # carry (near-)zero amplitude, so saturating the rotation is safe
     angles = 2.0 * np.arcsin(np.clip(c * lam_grid, -1.0, 1.0))
 
-    # Hadamard layer on |0>: every clock row is vecs^dagger [psi; 0] / sqrt(2^t)
-    block = np.broadcast_to(psi @ vecs[: psi.size].conj() / math.sqrt(size), phases.shape)
-    block = block * phases  # controlled powers
-    block = np.fft.fft(block, axis=0, norm="ortho")  # inverse QFT
-    # RY from ancilla |0>: its (1, 0) entry is the ancilla-1 amplitude
-    block *= np.sin(angles / 2.0)[:, None]
-    block = np.fft.ifft(block, axis=0, norm="ortho")
-    block *= phases.conj()
-    # Hadamard layer, then clock 0
-    kept = block.sum(axis=0) / math.sqrt(size)
-    return (vecs @ kept)[lam.size - psi.size:]
+    clock = np.fft.fft(phases / math.sqrt(size), norm="ortho")  # inverse QFT
+    clock *= np.sin(angles / 2.0)
+    clock = np.fft.ifft(clock, norm="ortho")
+    clock *= np.conjugate(phases, out=phases)
+    return clock.sum(axis=1) / math.sqrt(size)
+
+
+def _check_unitary(basis: np.ndarray) -> None:
+    """Refuse a basis whose Gram matrix is more than 1e-9 from the identity."""
+    gram = basis.conj().T @ basis
+    gram.flat[:: gram.shape[0] + 1] -= 1.0
+    defect = np.abs(gram).max()
+    if defect > 1e-9:
+        raise NotUnitary(f"basis deviates from unitarity by {defect:.3g}")
+
+
+def _run_circuit(a: np.ndarray, psi: np.ndarray, t: int, t0: float, c: float) -> np.ndarray:
+    """The kept branch of the evolution circuit: ancilla 1 and clock 0
+    after uncomputation, unnormalized.
+
+    A Hermitian ``a`` (within 1e-10) is g(A) psi from one ``eigh``.  Any
+    other ``a`` is the embedding-bit-1 half of g(H) [psi; 0], H the
+    embedding [[0, A^dagger], [A, 0]]: from one SVD A = U S V^dagger,
+    U ((g(S) - g(-S)) / 2) V^dagger psi.  The squared norm of the result
+    is the joint success probability; with exactly representable
+    eigenphases the clock projection is lossless.  ``t0`` and ``c`` are
+    the evolution constants of :func:`meob_apply`.
+    """
+    if np.abs(a - a.conj().T).max() <= _HERMITIAN_TOL:
+        lam, vecs = np.linalg.eigh(a)
+        _check_unitary(vecs)
+        return vecs @ (_clock_filter(lam, t, t0, c) * (vecs.conj().T @ psi))
+    u, sigma, vh = np.linalg.svd(a)
+    _check_unitary(u)
+    _check_unitary(vh)
+    gain = (_clock_filter(sigma, t, t0, c) - _clock_filter(-sigma, t, t0, c)) / 2.0
+    return u @ (gain * (vh @ psi))
 
 
 __all__ = [
     "BACKENDS",
     "MEoBConfig",
-    "hermitian_embed",
     "meob",
     "meob_apply",
     "decode_eigenvalue",

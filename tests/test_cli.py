@@ -692,12 +692,15 @@ def _run_under_3gib(argv):
     )
 
 
-def test_dense_allocation_refused_before_it_is_made(tmp_path):
+@pytest.mark.parametrize("n", [12, 14])
+def test_dense_allocation_refused_before_it_is_made(tmp_path, n):
     # an n = 14 transform matrix takes 2 GiB; under a 3 GiB address-space
     # limit a missing budget check dies of MemoryError instead of exit 2.
     # The circuit backend evolves the dense matrix; the oracle needs none.
-    (m,) = random_bbas(1, 14, seed=14)
-    path = write_doc(tmp_path, m, "n14.json")
+    # At n = 12 the matrix fits the budget, but not with the two factors
+    # of its decomposition, so the circuit backend stops at n = 11.
+    (m,) = random_bbas(1, n, seed=n)
+    path = write_doc(tmp_path, m, f"n{n}.json")
     done = _run_under_3gib(["transform", "--kind", "q", "--backend", "quantum-circuit", path])
     assert (done.returncode, done.stdout) == (2, ""), done.stderr
     assert json.loads(done.stderr)["error"] == "DenseBudgetExceeded"

@@ -5,11 +5,13 @@ import pytest
 
 from conftest import _count_state_methods, make_frame, random_bbas
 from oracles import fejer_meob_oracle, phase_estimation_replay
-from qbelief.dst import transform_matrix, validate_bba
+from qbelief.dst import transform_matrix, transform_operator, validate_bba
+from qbelief.dst.operators import TransformOperator
 from qbelief.errors import (
     BadDimension,
     DenseBudgetExceeded,
     ClockOverflow,
+    NotUnitary,
     PostselectionFailed,
     SingularMatrix,
     ValidationError,
@@ -19,7 +21,6 @@ from qbelief.quantum import (
     MEoBConfig,
     ccr_qc,
     decode_eigenvalue,
-    hermitian_embed,
     meob,
     meob_apply,
 )
@@ -34,44 +35,6 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 def normalized(v):
     v = np.asarray(v, dtype=complex)
     return v / np.linalg.norm(v)
-
-
-class TestHermitianEmbedding:
-    def test_hermitian_passthrough(self):
-        h = np.array([[1.0, 2.0], [2.0, -1.0]])
-        emb = hermitian_embed(h)
-        assert emb.shape == h.shape  # not embedded
-        np.testing.assert_array_equal(emb, h)
-
-    def test_block_form(self):
-        mq = np.array([[1.0, 1.0], [0.0, 1.0]])
-        emb = hermitian_embed(mq)
-        assert emb.shape == (4, 4)  # embedded: twice the input's size
-        np.testing.assert_array_equal(emb[2:, :2], mq)
-        np.testing.assert_array_equal(emb[:2, 2:], mq.T)
-        assert np.abs(emb - emb.conj().T).max() == 0.0
-
-    def test_nilpotent_spectrum_is_singular_values(self):
-        m = np.array([[0.0, 1.0], [0.0, 0.0]])
-        emb = hermitian_embed(m)
-        eigs = np.sort(np.linalg.eigvalsh(emb))
-        np.testing.assert_allclose(eigs, [-1.0, 0.0, 0.0, 1.0], atol=1e-12)
-
-    def test_dtype_is_kept(self):
-        assert hermitian_embed(transform_matrix("q", 3)).dtype == np.float64
-        assert hermitian_embed(1j * transform_matrix("q", 3)).dtype == np.complex128
-
-    def test_bad_dimensions(self):
-        with pytest.raises(BadDimension):
-            hermitian_embed(np.ones((3, 3)))
-        with pytest.raises(BadDimension):
-            hermitian_embed(np.ones((2, 4)))
-
-    def test_over_the_dense_budget_is_refused(self):
-        # a read-only 4096 x 4096 view of one zero: the 8192 x 8192 complex
-        # embedding would take 1 GiB, four times the budget
-        with pytest.raises(DenseBudgetExceeded):
-            hermitian_embed(np.broadcast_to(np.zeros(1), (4096, 4096)))
 
 
 class TestOracleBackend:
@@ -254,8 +217,8 @@ class TestCircuitBackend:
         ideal = normalized(h @ psi)
         assert abs(np.vdot(out.amps, ideal)) >= 1.0 - 1e-6
 
-    def test_embedded_circuit_run(self):
-        # non-Hermitian diagonal-free case exercises the embedding path
+    def test_non_hermitian_circuit_run(self):
+        # a non-Hermitian matrix with a zero diagonal takes the SVD route
         frame = make_frame(1)
         m = validate_bba(frame, {(): 0.5, ("e0",): 0.5})
         matrix = np.array([[0.0, 0.5], [0.0, 0.5]])  # maps sqrt-encoding into column mix
@@ -283,8 +246,10 @@ class TestCircuitBackend:
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_peak_memory_under_twice_the_register(self, n):
-        # the widest clock on an embedded matrix (s = n + 1): the pipeline
-        # holds the kept branch, not the 2^(s+t+1)-amplitude register
+        # the widest clock on a non-Hermitian matrix, whose gate-level
+        # register holds the embedding bit, the n input qubits, the clock
+        # and the ancilla: the pipeline holds the matrix, its SVD factors
+        # and one clock vector per singular value, not that register
         (m,) = random_bbas(1, n, seed=4300 + n)
         psi = np.sqrt(m.masses)
         a = transform_matrix("q", n)
@@ -297,6 +262,55 @@ class TestCircuitBackend:
         finally:
             tracemalloc.stop()
         assert peak < 2 * register
+
+    def test_one_decomposition_per_stage(self, monkeypatch):
+        # ccr's stages diag, q, diag, q_inv: the diagonals are Hermitian and
+        # take eigh, q and q_inv take an SVD of the real d x d matrix itself
+        calls = []
+        for name in ("eigh", "svd"):
+            def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                calls.append((_name, a.shape, a.dtype))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        m1, m2 = random_bbas(2, 3, seed=4207)
+        ccr_qc(m1, m2, MEoBConfig(backend="circuit"))
+        assert calls == [("eigh", (8, 8), np.float64), ("svd", (8, 8), np.float64)] * 2
+
+    @pytest.mark.parametrize("route, basis", [("eigh", 1), ("svd", 0), ("svd", 2)])
+    def test_non_unitary_basis_refused(self, monkeypatch, route, basis):
+        # the Gram check covers every basis a route multiplies by
+        original = getattr(np.linalg, route)
+
+        def skewed(a):
+            parts = list(original(a))
+            parts[basis] = parts[basis] * 1.01
+            return tuple(parts)
+
+        monkeypatch.setattr(np.linalg, route, skewed)
+        matrix = np.diag([1.0, 0.5]) if route == "eigh" else np.array([[0.0, 1.0], [0.5, 0.0]])
+        with pytest.raises(NotUnitary):
+            meob_apply(matrix, StateVector(1, [0.6, 0.8]), MEoBConfig(backend="circuit", t=4))
+
+    def test_combination_peak_under_eight_matrices(self):
+        # each stage holds its matrix, the two factors of its decomposition
+        # and one clock vector per eigenvalue, not a 2d x 2d embedding
+        n = 9
+        m1, m2 = random_bbas(2, n, seed=4207)
+        tracemalloc.start()
+        try:
+            ccr_qc(m1, m2, MEoBConfig(backend="circuit"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (8 << 2 * n)
+
+    def test_dense_budget_is_checked_before_the_matrix(self, monkeypatch):
+        # at n = 12 the matrix and its two factors need 384 MiB, over the
+        # budget: refused before the 128 MiB transform matrix is built
+        monkeypatch.setattr(TransformOperator, "dense", lambda self: pytest.fail("matrix built"))
+        with pytest.raises(DenseBudgetExceeded):
+            meob_apply(transform_operator("q", 12), StateVector(12), MEoBConfig(backend="circuit"))
 
 
 class TestOracleCircuitAgreement:
@@ -315,15 +329,20 @@ class TestOracleCircuitAgreement:
                 assert fidelity(out_c, out_o) >= 1.0 - 1e-6
                 assert p_c == pytest.approx(p_o, rel=1e-6)
 
-    def test_non_hermitian_embedded_success_matches_oracle(self, rng):
-        # the embedded circuit's success equals the oracle's C^2 ||A psi||^2:
-        # singular values 1/2 and 1/4 put the embedding's +/- spectrum on
-        # exact 4-bit clock readouts at t0 = pi
-        u, _ = np.linalg.qr(rng.normal(size=(2, 2)))
-        v, _ = np.linalg.qr(rng.normal(size=(2, 2)))
-        a = (u * [0.5, 0.25]) @ v.T
+    @pytest.mark.parametrize("case", ["rotated", "nilpotent"])
+    def test_non_hermitian_success_matches_oracle(self, case, rng):
+        # the circuit's success equals the oracle's C^2 ||A psi||^2 when
+        # t0 = pi / (2 ||A||) puts every +/- singular value on an exact
+        # 4-bit clock readout: 1/2 and 1/4 for the rotated diagonal, 1 and
+        # 0 for the nilpotent [[0, 1], [0, 0]], whose eigenvalues are all 0
+        if case == "rotated":
+            u, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+            v, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+            a, norm = (u * [0.5, 0.25]) @ v.T, 0.5
+        else:
+            a, norm = np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0
         psi = normalized(rng.normal(size=2))
-        cfg_kw = dict(t0=np.pi, C=0.99 / 0.5)
+        cfg_kw = dict(t0=np.pi / (2.0 * norm), C=0.99 / norm)
         out_c, p_c = meob_apply(a, StateVector(1, psi), MEoBConfig(backend="circuit", t=4, **cfg_kw))
         out_o, p_o = meob_apply(a, StateVector(1, psi), MEoBConfig(backend="oracle", **cfg_kw))
         assert fidelity(out_c, out_o) >= 1.0 - 1e-9
@@ -341,7 +360,8 @@ class TestCircuitClosedForm:
 
     @pytest.mark.parametrize("t", [4, 8, 12])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    @pytest.mark.parametrize("kind", ["q", "q_inv", "b", "b_inv", "fractal", "bet", "diag"])
+    @pytest.mark.parametrize(
+        "kind", ["q", "q_inv", "b", "b_inv", "bel", "pl", "fractal", "bet", "diag"])
     def test_output_and_success_to_1e12(self, kind, n, t):
         (m,) = random_bbas(1, n, seed=4100 + 10 * n + t)
         psi = np.sqrt(m.masses)
