@@ -121,7 +121,3 @@ class SingularMatrix(ComputationError):
 
 class PostselectionFailed(ComputationError):
     pass
-
-
-class ClockOverflow(ValidationError):
-    pass

@@ -4,7 +4,6 @@ from .meob import (
     BACKENDS,
     MEoBConfig,
     decode_eigenvalue,
-    meob,
     meob_apply,
 )
 from .pipelines import (
@@ -37,7 +36,6 @@ __all__ = [
     "belief_query_circuit",
     "estimate_belief",
     "MEoBConfig",
-    "meob",
     "meob_apply",
     "decode_eigenvalue",
     "BACKENDS",

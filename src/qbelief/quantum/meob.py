@@ -38,13 +38,16 @@ Two interchangeable backends:
 The circuit backend evolves the operator's dense matrix, under the
 dense budget, in the matrix's own dtype: a real A gets the real
 ``eigh`` or SVD, and complex arithmetic starts at the clock phases.
-Both backends take t0 and C from one spectral radius, A's spectral
-norm, and refuse a success probability below 1e-12.
+
+Only the backend is chosen.  The clock is ``CLOCK_BITS`` = 8 qubits
+wide, and both backends take t0 = 0.9 pi / ||A|| and C = 0.99 / ||A||
+from A's spectral norm, as HHL (arXiv:0811.3171) takes them from the
+spectrum; both refuse a success probability below 1e-12.
 
 Eigenvalue decoding is two's-complement: clock values below 2^{t-1} are
 positive phases, the rest negative, which covers the +/- singular values
-of an embedded A.  The evolution time is capped so that
-|lambda| * t0 < pi, keeping the decoding unambiguous.
+of an embedded A.  |lambda| * t0 <= 0.9 pi < pi keeps the decoding
+unambiguous.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ import numpy as np
 from ..dst.operators import as_operator
 from ..errors import (
     BadDimension,
-    ClockOverflow,
     NotUnitary,
     PostselectionFailed,
     SingularMatrix,
@@ -65,53 +67,40 @@ from ..errors import (
     check_dense_budget,
 )
 from ..qsim.state import StateVector
-from .prepare import encode_state
 
 _HERMITIAN_TOL = 1e-10
 _MIN_SUCCESS = 1e-12
 
 BACKENDS = ("oracle", "circuit")
+CLOCK_BITS = 8
 
 
 @dataclass(frozen=True)
 class MEoBConfig:
-    """Knobs of the evolution pipeline.
+    """The evolution backend, ``oracle`` or ``circuit``.
 
-    t: clock-register width (1..12).  t0: evolution time per unit
-    eigenvalue; default 0.9 pi / max|lambda|.  C: rotation constant with
-    |C lambda| <= 1; default 0.99 / max|lambda|.  Given t0 and C must be
-    finite and positive.
+    Nothing else is chosen: the clock is ``CLOCK_BITS`` wide and t0 and
+    C follow from the spectral norm (:func:`_evolution_constants`).
     """
 
-    t: int = 8
-    t0: float | None = None
-    C: float | None = None
     backend: str = "oracle"
 
     def __post_init__(self):
-        if not 1 <= self.t <= 12:
-            raise ValidationError(f"clock width t={self.t} outside [1, 12]")
         if self.backend not in BACKENDS:
             raise ValidationError(f"backend must be one of {BACKENDS}")
-        for name in ("t0", "C"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 < value < np.inf:
-                raise ValidationError(f"{name}={value} is not finite and positive")
 
 
-def _evolution_constants(lam_max: float, config: MEoBConfig) -> tuple[float, float]:
-    """The t0 / C constants for a spectral radius ``lam_max``."""
-    if lam_max == 0.0:
-        raise SingularMatrix("zero matrix cannot be evolved")
-    t0 = config.t0 if config.t0 is not None else 0.9 * np.pi / lam_max
-    c = config.C if config.C is not None else 0.99 / lam_max
-    if t0 * lam_max >= np.pi:
-        raise ClockOverflow(
-            f"t0 * max|lambda| = {t0 * lam_max:.4g} >= pi; eigenphase signs would alias"
-        )
-    if c * lam_max > 1.0 + 1e-12:
-        raise ValidationError(f"C * max|lambda| = {c * lam_max:.4g} exceeds 1")
-    return t0, c
+def _evolution_constants(lam_max: float) -> tuple[float, float]:
+    """The evolution time t0 and rotation constant C for a spectral radius ``lam_max``.
+
+    t0 = 0.9 pi / lam_max keeps every |lambda| t0 below pi, and
+    C = 0.99 / lam_max every |C lambda| below 1.  A zero norm, one so
+    small (under about 1.6e-308) that t0 overflows, and one that overflowed
+    to inf (t0 and C would be 0) are refused.
+    """
+    if not 0.0 < lam_max < np.inf or 0.9 * np.pi / lam_max == np.inf:
+        raise SingularMatrix(f"a matrix of norm {lam_max:.3g} cannot be evolved")
+    return 0.9 * np.pi / lam_max, 0.99 / lam_max
 
 
 def meob_apply(matrix, state: StateVector, config: MEoBConfig) -> tuple[StateVector, float]:
@@ -120,23 +109,24 @@ def meob_apply(matrix, state: StateVector, config: MEoBConfig) -> tuple[StateVec
     ``matrix`` is an operator from :func:`~qbelief.dst.operators.transform_operator`
     or an ndarray, which is wrapped by :func:`~qbelief.dst.operators.as_operator`
     (a non-finite entry is refused there with :class:`ValidationError`).
-    Each backend yields the unnormalized postselected output and its
-    success probability: for the oracle, A psi from the operator's action
-    and sum_j beta_j^2 C^2 lambda_j^2 = (C ||A psi||)^2 exactly, computed at
-    a scale that neither overflows nor underflows; for the circuit, the
-    kept branch of the phase-estimation circuit on the dense matrix, read
-    at clock 0, and its squared norm (a matrix that does not fit the
-    dense budget with the two factors of its decomposition is refused
-    before it is built).  Both then share one tail: a success below
-    1e-12 (or NaN) raises :class:`PostselectionFailed`, otherwise the
-    output is normalized.
+    ``config`` chooses the backend; t0 and C come from the operator's
+    spectral norm.  Each backend yields the unnormalized postselected
+    output and its success probability: for the oracle, A psi from the
+    operator's action and sum_j beta_j^2 C^2 lambda_j^2 = (C ||A psi||)^2
+    exactly, computed at a scale that neither overflows nor underflows;
+    for the circuit, the kept branch of the phase-estimation circuit with
+    a ``CLOCK_BITS`` clock on the dense matrix, read at clock 0, and its
+    squared norm (a matrix whose evolution does not fit the dense budget
+    is refused before it is built).  Both then share one tail: a success
+    below 1e-12 (or NaN) raises :class:`PostselectionFailed`, otherwise
+    the output is normalized.
     """
     op = as_operator(matrix)
     d = state.amps.size
     if op.shape != (d, d):
         raise BadDimension(f"matrix shape {op.shape} does not match state dimension {d}")
 
-    t0, c = _evolution_constants(op.norm, config)
+    t0, c = _evolution_constants(op.norm)
     if config.backend == "oracle":
         # the power of two that brings ||A|| into [0.5, 1): scaling by it is
         # exact, so A psi cannot under- or overflow and normalizes unchanged
@@ -144,24 +134,16 @@ def meob_apply(matrix, state: StateVector, config: MEoBConfig) -> tuple[StateVec
         out = op.matvec(state.amps * scale)
         success = float(np.real(np.vdot(out, out))) * (c / scale) ** 2
     else:
-        # the matrix and the two factors of its decomposition
-        check_dense_budget(24 * d * d, f"the circuit evolution of a {d}x{d} matrix")
-        out = _run_circuit(op.dense(), state.amps, config.t, t0, c)
+        # five d x d float64 arrays are alive at once: the matrix, the two
+        # factors of its decomposition, and the unitarity check's Gram matrix
+        # beside its absolute value.  LAPACK's workspace is not counted:
+        # tracemalloc does not see it (the SVD alone peaks at its two outputs)
+        check_dense_budget(40 * d * d, f"the circuit evolution of a {d}x{d} matrix")
+        out = _run_circuit(op.dense(), state.amps, CLOCK_BITS, t0, c)
         success = float(np.real(np.vdot(out, out)))
     if not success >= _MIN_SUCCESS:
         raise PostselectionFailed(f"evolution annihilates the state (success {success:.3g})")
     return StateVector(state.k, out / np.linalg.norm(out)), success
-
-
-def meob(matrix: np.ndarray, m, config: MEoBConfig) -> tuple[StateVector, float]:
-    """Evolve the amplitude encoding of a mass function by ``matrix``.
-
-    Prepares |m> (amplitudes sqrt of the masses) and applies the matrix
-    to that state.  Evolving the mass *vector* itself is the chained
-    pipeline diag(sqrt(m)) followed by the matrix; see
-    :func:`qbelief.quantum.pipelines.evolve_mass`.
-    """
-    return meob_apply(matrix, encode_state(m), config)
 
 
 def decode_eigenvalue(clock_value, t: int, t0: float):
@@ -192,9 +174,11 @@ def _clock_filter(lam: np.ndarray, t: int, t0: float, c: float) -> np.ndarray:
     # carry (near-)zero amplitude, so saturating the rotation is safe
     angles = 2.0 * np.arcsin(np.clip(c * lam_grid, -1.0, 1.0))
 
-    clock = np.fft.fft(phases / math.sqrt(size), norm="ortho")  # inverse QFT
+    # the transforms run in place: two (lam.size, 2^t) arrays are alive at once
+    clock = phases / math.sqrt(size)
+    np.fft.fft(clock, norm="ortho", out=clock)  # inverse QFT
     clock *= np.sin(angles / 2.0)
-    clock = np.fft.ifft(clock, norm="ortho")
+    np.fft.ifft(clock, norm="ortho", out=clock)
     clock *= np.conjugate(phases, out=phases)
     return clock.sum(axis=1) / math.sqrt(size)
 
@@ -217,8 +201,8 @@ def _run_circuit(a: np.ndarray, psi: np.ndarray, t: int, t0: float, c: float) ->
     embedding [[0, A^dagger], [A, 0]]: from one SVD A = U S V^dagger,
     U ((g(S) - g(-S)) / 2) V^dagger psi.  The squared norm of the result
     is the joint success probability; with exactly representable
-    eigenphases the clock projection is lossless.  ``t0`` and ``c`` are
-    the evolution constants of :func:`meob_apply`.
+    eigenphases the clock projection is lossless.  :func:`meob_apply`
+    passes ``t`` = ``CLOCK_BITS`` and the evolution constants ``t0`` and ``c``.
     """
     if np.abs(a - a.conj().T).max() <= _HERMITIAN_TOL:
         lam, vecs = np.linalg.eigh(a)
@@ -233,8 +217,8 @@ def _run_circuit(a: np.ndarray, psi: np.ndarray, t: int, t0: float, c: float) ->
 
 __all__ = [
     "BACKENDS",
+    "CLOCK_BITS",
     "MEoBConfig",
-    "meob",
     "meob_apply",
     "decode_eigenvalue",
 ]

@@ -19,6 +19,7 @@ from oracles import (
     disjunctive_matrix,
     disjunctive_oracle,
 )
+from test_meob import oracle_evolution, run_circuit
 from qbelief.cli import demo_mass_function, trend_rows
 from qbelief.dst import (
     b_from_mass,
@@ -46,7 +47,6 @@ from qbelief.quantum import (
     estimate_belief,
     evolve_mass,
     fb_inner_product_qc,
-    meob_apply,
     ppt_qc,
     prepare_bba_state,
     ptm_qc,
@@ -188,13 +188,10 @@ def test_criterion_05_matrix_evolution():
     for t, ks in [(4, (2, 5)), (6, (9, 22)), (8, (40, 100))]:
         scale = 1 << (t - 1)
         matrix = np.diag(np.array(ks) / scale)
-        psi = StateVector(1, np.array([0.6, 0.8]))
-        cfg = MEoBConfig(backend="circuit", t=t, t0=np.pi, C=0.9 * scale / max(ks))
-        out, p_circ = meob_apply(matrix, psi.copy(), cfg)
-        ideal, p_orac = meob_apply(
-            matrix, psi.copy(), MEoBConfig(backend="oracle", t0=np.pi, C=cfg.C)
-        )
-        assert abs(np.vdot(out.amps, ideal.amps)) >= 1 - 1e-6
+        psi, c = np.array([0.6, 0.8]), 0.9 * scale / max(ks)
+        out, p_circ = run_circuit(matrix, psi, t, np.pi, c)
+        ideal, p_orac = oracle_evolution(matrix, psi, c)
+        assert abs(np.vdot(out, ideal)) >= 1 - 1e-6
         assert p_circ == pytest.approx(p_orac, rel=1e-6)
 
     # and on a rotated (non-diagonal) spectrum with signed eigenvalues
@@ -204,11 +201,10 @@ def test_criterion_05_matrix_evolution():
     h = (rot * lams) @ rot.T
     psi = rng.normal(size=4)
     psi /= np.linalg.norm(psi)
-    cfg = MEoBConfig(backend="circuit", t=t, t0=np.pi)
-    out, _ = meob_apply(h, StateVector(2, psi), cfg)
+    out, _ = run_circuit(h, psi, t, np.pi)
     ideal = h @ psi
     ideal = ideal / np.linalg.norm(ideal)
-    assert abs(np.vdot(out.amps, ideal)) >= 1 - 1e-6
+    assert abs(np.vdot(out, ideal)) >= 1 - 1e-6
 
     # refinement: a wider clock register does not hurt average fidelity
     fids = {6: [], 10: []}
@@ -222,8 +218,8 @@ def test_criterion_05_matrix_evolution():
         ideal = h @ psi
         ideal = ideal / np.linalg.norm(ideal)
         for t in (6, 10):
-            out, _ = meob_apply(h, StateVector(2, psi), MEoBConfig(backend="circuit", t=t))
-            fids[t].append(abs(np.vdot(out.amps, ideal)))
+            out, _ = run_circuit(h, psi, t)
+            fids[t].append(abs(np.vdot(out, ideal)))
     assert np.mean(fids[10]) >= np.mean(fids[6])
 
 

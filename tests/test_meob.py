@@ -10,7 +10,6 @@ from qbelief.dst.operators import TransformOperator
 from qbelief.errors import (
     BadDimension,
     DenseBudgetExceeded,
-    ClockOverflow,
     NotUnitary,
     PostselectionFailed,
     SingularMatrix,
@@ -21,15 +20,14 @@ from qbelief.quantum import (
     MEoBConfig,
     ccr_qc,
     decode_eigenvalue,
-    meob,
+    encode_state,
     meob_apply,
 )
+import qbelief.quantum.meob as meob_module
+from qbelief.quantum.meob import CLOCK_BITS, _evolution_constants, _run_circuit
 
 ORACLE = MEoBConfig(backend="oracle")
-
-
-def fidelity(a: StateVector, b: StateVector) -> float:
-    return abs(np.vdot(a.amps, b.amps))
+CIRCUIT = MEoBConfig(backend="circuit")
 
 
 def normalized(v):
@@ -37,17 +35,40 @@ def normalized(v):
     return v / np.linalg.norm(v)
 
 
+def default_constants(a: np.ndarray) -> tuple[float, float]:
+    """The t0 and C that meob_apply derives from A's spectral norm."""
+    lam_max = np.linalg.norm(a, 2)
+    return 0.9 * np.pi / lam_max, 0.99 / lam_max
+
+
+def run_circuit(a, psi, t, t0=None, c=None):
+    """The circuit backend at clock width ``t``, with meob_apply's constants
+    for any of ``t0`` and ``c`` not given: (normalized output, success)."""
+    default_t0, default_c = default_constants(a)
+    out = _run_circuit(
+        a, psi, t, default_t0 if t0 is None else t0, default_c if c is None else c
+    )
+    return out / np.linalg.norm(out), float(np.real(np.vdot(out, out)))
+
+
+def oracle_evolution(a, psi, c):
+    """Ideal phase estimation: (A psi normalized, c^2 ||A psi||^2)."""
+    out = a @ psi
+    norm = np.linalg.norm(out)
+    return out / norm, (c * norm) ** 2
+
+
 class TestOracleBackend:
     def test_identity_returns_encoded_state(self, frame2):
         m = validate_bba(frame2, {("A",): 0.5, ("A", "B"): 0.5})
-        out, p = meob(np.eye(4), m, ORACLE)
+        out, p = meob_apply(np.eye(4), encode_state(m), ORACLE)
         np.testing.assert_allclose(out.amps.real, np.sqrt(m.masses), atol=1e-12)
         assert p == pytest.approx(0.99**2, abs=1e-12)
 
     def test_diagonal_contraction(self):
         frame = make_frame(1)
         m = validate_bba(frame, {(): 0.5, ("e0",): 0.5})
-        out, _ = meob(np.diag([0.5, 0.25]), m, ORACLE)
+        out, _ = meob_apply(np.diag([0.5, 0.25]), encode_state(m), ORACLE)
         np.testing.assert_allclose(
             out.amps.real, np.array([2.0, 1.0]) / np.sqrt(5.0), atol=1e-12
         )
@@ -56,7 +77,7 @@ class TestOracleBackend:
         from qbelief.dst import q_from_mass, transform_matrix
 
         m = validate_bba(frame2, {("A",): 0.5, ("B",): 0.5})
-        out, _ = meob(transform_matrix("q", 2), m, ORACLE)
+        out, _ = meob_apply(transform_matrix("q", 2), encode_state(m), ORACLE)
         expect = normalized(transform_matrix("q", 2) @ np.sqrt(m.masses))
         np.testing.assert_allclose(out.amps, expect, atol=1e-12)
         # equal masses make sqrt(m) parallel to m, so the output also
@@ -82,7 +103,7 @@ class TestOracleBackend:
     def test_state_dtype_is_kept(self, showcase):
         # a real state stays real; a complex one keeps its imaginary part
         a = transform_matrix("q", 3)
-        real, p = meob(a, showcase, ORACLE)
+        real, p = meob_apply(a, encode_state(showcase), ORACLE)
         assert real.amps.dtype == np.float64
         phased, p_phased = meob_apply(a, StateVector(3, 1j * np.sqrt(showcase.masses)), ORACLE)
         assert phased.amps.dtype == np.complex128
@@ -92,12 +113,18 @@ class TestOracleBackend:
     def test_zero_matrix_is_singular(self, frame2):
         m = validate_bba(frame2, {("A",): 1.0})
         with pytest.raises(SingularMatrix):
-            meob(np.zeros((4, 4)), m, ORACLE)
+            meob_apply(np.zeros((4, 4)), encode_state(m), ORACLE)
 
     def test_clock_overflow_guard(self, frame2):
-        m = validate_bba(frame2, {("A",): 1.0})
-        with pytest.raises(ClockOverflow):
-            meob(np.eye(4), m, MEoBConfig(backend="oracle", t0=4.0))
+        # a norm so small that t0 = 0.9 pi / ||A|| overflows is refused like
+        # zero; just above that threshold the state still evolves
+        state = encode_state(validate_bba(frame2, {("A",): 1.0}))
+        for scale in (1e-308, 1e-310, 5e-324):
+            with pytest.raises(SingularMatrix):
+                meob_apply(np.eye(4) * scale, state, ORACLE)
+        out, p = meob_apply(np.eye(4) * 1e-307, state, ORACLE)
+        np.testing.assert_array_equal(out.amps, state.amps)
+        assert p == pytest.approx(0.99**2, rel=1e-12)
 
 
 class TestSharedTail:
@@ -107,12 +134,12 @@ class TestSharedTail:
         # matrix kills exactly the populated coordinate
         matrix = np.diag([1.0, 0.0, 1.0, 1.0])
         with pytest.raises(PostselectionFailed):
-            meob(matrix, m, MEoBConfig(backend=backend, t=4))
+            meob_apply(matrix, encode_state(m), MEoBConfig(backend=backend))
 
     @pytest.mark.parametrize("backend", ["oracle", "circuit"])
     def test_success_does_not_depend_on_matrix_scale(self, backend):
         state = StateVector(1, [0.6, 0.8])
-        config = MEoBConfig(backend=backend, t=4)
+        config = MEoBConfig(backend=backend)
         _, base = meob_apply(np.diag([1.0, 2.0]), state, config)
         for scale in (1e-160, 1e-200, 1e150):
             out, success = meob_apply(np.diag([1.0, 2.0]) * scale, state, config)
@@ -124,43 +151,39 @@ class TestSharedTail:
     def test_non_finite_matrix_refused(self, backend, bad):
         with pytest.raises(ValidationError, match="finite"):
             meob_apply(np.array([[bad, 0.0], [0.0, 1.0]]), StateVector(1, [0.6, 0.8]),
-                       MEoBConfig(backend=backend, t=4))
+                       MEoBConfig(backend=backend))
+
+    @pytest.mark.parametrize("backend", ["oracle", "circuit"])
+    def test_overflowing_norm_refused(self, backend):
+        # finite entries whose spectral norm overflows to inf would give
+        # t0 = C = 0: refused before either backend runs
+        with pytest.raises(SingularMatrix, match="norm inf"):
+            meob_apply(np.full((2, 2), 1e308), StateVector(1, [0.6, 0.8]),
+                       MEoBConfig(backend=backend))
 
 
 class TestConfigGuards:
-    @pytest.mark.parametrize(
-        "constants",
-        [{"t0": 0.0}, {"t0": -1.0}, {"t0": np.nan}, {"t0": np.inf},
-         {"C": 0.0}, {"C": -0.5}, {"C": np.nan}, {"C": np.inf}],
-    )
-    def test_non_finite_or_non_positive_constants_refused(self, constants):
-        with pytest.raises(ValidationError):
-            MEoBConfig(backend="circuit", t=4, **constants)
-
-    def test_clock_width_bounds(self):
-        with pytest.raises(Exception):
-            MEoBConfig(t=0)
-        with pytest.raises(Exception):
-            MEoBConfig(t=13)
-        MEoBConfig(t=1)
-        MEoBConfig(t=12)
-
     def test_unknown_backend(self):
-        with pytest.raises(Exception):
-            MEoBConfig(backend="hardware")
-
-    def test_oversized_rotation_constant(self, frame2):
-        m = validate_bba(frame2, {("A",): 1.0})
-        from qbelief.errors import ValidationError
-
         with pytest.raises(ValidationError):
-            meob(np.eye(4), m, MEoBConfig(backend="oracle", C=1.5))
+            MEoBConfig(backend="hardware")
 
     @pytest.mark.parametrize("backend", ["oracle", "circuit"])
     @pytest.mark.parametrize("shape", [(8, 8), (4, 2)])
     def test_meob_apply_rejects_mismatched_matrix(self, backend, shape):
         with pytest.raises(BadDimension):
-            meob_apply(np.ones(shape), StateVector(2), MEoBConfig(backend=backend, t=3))
+            meob_apply(np.ones(shape), StateVector(2), MEoBConfig(backend=backend))
+
+
+class TestEvolutionConstants:
+    @pytest.mark.parametrize("lam_max", [2.0**-10, 1e-307, 1.0, 3.0, 2.0**20, 1.7e308])
+    def test_constants_keep_the_spectrum_in_range(self, lam_max):
+        # every |lambda| <= lam_max has |lambda| t0 below pi and |C lambda|
+        # at most 1, with finite positive constants, down to subnormal ones
+        t0, c = _evolution_constants(lam_max)
+        assert (t0, c) == (0.9 * np.pi / lam_max, 0.99 / lam_max)
+        assert 0.0 < t0 < np.inf and 0.0 < c < np.inf
+        assert t0 * lam_max < np.pi
+        assert c * lam_max <= 1.0
 
 
 class TestEigenvalueDecoding:
@@ -187,10 +210,9 @@ class TestCircuitBackend:
         frame = make_frame(1)
         m = validate_bba(frame, {(): 0.5, ("e0",): 0.5})
         matrix = np.diag([0.5, 0.25])
-        cfg = MEoBConfig(backend="circuit", t=3, t0=np.pi, C=0.99 / 0.5)
-        out, _ = meob(matrix, m, cfg)
+        out, _ = run_circuit(matrix, np.sqrt(m.masses), 3, np.pi, 0.99 / 0.5)
         np.testing.assert_allclose(
-            out.amps.real, np.array([2.0, 1.0]) / np.sqrt(5.0), atol=1e-9
+            out.real, np.array([2.0, 1.0]) / np.sqrt(5.0), atol=1e-9
         )
 
     def test_exact_phase_diagonal(self):
@@ -198,10 +220,10 @@ class TestCircuitBackend:
         frame = make_frame(1)
         m = validate_bba(frame, {(): 0.36, ("e0",): 0.64})
         matrix = np.diag([2.0 / 8.0, 5.0 / 8.0])
-        cfg = MEoBConfig(backend="circuit", t=4, t0=np.pi, C=0.99 / (5.0 / 8.0))
-        out, p = meob(matrix, m, cfg)
-        ideal, p_oracle = meob(matrix, m, MEoBConfig(backend="oracle", t0=np.pi, C=0.99 / (5.0 / 8.0)))
-        assert fidelity(out, ideal) >= 1.0 - 1e-6
+        psi, c = np.sqrt(m.masses), 0.99 / (5.0 / 8.0)
+        out, p = run_circuit(matrix, psi, 4, np.pi, c)
+        ideal, p_oracle = oracle_evolution(matrix, psi, c)
+        assert abs(np.vdot(out, ideal)) >= 1.0 - 1e-6
         assert p == pytest.approx(p_oracle, abs=1e-9)
 
     def test_exact_phase_non_diagonal(self, rng):
@@ -212,18 +234,16 @@ class TestCircuitBackend:
         h = (q * lams) @ q.T
         psi = rng.normal(size=4)
         psi /= np.linalg.norm(psi)
-        cfg = MEoBConfig(backend="circuit", t=t, t0=t0)
-        out, _ = meob_apply(h, StateVector(2, psi), cfg)
+        out, _ = run_circuit(h, psi, t, t0)
         ideal = normalized(h @ psi)
-        assert abs(np.vdot(out.amps, ideal)) >= 1.0 - 1e-6
+        assert abs(np.vdot(out, ideal)) >= 1.0 - 1e-6
 
     def test_non_hermitian_circuit_run(self):
         # a non-Hermitian matrix with a zero diagonal takes the SVD route
         frame = make_frame(1)
         m = validate_bba(frame, {(): 0.5, ("e0",): 0.5})
         matrix = np.array([[0.0, 0.5], [0.0, 0.5]])  # maps sqrt-encoding into column mix
-        cfg = MEoBConfig(backend="circuit", t=8)
-        out, _ = meob(matrix, m, cfg)
+        out, _ = meob_apply(matrix, encode_state(m), CIRCUIT)
         ideal = normalized(matrix @ np.sqrt(m.masses))
         assert abs(np.vdot(out.amps, ideal)) >= 1.0 - 1e-3
 
@@ -239,8 +259,8 @@ class TestCircuitBackend:
             psi /= np.linalg.norm(psi)
             ideal = normalized(h @ psi)
             for t in (6, 10):
-                out, _ = meob_apply(h, StateVector(2, psi), MEoBConfig(backend="circuit", t=t))
-                fids[t].append(abs(np.vdot(out.amps, ideal)))
+                out, _ = run_circuit(h, psi, t)
+                fids[t].append(abs(np.vdot(out, ideal)))
         assert np.mean(fids[10]) >= np.mean(fids[6])
         assert np.mean(fids[10]) > 1.0 - 1e-4
 
@@ -257,7 +277,7 @@ class TestCircuitBackend:
         register = 16 << (n + 1 + t + 1)
         tracemalloc.start()
         try:
-            meob_apply(a, StateVector(n, psi), MEoBConfig(backend="circuit", t=t))
+            run_circuit(a, psi, t)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -290,7 +310,7 @@ class TestCircuitBackend:
         monkeypatch.setattr(np.linalg, route, skewed)
         matrix = np.diag([1.0, 0.5]) if route == "eigh" else np.array([[0.0, 1.0], [0.5, 0.0]])
         with pytest.raises(NotUnitary):
-            meob_apply(matrix, StateVector(1, [0.6, 0.8]), MEoBConfig(backend="circuit", t=4))
+            meob_apply(matrix, StateVector(1, [0.6, 0.8]), CIRCUIT)
 
     def test_combination_peak_under_eight_matrices(self):
         # each stage holds its matrix, the two factors of its decomposition
@@ -305,12 +325,34 @@ class TestCircuitBackend:
             tracemalloc.stop()
         assert peak < 8 * (8 << 2 * n)
 
+    def test_dense_budget_covers_the_peak(self, monkeypatch):
+        # the figure checked against the dense budget is what the circuit
+        # path holds at its peak: five 2 MiB arrays at n = 9
+        budgets = []
+
+        def recorded(nbytes, what, _original=meob_module.check_dense_budget):
+            budgets.append(nbytes)
+            return _original(nbytes, what)
+
+        monkeypatch.setattr(meob_module, "check_dense_budget", recorded)
+        n = 9
+        op = transform_operator("q", n)
+        state = StateVector(n, np.full(1 << n, 2.0 ** (-n / 2)))
+        tracemalloc.start()
+        try:
+            meob_apply(op, state, CIRCUIT)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(budgets) == 1
+        assert peak <= 1.05 * budgets[0]
+
     def test_dense_budget_is_checked_before_the_matrix(self, monkeypatch):
-        # at n = 12 the matrix and its two factors need 384 MiB, over the
-        # budget: refused before the 128 MiB transform matrix is built
+        # at n = 12 the five d x d arrays of the circuit path need 640 MiB,
+        # over the budget: refused before the 128 MiB transform matrix is built
         monkeypatch.setattr(TransformOperator, "dense", lambda self: pytest.fail("matrix built"))
         with pytest.raises(DenseBudgetExceeded):
-            meob_apply(transform_operator("q", 12), StateVector(12), MEoBConfig(backend="circuit"))
+            meob_apply(transform_operator("q", 12), StateVector(12), CIRCUIT)
 
 
 class TestOracleCircuitAgreement:
@@ -323,10 +365,10 @@ class TestOracleCircuitAgreement:
             ks = rng.integers(1, 15, size=size)  # positive eigenvalues k/16
             matrix = np.diag(ks / 16.0)
             for m in random_bbas(1, n, seed=int(rng.integers(1 << 30)), allow_empty=True):
-                cfg_kw = dict(t0=t0, C=0.9 / matrix.max())
-                out_c, p_c = meob(matrix, m, MEoBConfig(backend="circuit", t=t, **cfg_kw))
-                out_o, p_o = meob(matrix, m, MEoBConfig(backend="oracle", **cfg_kw))
-                assert fidelity(out_c, out_o) >= 1.0 - 1e-6
+                psi, c = np.sqrt(m.masses), 0.9 / matrix.max()
+                out_c, p_c = run_circuit(matrix, psi, t, t0, c)
+                out_o, p_o = oracle_evolution(matrix, psi, c)
+                assert abs(np.vdot(out_c, out_o)) >= 1.0 - 1e-6
                 assert p_c == pytest.approx(p_o, rel=1e-6)
 
     @pytest.mark.parametrize("case", ["rotated", "nilpotent"])
@@ -342,17 +384,10 @@ class TestOracleCircuitAgreement:
         else:
             a, norm = np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0
         psi = normalized(rng.normal(size=2))
-        cfg_kw = dict(t0=np.pi / (2.0 * norm), C=0.99 / norm)
-        out_c, p_c = meob_apply(a, StateVector(1, psi), MEoBConfig(backend="circuit", t=4, **cfg_kw))
-        out_o, p_o = meob_apply(a, StateVector(1, psi), MEoBConfig(backend="oracle", **cfg_kw))
-        assert fidelity(out_c, out_o) >= 1.0 - 1e-9
+        out_c, p_c = run_circuit(a, psi, 4, np.pi / (2.0 * norm), 0.99 / norm)
+        out_o, p_o = oracle_evolution(a, psi, 0.99 / norm)
+        assert abs(np.vdot(out_c, out_o)) >= 1.0 - 1e-9
         assert p_c == pytest.approx(p_o, abs=1e-12)
-
-
-def default_constants(a: np.ndarray) -> tuple[float, float]:
-    """The t0 and C that meob_apply derives from A's spectral norm."""
-    lam_max = np.linalg.norm(a, 2)
-    return 0.9 * np.pi / lam_max, 0.99 / lam_max
 
 
 class TestCircuitClosedForm:
@@ -367,11 +402,22 @@ class TestCircuitClosedForm:
         psi = np.sqrt(m.masses)
         extra = (psi,) if kind == "diag" else ()
         a = transform_matrix(kind, n, *extra)
-        out, p = meob_apply(a, StateVector(n, psi), MEoBConfig(backend="circuit", t=t))
+        out, p = run_circuit(a, psi, t)
         t0, c = default_constants(a)
         expect, p_expect = fejer_meob_oracle(a, psi, t, t0, c)
-        np.testing.assert_allclose(out.amps, expect, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out, expect, rtol=0, atol=1e-12)
         assert p == pytest.approx(p_expect, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("kind", ["q", "bel", "diag"])
+    def test_meob_apply_is_the_clock_bits_circuit(self, kind):
+        # the program path is the circuit at CLOCK_BITS with t0 and C from ||A||
+        (m,) = random_bbas(1, 3, seed=4133)
+        psi = np.sqrt(m.masses)
+        a = transform_matrix(kind, 3, *((psi,) if kind == "diag" else ()))
+        out, p = meob_apply(a, StateVector(3, psi), CIRCUIT)
+        expect, p_expect = run_circuit(a, psi, CLOCK_BITS)
+        assert out.amps.tobytes() == expect.tobytes()
+        assert p == p_expect
 
 
 class TestFusedEqualsGateReplay:
@@ -386,11 +432,9 @@ class TestFusedEqualsGateReplay:
         psi = normalized(rng.normal(size=1 << n))
         t = 5
         t0, c = default_constants(a)
-        out, p = meob_apply(
-            a, StateVector(n, psi), MEoBConfig(backend="circuit", t=t, t0=t0, C=c)
-        )
+        out, p = run_circuit(a, psi, t)
         expect, p_expect = phase_estimation_replay(a, psi, t0, c, t)
-        np.testing.assert_allclose(out.amps, expect, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out, expect, rtol=0, atol=1e-12)
         assert p == pytest.approx(p_expect, rel=1e-12, abs=0)
 
     def test_circuit_combination_reads_one_block(self, readout_calls):

@@ -168,7 +168,7 @@ class TestConjunctivePipeline:
         frame = make_frame(1)
         m1 = validate_bba(frame, {(): 0.5, ("e0",): 0.5})
         m2 = validate_bba(frame, {(): 0.25, ("e0",): 0.75})
-        out = ccr_qc(m1, m2, MEoBConfig(backend="circuit", t=8))
+        out = ccr_qc(m1, m2, MEoBConfig(backend="circuit"))
         expect = combine_conjunctive(m1, m2)
         np.testing.assert_allclose(out.masses, expect.masses, atol=1e-2)
 
