@@ -16,28 +16,30 @@ Two interchangeable backends:
   (:mod:`qbelief.dst.operators`) applies its lattice sweeps and takes
   its norm in closed form, so no 2^n x 2^n array is built; an explicit
   matrix is multiplied and its norm taken from an SVD.
-- ``circuit``: the phase-estimation circuit simulated stage by stage
-  (Cleve, Ekert, Macchiavello and Mosca, quant-ph/9708016), on the one
-  branch of the (ancilla, clock, system) register that is kept: ancilla
-  1, clock 0.  The stages act on each eigencomponent of the evolved
-  Hermitian matrix H alone, so the kept branch is g(H) psi, with
-  g(lambda) the clock filter of one eigenvalue (:func:`_clock_filter`):
+- ``circuit``: the phase-estimation circuit (Cleve, Ekert, Macchiavello
+  and Mosca, quant-ph/9708016) on the one branch of the (ancilla, clock,
+  system) register that is kept: ancilla 1, clock 0.  The stages act on
+  each eigencomponent of the evolved Hermitian matrix H alone, so the
+  kept branch is g(H) psi, with g(lambda) the clock filter of one
+  eigenvalue (:func:`_clock_filter`).  The forward pass is simulated:
   the Hadamard layer on the |0> clock, the t controlled powers of
-  exp(i H t0) (the phase exp(i t0 x lambda) wherever the clock reads
-  x), the inverse Fourier transform as an orthonormal FFT, the ancilla
-  RY from |0> (clock value x keeps sin(theta_x / 2) on ancilla 1), the
-  same stages in reverse with conjugate phases, and the read of clock
-  0.  A Hermitian A is evolved from one ``eigh``.  A non-Hermitian A enters
-  the circuit through the block embedding [[0, A^dagger], [A, 0]] on
-  [psi; 0], whose eigenvectors are [v; +/-u] / sqrt(2) at +/-sigma for
-  each singular triple (sigma, u, v) of A; its kept half is therefore
-  U diag((g(sigma) - g(-sigma)) / 2) V^dagger psi, from one SVD of A,
-  and the embedding is never built.  The squared norm of the output is
-  the success probability.
+  exp(i H t0) (the phase exp(i t0 lambda x) wherever the clock reads x)
+  and the inverse Fourier transform as an FFT leave the clock state
+  alpha.  The ancilla RY from |0> keeps s_x = sin(theta_x / 2) on
+  ancilla 1 at clock value x, and the adjoint of the forward pass read
+  at clock 0 is <alpha| diag(s) |alpha>, read in closed form: g(lambda)
+  = sum_x s_x |alpha_x|^2 is real.  A Hermitian A is evolved from one
+  ``eigh``.  A non-Hermitian A enters the circuit through the block
+  embedding [[0, A^dagger], [A, 0]] on [psi; 0], whose eigenvectors are
+  [v; +/-u] / sqrt(2) at +/-sigma for each singular triple (sigma, u, v)
+  of A; its kept half is therefore U diag((g(sigma) - g(-sigma)) / 2)
+  V^dagger psi, from one SVD of A, and the embedding is never built.
+  The squared norm of the output is the success probability.
 
 The circuit backend evolves the operator's dense matrix, under the
 dense budget, in the matrix's own dtype: a real A gets the real
-``eigh`` or SVD, and complex arithmetic starts at the clock phases.
+``eigh`` or SVD and, since g is real, a real output.  Complex
+arithmetic stays inside the filter.
 
 Only the backend is chosen.  The clock is ``CLOCK_BITS`` = 8 qubits
 wide, and both backends take t0 = 0.9 pi / ||A|| and C = 0.99 / ||A||
@@ -134,11 +136,15 @@ def meob_apply(matrix, state: StateVector, config: MEoBConfig) -> tuple[StateVec
         out = op.matvec(state.amps * scale)
         success = float(np.real(np.vdot(out, out))) * (c / scale) ** 2
     else:
-        # five d x d float64 arrays are alive at once: the matrix, the two
-        # factors of its decomposition, and the unitarity check's Gram matrix
-        # beside its absolute value.  LAPACK's workspace is not counted:
-        # tracemalloc does not see it (the SVD alone peaks at its two outputs)
-        check_dense_budget(40 * d * d, f"the circuit evolution of a {d}x{d} matrix")
+        # at most four d x d float64 arrays are alive at once (the matrix, the
+        # two factors of its decomposition, and the unitarity check's Gram
+        # matrix), or three beside the filter's complex (d, 2^t) clock, its
+        # float modulus and that modulus squared, 32 bytes per clock entry.
+        # LAPACK's workspace is not counted: tracemalloc does not see it (the
+        # SVD peaks at its outputs)
+        check_dense_budget(
+            32 * d * (d + (1 << CLOCK_BITS)), f"the circuit evolution of a {d}x{d} matrix"
+        )
         out = _run_circuit(op.dense(), state.amps, CLOCK_BITS, t0, c)
         success = float(np.real(np.vdot(out, out)))
     if not success >= _MIN_SUCCESS:
@@ -150,44 +156,45 @@ def decode_eigenvalue(clock_value, t: int, t0: float):
     """Two's-complement phase decoding of a clock readout.
 
     Takes an int (returns a float) or an int array (returns an array).
+    Dividing by 2^t before t0 keeps a huge t0 from overflowing the grid.
     """
     size = 1 << t
     k = clock_value - size * (clock_value >= size // 2)
-    return 2.0 * np.pi * k / (size * t0)
+    return 2.0 * np.pi * k / size / t0
 
 
 def _clock_filter(lam: np.ndarray, t: int, t0: float, c: float) -> np.ndarray:
     """The kept amplitude g(lambda) of one unit eigencomponent, per eigenvalue.
 
-    The stages of the circuit on the clock vector of each eigenvalue,
-    one row per eigenvalue: the Hadamard layer on |0> gives every clock
-    value 1 / sqrt(2^t), the controlled powers multiply clock value x by
-    exp(i t0 x lambda), the inverse QFT is an orthonormal FFT, the RY
-    from ancilla |0> scales clock value x by sin(theta_x / 2), its
-    amplitude on ancilla 1, and the iFFT, the conjugate phases and the
-    last Hadamard layer read at clock 0 (a sum / sqrt(2^t)) uncompute.
+    The forward pass on the clock vector of each eigenvalue, one row per
+    eigenvalue: the Hadamard layer on |0> gives every clock value
+    1 / sqrt(2^t), the controlled powers multiply clock value x by
+    exp(i (t0 lambda) x), and the inverse QFT is an FFT, so clock value y
+    holds alpha_y = sum_x exp(i (t0 lambda) x) exp(-2 pi i x y / 2^t) / 2^t.
+    The ancilla RY scales each alpha_y by s_y = sin(theta_y / 2) =
+    clip(C lambda_y, -1, 1), and the adjoint of the forward pass read at
+    clock 0 is <alpha| diag(s) |alpha>, so g(lambda) = sum_y s_y |alpha_y|^2,
+    a real number.  t0 lambda is formed before it meets x, and C lambda_y
+    as (C / t0) (2 pi k / 2^t), k the two's-complement value of y: no
+    product overflows for any norm whose t0 and C are finite.
     """
     size = 1 << t
-    phases = np.exp(1j * t0 * np.multiply.outer(lam, np.arange(size)))
-    lam_grid = decode_eigenvalue(np.arange(size), t, t0)
     # far grid points can exceed the C window by design headroom; they
     # carry (near-)zero amplitude, so saturating the rotation is safe
-    angles = 2.0 * np.arcsin(np.clip(c * lam_grid, -1.0, 1.0))
-
-    # the transforms run in place: two (lam.size, 2^t) arrays are alive at once
-    clock = phases / math.sqrt(size)
-    np.fft.fft(clock, norm="ortho", out=clock)  # inverse QFT
-    clock *= np.sin(angles / 2.0)
-    np.fft.ifft(clock, norm="ortho", out=clock)
-    clock *= np.conjugate(phases, out=phases)
-    return clock.sum(axis=1) / math.sqrt(size)
+    rotation = np.clip((c / t0) * decode_eigenvalue(np.arange(size), t, 1.0), -1.0, 1.0)
+    # the phases are exponentiated and transformed in place: the only
+    # complex array is this (lam.size, 2^t) one, and it stays in here
+    clock = np.multiply.outer(1j * t0 * lam, np.arange(size))
+    np.exp(clock, out=clock)
+    np.fft.fft(clock, norm="forward", out=clock)  # inverse QFT
+    return np.abs(clock) ** 2 @ rotation
 
 
 def _check_unitary(basis: np.ndarray) -> None:
     """Refuse a basis whose Gram matrix is more than 1e-9 from the identity."""
     gram = basis.conj().T @ basis
     gram.flat[:: gram.shape[0] + 1] -= 1.0
-    defect = np.abs(gram).max()
+    defect = np.abs(gram, out=gram).max()
     if defect > 1e-9:
         raise NotUnitary(f"basis deviates from unitarity by {defect:.3g}")
 

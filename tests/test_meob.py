@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from qbelief.quantum import (
     meob_apply,
 )
 import qbelief.quantum.meob as meob_module
-from qbelief.quantum.meob import CLOCK_BITS, _evolution_constants, _run_circuit
+from qbelief.quantum.meob import CLOCK_BITS, _clock_filter, _evolution_constants, _run_circuit
 
 ORACLE = MEoBConfig(backend="oracle")
 CIRCUIT = MEoBConfig(backend="circuit")
@@ -153,6 +154,22 @@ class TestSharedTail:
             meob_apply(np.array([[bad, 0.0], [0.0, 1.0]]), StateVector(1, [0.6, 0.8]),
                        MEoBConfig(backend=backend))
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.eye(4) * 1e-307, np.eye(4) * 2.5e-308, np.eye(4) * 1.7e-308,
+         np.diag([1e308, 1.0, 1.0, 1.0])],
+        ids=["eye-1e-307", "eye-2.5e-308", "eye-1.7e-308", "diag-1e308"],
+    )
+    def test_extreme_norms_evolve(self, matrix):
+        # t0 = 0.9 pi / ||A|| and C = 0.99 / ||A|| are finite for each norm,
+        # so both backends evolve the state, with no warning on the way
+        state = StateVector(2, np.array([1.0, 2.0, 3.0, 4.0]) / np.sqrt(30.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expect, _ = meob_apply(matrix, state, ORACLE)
+            out, _ = meob_apply(matrix, state, CIRCUIT)
+        np.testing.assert_allclose(out.amps, expect.amps, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("backend", ["oracle", "circuit"])
     def test_overflowing_norm_refused(self, backend):
         # finite entries whose spectral norm overflows to inf would give
@@ -193,6 +210,12 @@ class TestEigenvalueDecoding:
         assert decode_eigenvalue(3, t, t0) == pytest.approx(2 * np.pi * 3 / 16)
         assert decode_eigenvalue(15, t, t0) == pytest.approx(-2 * np.pi / 16)
         assert decode_eigenvalue(8, t, t0) == pytest.approx(-2 * np.pi * 8 / 16)
+
+    def test_huge_t0_keeps_the_grid(self):
+        # 2^t * t0 would overflow to inf and decode every clock value to 0
+        t0 = 1e307
+        assert decode_eigenvalue(1, 8, t0) == 2 * np.pi / 256 / t0 > 0.0
+        assert decode_eigenvalue(255, 8, t0) == -2 * np.pi / 256 / t0
 
     def test_int_array_matches_scalar_calls(self):
         t, t0 = 5, 0.7
@@ -283,6 +306,18 @@ class TestCircuitBackend:
             tracemalloc.stop()
         assert peak < 2 * register
 
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_real_matrix_gives_real_output(self, hermitian, rng):
+        # the kept amplitude g(lambda) is real, so a real A and psi give a
+        # float64 output on the eigh and on the SVD route
+        a = rng.normal(size=(8, 8))
+        if hermitian:
+            a = a + a.T
+        t0, c = default_constants(a)
+        assert _clock_filter(np.linalg.svd(a)[1], CLOCK_BITS, t0, c).dtype == np.float64
+        out = _run_circuit(a, normalized(rng.normal(size=8)).real, CLOCK_BITS, t0, c)
+        assert out.dtype == np.float64
+
     def test_one_decomposition_per_stage(self, monkeypatch):
         # ccr's stages diag, q, diag, q_inv: the diagonals are Hermitian and
         # take eigh, q and q_inv take an SVD of the real d x d matrix itself
@@ -325,9 +360,15 @@ class TestCircuitBackend:
             tracemalloc.stop()
         assert peak < 8 * (8 << 2 * n)
 
-    def test_dense_budget_covers_the_peak(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["q", "pl", "bet"])
+    @pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
+    def test_dense_budget_covers_the_peak(self, monkeypatch, kind, n):
         # the figure checked against the dense budget is what the circuit
-        # path holds at its peak: five 2 MiB arrays at n = 9
+        # path holds at its peak, on the SVD (q, bet) and eigh (pl) routes:
+        # the filter's (d, 2^t) arrays below n = 8, four d x d arrays above.
+        # The FFT's plan for the clock length is made once per process,
+        # outside any one evolution, so a first run makes it before tracing
+        meob_apply(transform_operator("q", 1), StateVector(1), CIRCUIT)
         budgets = []
 
         def recorded(nbytes, what, _original=meob_module.check_dense_budget):
@@ -335,8 +376,7 @@ class TestCircuitBackend:
             return _original(nbytes, what)
 
         monkeypatch.setattr(meob_module, "check_dense_budget", recorded)
-        n = 9
-        op = transform_operator("q", n)
+        op = transform_operator(kind, n)
         state = StateVector(n, np.full(1 << n, 2.0 ** (-n / 2)))
         tracemalloc.start()
         try:
@@ -348,8 +388,8 @@ class TestCircuitBackend:
         assert peak <= 1.05 * budgets[0]
 
     def test_dense_budget_is_checked_before_the_matrix(self, monkeypatch):
-        # at n = 12 the five d x d arrays of the circuit path need 640 MiB,
-        # over the budget: refused before the 128 MiB transform matrix is built
+        # at n = 12 the circuit path needs 32 d (d + 2^CLOCK_BITS) bytes,
+        # 544 MiB, over the budget: refused before the 128 MiB transform matrix is built
         monkeypatch.setattr(TransformOperator, "dense", lambda self: pytest.fail("matrix built"))
         with pytest.raises(DenseBudgetExceeded):
             meob_apply(transform_operator("q", 12), StateVector(12), CIRCUIT)

@@ -33,8 +33,10 @@ from qbelief.quantum import (
     ptm_qc,
     swap_test,
 )
+import qbelief.quantum.pipelines as pipelines_module
 
 ORACLE = MEoBConfig(backend="oracle")
+CIRCUIT = MEoBConfig(backend="circuit")
 
 
 def normalized(v):
@@ -295,3 +297,51 @@ class TestSimilarityPipeline:
         assert fb_inner_product_qc(moving, fixed, ORACLE) == pytest.approx(
             fb_inner_product(moving, fixed), abs=1e-8
         )
+
+
+class TestRealStaysReal:
+    """Real masses and real transform matrices give float64 states on the
+    circuit backend, as on the oracle: no complex array leaves the filter."""
+
+    @pytest.fixture
+    def state_dtypes(self, monkeypatch) -> list:
+        dtypes = []
+
+        def recorded(matrix, state, config, _original=pipelines_module.meob_apply):
+            out, success = _original(matrix, state, config)
+            dtypes.append(out.amps.dtype)
+            return out, success
+
+        monkeypatch.setattr(pipelines_module, "meob_apply", recorded)
+        return dtypes
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda m1, m2: ccr_qc(m1, m2, CIRCUIT),
+            lambda m1, m2: dcr_qc(m1, m2, CIRCUIT),
+            *(
+                lambda m1, m2, kind=kind: belief_functions_qc(m1, kind, CIRCUIT)
+                for kind in ("bel", "pl", "q", "fbba", "betm")
+            ),
+            lambda m1, m2: ppt_qc(m1, CIRCUIT),
+        ],
+        ids=["ccr", "dcr", "bel", "pl", "q", "fbba", "betm", "ppt"],
+    )
+    def test_circuit_pipeline_states_are_float64(self, state_dtypes, run):
+        m1, m2 = random_bbas(2, 3, seed=4207)
+        run(m1, m2)
+        assert state_dtypes and set(state_dtypes) == {np.dtype(np.float64)}
+
+    def test_fb_inner_swaps_float64_states(self, state_dtypes, monkeypatch):
+        swapped = []
+
+        def recorded(s1, s2, _original=pipelines_module.swap_test):
+            swapped.extend([s1.amps.dtype, s2.amps.dtype])
+            return _original(s1, s2)
+
+        monkeypatch.setattr(pipelines_module, "swap_test", recorded)
+        m1, m2 = random_bbas(2, 3, seed=4207)
+        fb_inner_product_qc(m1, m2, CIRCUIT)
+        assert swapped == [np.dtype(np.float64)] * 2
+        assert state_dtypes == [np.dtype(np.float64)] * 4
