@@ -41,7 +41,8 @@ class PreparationTree:
     ``values[l][p]`` is the total mass of the focal sets whose top ``l``
     index bits equal ``p``; ``angles[l][p]`` is the RY angle
     2 arctan(sqrt(right/left)) applied for the split below that node,
-    with angle 0 where both children are empty.
+    with angle 0 where both children are empty.  Each level is a view of
+    one heap array (see ``_heaps``).
     """
 
     n: int
@@ -62,6 +63,34 @@ class PreparationTree:
         ]
 
 
+def _heaps(m: MassFunction) -> tuple[np.ndarray, np.ndarray]:
+    """The node sums and the RY half-angles, each one heap array with
+    level l at [2^l - 1, 2^(l+1) - 1), so node i has children 2i + 1 and
+    2i + 2.
+
+    The sums are added bottom-up, one level at a time; the half-angles
+    come from one ``sqrt`` of every child sum, written as the contiguous
+    rows of left and right children (``arctan2`` runs about a third slower
+    on strided input), and one ``arctan2`` of those rows.  A node's RY
+    angle is twice its half-angle h, and as scaling by 2 is exact, h is
+    bit for bit the angle halved.
+    """
+    n = m.frame.n
+    sums = np.empty((2 << n) - 1)
+    sums[(1 << n) - 1:] = m.masses
+    for level in range(n - 1, -1, -1):
+        child = sums[(2 << level) - 1:(4 << level) - 1]
+        np.add(child[0::2], child[1::2], out=sums[(1 << level) - 1:(2 << level) - 1])
+    roots = np.empty((2, (1 << n) - 1))
+    np.sqrt(sums[1:].reshape(-1, 2).T, out=roots)
+    return sums, np.arctan2(roots[1], roots[0])
+
+
+def _levels(heap: np.ndarray, count: int) -> tuple[np.ndarray, ...]:
+    """The first ``count`` levels of a heap, root first, as views."""
+    return tuple(heap[(1 << level) - 1:(2 << level) - 1] for level in range(count))
+
+
 def build_preparation_tree(m: MassFunction) -> PreparationTree:
     """Aggregate masses bottom-up and derive one RY angle per node.
 
@@ -69,16 +98,8 @@ def build_preparation_tree(m: MassFunction) -> PreparationTree:
     cos(a/2) / sin(a/2), reproducing each node's left/right mass ratio.
     """
     n = m.frame.n
-    values = [np.empty(0)] * (n + 1)
-    values[n] = m.masses.copy()
-    for level in range(n - 1, -1, -1):
-        child = values[level + 1]
-        values[level] = child[0::2] + child[1::2]
-
-    angles = tuple(
-        2.0 * np.arctan2(np.sqrt(child[1::2]), np.sqrt(child[0::2])) for child in values[1:]
-    )
-    return PreparationTree(n, tuple(values), angles)
+    sums, half = _heaps(m)
+    return PreparationTree(n, _levels(sums, n + 1), _levels(2.0 * half, n))
 
 
 def synthesize_preparation_circuit(tree: PreparationTree) -> Circuit:
@@ -102,15 +123,17 @@ def synthesize_preparation_circuit(tree: PreparationTree) -> Circuit:
 def prepare_bba_state(m: MassFunction) -> StateVector:
     """Double the amplitudes level by level, root first, in O(2^n); they
     come out as +sqrt(mass), in the bytes of the tree's circuit."""
-    tree = build_preparation_tree(m)
+    n = m.frame.n
+    half = _heaps(m)[1]  # the sums are not kept
+    cos = _levels(np.cos(half), n)
+    sin = _levels(np.sin(half, out=half), n)
     amps = np.ones(1)
-    for angles in tree.angles:
-        half = angles / 2.0
+    for c, s in zip(cos, sin):
         doubled = np.empty((amps.size, 2))  # row p holds paths 2p and 2p + 1
-        np.multiply(np.cos(half), amps, out=doubled[:, 0])
-        np.multiply(np.sin(half), amps, out=doubled[:, 1])
+        np.multiply(c, amps, out=doubled[:, 0])
+        np.multiply(s, amps, out=doubled[:, 1])
         amps = doubled.reshape(-1)
-    return StateVector(tree.n, amps)
+    return StateVector(n, amps)
 
 
 def encode_state(m: MassFunction) -> StateVector:

@@ -32,8 +32,10 @@ reaches the same gate kernel as the library's own gates.
 register's seeded samples.  ``estimate_prepared_oracle`` and
 ``swap_test_oracle`` are the belief query and the swap test read that
 way: the query's circuit run on the prepared state widened by an
-ancilla, and the swap test's whole register from ``swap_test_state``.
-The library reads only the half of the register its ancilla read needs.
+ancilla, and the swap test's whole register from ``swap_test_state``,
+its gates applied as one fused transpose.  The library reads only the
+half of the query's register its ancilla read needs, and the swap test
+from its closed form on the two input vectors.
 
 ``circuit_from_json`` reads exported circuit JSON back into a circuit,
 so the tests can check that the export round-trips losslessly.
@@ -56,10 +58,9 @@ import re
 import numpy as np
 
 from qbelief.dst import MassFunction, b_from_mass, q_from_mass, transform_matrix
-from qbelief.errors import ValidationError
+from qbelief.errors import QubitCountMismatch, ValidationError, check_dense_budget
 from qbelief.qsim import Circuit, Gate, H, StateVector, new_state, product_state
 from qbelief.quantum import BeliefQuery, belief_query_circuit
-from qbelief.quantum.swap import swap_test_state
 
 
 def popcount(x: int) -> int:
@@ -464,6 +465,27 @@ def estimate_prepared_oracle(
     full = product_state([prepared, new_state(1)])
     belief_query_circuit(query, n).run(full)
     return read_qubit(full, n, 1, shots, seed)
+
+
+def swap_test_state(s1: StateVector, s2: StateVector) -> StateVector:
+    """The joint state the swap test leaves on |s1>|s2>|0>: registers
+    [0, k) and [k, 2k), ancilla 2k.
+
+    On the (ancilla, s2, s1) = (2, 2^k, 2^k) view of the register the k
+    controlled SWAPs together exchange the two registers wherever the
+    ancilla reads 1, which is one transpose of that block.  The 4^k
+    amplitudes are refused before they are allocated when they exceed
+    the dense budget.
+    """
+    if s1.k != s2.k:
+        raise QubitCountMismatch(f"register sizes differ: {s1.k} vs {s2.k}")
+    k = s1.k
+    check_dense_budget(16 << (2 * k + 1), f"the {2 * k + 1}-qubit swap-test register")
+    joint = product_state([s1, s2, new_state(1, 0)])
+    joint.apply(H(), 2 * k)
+    swapped = joint.amps.reshape(2, 1 << k, 1 << k)[1]
+    swapped[...] = swapped.T.copy()
+    return joint.apply(H(), 2 * k)
 
 
 def swap_test_oracle(

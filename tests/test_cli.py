@@ -14,7 +14,7 @@ from conftest import make_frame, random_bbas, random_mass_function
 from oracles import circuit_from_json, dumps_result_oracle, inputs_digest_oracle
 import qbelief
 from qbelief.cli import main
-from qbelief.dst import Frame, validate_bba
+from qbelief.dst import Frame, MassFunction, classical_fidelity, fb_inner_product, validate_bba
 from qbelief.documents import dump_bba_document, dumps_result
 
 
@@ -706,19 +706,42 @@ def test_dense_allocation_refused_before_it_is_made(tmp_path, n):
     assert json.loads(done.stderr)["error"] == "DenseBudgetExceeded"
 
 
-@pytest.mark.parametrize("measure", ["fidelity", "fb-inner"])
-def test_swap_test_register_refused_before_it_is_made(tmp_path, measure):
-    # two n = 13 states make a 27-qubit register, 2 GiB of amplitudes
-    frame = make_frame(13)
-    rng = np.random.default_rng(13)
-    paths = [
-        write_doc(tmp_path, random_mass_function(frame, rng, max_focal=40), f"n13-{i}.json")
-        for i in range(2)
-    ]
+def _overlapping_pair(tmp_path, n):
+    """Two n-element documents on the same focal sets (at most 40) with
+    independent masses, so that their fidelity is far from 0."""
+    frame = make_frame(n)
+    rng = np.random.default_rng(n)
+    m1 = random_mass_function(frame, rng, max_focal=40)
+    weights = np.zeros(frame.size)
+    weights[m1.focal] = rng.exponential(size=m1.focal.size)
+    m2 = MassFunction(frame, weights / weights.sum())
+    return m1, m2, [write_doc(tmp_path, m, f"n{n}-{i}.json") for i, m in enumerate((m1, m2))]
+
+
+@pytest.mark.parametrize("measure, n", [("fidelity", 13), ("fb-inner", 13), ("fidelity", 20)])
+def test_swap_test_runs_past_the_register_budget(tmp_path, measure, n):
+    # two n = 13 states would make a 27-qubit register, 2 GiB of amplitudes;
+    # the closed-form read needs only the two 2^n vectors
+    m1, m2, paths = _overlapping_pair(tmp_path, n)
     done = _run_under_3gib(
         ["similarity", "--measure", measure, "--backend", "quantum-oracle", *paths])
+    assert done.returncode == 0, done.stderr
+    classical = {"fidelity": classical_fidelity, "fb-inner": fb_inner_product}[measure]
+    value = json.loads(done.stdout)["payload"]["value"]
+    assert value == pytest.approx(classical(m1, m2), abs=1e-12)
+    assert value > 0.1
+
+
+def test_circuit_fb_inner_refused_by_its_evolution(tmp_path):
+    # the swap test no longer refuses anything: the circuit backend's
+    # evolution chain stops fb-inner at n = 13, before either state exists
+    *_, paths = _overlapping_pair(tmp_path, 13)
+    done = _run_under_3gib(
+        ["similarity", "--measure", "fb-inner", "--backend", "quantum-circuit", *paths])
     assert (done.returncode, done.stdout) == (2, ""), done.stderr
-    assert json.loads(done.stderr)["error"] == "DenseBudgetExceeded"
+    error = json.loads(done.stderr)
+    assert error["error"] == "DenseBudgetExceeded"
+    assert "the circuit evolution of a 8192x8192 matrix" in error["message"]
 
 
 @pytest.mark.parametrize("argv", [
