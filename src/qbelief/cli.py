@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 ok, 1 validation error, 2 computation error (conflict,
-singularity, failed postselection), 3 I/O error.  All randomness flows
+singularity, failed postselection), 3 I/O error (a file that cannot be
+read, or a document that is not UTF-8 JSON).  All randomness flows
 through explicit ``--seed`` flags; identical inputs, seeds and shot
 counts produce byte-identical result documents.
 """
@@ -84,7 +85,7 @@ def _command(*options: tuple[str, dict], paths: tuple[str, ...] = ("path",)):
         for path in paths:
             sub.add_argument(path, type=_file, metavar=path.upper())
         sub.add_argument("--help", **_HELP)
-        sub.set_defaults(run=run, parser=sub, command=name)
+        sub.set_defaults(run=run)
         return run
 
     return register
@@ -390,12 +391,14 @@ def trend_rows() -> list[tuple[str, tuple[float, float, float, float, float]]]:
 
 
 def main(argv: list[str] | None = None) -> None:
-    args, extra = _PARSER.parse_known_args(argv)
+    tokens = sys.argv[1:] if argv is None else argv
+    # a leading command name goes straight to its own parser, which the top
+    # level would hand every later token to; --help, a missing or unknown
+    # command and options before the command are the top level's
+    command = _COMMANDS.choices.get(tokens[0]) if tokens else None
+    owner, rest = (command, tokens[1:]) if command else (_PARSER, tokens)
+    args, extra = owner.parse_known_args(rest)
     if extra:
-        # tokens left over before the command are the top level's, and the
-        # top level lists its leftovers first
-        tokens = sys.argv[1:] if argv is None else argv
-        owner = args.parser if tokens[0] == args.command else _PARSER
         owner.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         args.run(args)
@@ -406,7 +409,8 @@ def main(argv: list[str] | None = None) -> None:
     except QBeliefError as exc:
         _diagnostic(exc)
         sys.exit(1)
-    except (OSError, json.JSONDecodeError) as exc:
+    # a file that cannot be read, or a document that is not JSON or not UTF-8
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         _diagnostic(exc)
         sys.exit(3)
 

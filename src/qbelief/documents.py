@@ -8,9 +8,13 @@ carry the operation name, an input digest, the backend and a numeric
 payload.  All reals are rounded to 12 significant digits at
 serialization, which keeps equal inputs byte-identical on disk while
 staying far below internal tolerances.  A dense vector of the payload,
-and the subset labels that go with it, are held as the JSON texts of
-their items, made in one pass each, and written one text per line into
-the indent-2 layout, so none of their values is rounded or encoded alone.
+and the subset labels that go with it, are each held as one block: the
+JSON texts of their items, one per line, already joined in the indent-2
+layout, so the document copies each block once.  The labels of all 2^n
+subsets are joined from the label runs of the low and the high half of
+the frame, each list built by doubling, with no string per subset; a
+vector's values are formatted once per distinct value when that at least
+halves the values to format.
 """
 
 from __future__ import annotations
@@ -38,15 +42,21 @@ def _round_real(x: float) -> float:
     return float(f"{x:.12g}")
 
 
+#: the separator of a payload array's items in the result layout: a comma,
+#: then a line indented to the array's depth under ``"payload"``
+_ITEM_SEP = ",\n      "
+
+
 class JsonTexts:
-    """A JSON array held as the texts of its items, which :func:`dumps_result`
-    writes one per line.  It is not a list, so ``json.dumps`` refuses it
-    rather than writing the texts as quoted strings."""
+    """A JSON array held as one block: the texts of its items joined by
+    ``_ITEM_SEP``, which :func:`dumps_result` writes as they are.  It is not
+    a list, so ``json.dumps`` refuses it rather than writing the block as a
+    quoted string."""
 
-    __slots__ = ("texts",)
+    __slots__ = ("block",)
 
-    def __init__(self, texts: list[str]):
-        self.texts = texts
+    def __init__(self, block: str):
+        self.block = block
 
 
 def _round_payload(value: Any) -> Any:
@@ -58,7 +68,7 @@ def _round_payload(value: Any) -> Any:
         if value.ndim == 1 and value.dtype.kind == "f":
             if not np.isfinite(value).all():
                 raise ValidationError("payload contains a non-finite value")
-            return JsonTexts(_mass_texts(value))
+            return JsonTexts(_ITEM_SEP.join(_dense_texts(value)))
         return [_round_payload(v) for v in value.tolist()]
     if isinstance(value, JsonTexts):
         return value
@@ -139,19 +149,30 @@ def dump_bba_document(m: MassFunction) -> dict:
     }
 
 
-_CHUNK = 7  # label bits per lookup table: 3 tables of 2^7 runs at the frame cap
+_CHUNK = 7  # the widest label chunk: 3 tables of 2^7 runs at the frame cap
+
+
+def _runs(pieces: list[str]) -> list[str]:
+    """The concatenated ``pieces`` of each subset of them, in index order, by
+    doubling: the runs of the first k + 1 pieces are those of the first k,
+    then each of them with the next piece added."""
+    runs = [""]
+    for piece in pieces:
+        runs += [run + piece for run in runs]
+    return runs
 
 
 def _label_runs(labels: list[str], focal: np.ndarray) -> list[str]:
     """For each subset index in ``focal``, its ``labels`` in frame order, each
-    followed by a comma.  The index is read in chunks of ``_CHUNK`` bits,
-    each looked up in a table of that chunk's 2^_CHUNK label runs."""
+    followed by a comma.  The index is read in chunks of bits, each looked up
+    in a table of that chunk's label runs.  A chunk is as wide as the focal
+    count's bit length, at most ``_CHUNK``, so no table has more runs than
+    twice the number of indices it serves."""
+    width = max(1, min(focal.size.bit_length(), _CHUNK))
     runs = np.full(focal.size, "", dtype=object)
-    for lo in range(0, len(labels), _CHUNK):
-        table = [""]
-        for label in labels[lo : lo + _CHUNK]:
-            table += [run + label + "," for run in table]
-        runs += np.array(table, dtype=object)[focal >> lo & (1 << _CHUNK) - 1]
+    for lo in range(0, len(labels), width):
+        table = _runs([label + "," for label in labels[lo : lo + width]])
+        runs += np.array(table, dtype=object)[focal >> lo & (1 << width) - 1]
     return runs.tolist()
 
 
@@ -161,26 +182,34 @@ def subset_labels(frame: Frame, subsets: np.ndarray) -> list[str]:
 
 
 def dense_subset_labels(frame: Frame) -> JsonTexts:
-    """The labels of all 2^n subsets in index order, as JSON string texts
-    built from the JSON-escaped element labels."""
-    labels = [json.dumps(e)[1:-1] for e in frame.elements]
-    runs = _label_runs(labels, np.arange(frame.size))
-    return JsonTexts(['"{' + run[:-1] + '}"' for run in runs])
+    """The labels of all 2^n subsets in index order, as one block of JSON
+    string texts.  Index ``hi * 2^m + lo``, with m = ceil(n/2), splits the
+    labels into a low run of the first m elements and a high run of the
+    rest, each list made by :func:`_runs` from the JSON-escaped element
+    labels, each with a comma before it.  The lines of one high run are the
+    low runs joined by a glue that ends each line with that high run, so
+    the block is 2^(n-m) joins of 2^m runs and no line is a string of its
+    own."""
+    labels = ["," + json.encoder.encode_basestring_ascii(e)[1:-1] for e in frame.elements]
+    m = len(labels) - len(labels) // 2
+    low = [run[1:] for run in _runs(labels[:m])[1:]]
+    blocks = []
+    for high in _runs(labels[m:]):
+        glue = high + '}"' + _ITEM_SEP + '"{'
+        blocks.append('"{' + high[1:] + '}"' + _ITEM_SEP + '"{' + glue.join(low) + high + '}"')
+    return JsonTexts(_ITEM_SEP.join(blocks))
 
 
-def _mass_texts(values: np.ndarray) -> list[str]:
-    """``repr(float(f"{v:.12g}"))`` for each value, as ``json`` writes the
-    12-digit rounding.  Zeros are written as ``0.0`` and ``-0.0`` in one
-    pass; the other values take one ``%.12g`` pass.  For a normal float that
-    text already is the repr (12 digits tell doubles apart) but for two
+def _real_texts(values: np.ndarray) -> list[str]:
+    """``repr(float(f"{v:.12g}"))`` for each non-zero value, as ``json``
+    writes the 12-digit rounding, in one ``%.12g`` pass.  For a normal float
+    that text already is the repr (12 digits tell doubles apart) but for two
     layouts, which only a magnitude from 0.5 up can take: an integer such
     as ``1``, which gets ``.0``, and an exponent from ``e+12`` up, which
     repr writes out in full below ``1e16``.  Only those exponent texts and
     subnormal values take the repr round trip."""
-    nonzero = np.flatnonzero(values)
-    part = values[nonzero]
-    texts = ("%.12g\n" * part.size % tuple(part.tolist())).split("\n")[:-1]
-    size = np.abs(part)
+    texts = ("%.12g\n" * values.size % tuple(values.tolist())).split("\n")[:-1]
+    size = np.abs(values)
     for i in np.flatnonzero(size < sys.float_info.min).tolist():
         texts[i] = repr(float(texts[i]))
     for i in np.flatnonzero(size >= 0.5).tolist():
@@ -189,22 +218,33 @@ def _mass_texts(values: np.ndarray) -> list[str]:
             texts[i] = repr(float(text))
         elif "." not in text:
             texts[i] = text + ".0"
-    if part.size == values.size:
-        return texts
-    out = np.full(values.size, "0.0", dtype=object)
-    out[np.signbit(values) & (values == 0)] = "-0.0"
-    out[nonzero] = texts
-    return out.tolist()
+    return texts
+
+
+def _dense_texts(values: np.ndarray) -> list[str]:
+    """:func:`_real_texts` of a dense vector, with its zeros written as
+    ``0.0`` and ``-0.0``: one gather from a table of texts.  The table holds
+    each distinct non-zero value once when that at least halves the values
+    to format, and every non-zero value otherwise."""
+    nonzero = np.flatnonzero(values)
+    part = values[nonzero]
+    distinct, inverse = np.unique(part, return_inverse=True)
+    if 2 * distinct.size > part.size:
+        distinct, inverse = part, np.arange(part.size)
+    index = np.signbit(values).astype(np.intp)  # zeros: 0 for 0.0, 1 for -0.0
+    index[nonzero] = inverse + 2
+    return np.array(["0.0", "-0.0", *_real_texts(distinct)], dtype=object)[index].tolist()
 
 
 def _canonical_bba(m: MassFunction) -> str:
     """``json.dumps(dump_bba_document(m), sort_keys=True, separators=(",", ":"))``,
     written straight from the focal list: each label is encoded once, label
-    runs come from per-chunk tables, and the masses are formatted in one pass."""
-    labels = [json.dumps(e) for e in m.frame.elements]
+    runs come from per-chunk tables, and the masses, nearly all distinct,
+    are formatted in one pass."""
+    labels = [json.encoder.encode_basestring_ascii(e) for e in m.frame.elements]
     entries = ",".join([
         f'{{"focal":[{run[:-1]}],"mass":{text}}}'
-        for run, text in zip(_label_runs(labels, m.focal), _mass_texts(m.masses[m.focal]))
+        for run, text in zip(_label_runs(labels, m.focal), _real_texts(m.masses[m.focal]))
     ])
     return '{"frame":[' + ",".join(labels) + '],"masses":[' + entries + "]}"
 
@@ -262,7 +302,7 @@ def result_document(
 
 def dumps_result(doc: dict) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, with each
-    :class:`JsonTexts` array written as its texts, one per line."""
+    :class:`JsonTexts` array written as its block."""
     pieces: list[str] = []
     _lay_out(doc, "\n", pieces)
     pieces.append("\n")
@@ -272,17 +312,18 @@ def dumps_result(doc: dict) -> str:
 def _lay_out(value: Any, newline: str, pieces: list[str]) -> None:
     """Append ``value`` to ``pieces`` in the key-sorted indent-2 layout;
     ``newline`` starts each of its lines after the first.  :class:`JsonTexts`
-    and the dicts that hold them are laid out here, so that each dense array
-    text is built once and copied once, by the document's one ``"".join``.
+    and the dicts that hold them are laid out here, so that each block is
+    copied once, by the document's one ``"".join``; a block at another depth
+    than the payload's arrays has its separators re-indented first.
     Any other value is one ``json.dumps`` call: a container is re-indented
     (a JSON text holds no raw newline, so each one in the output starts a
     line), and a scalar is one line in either layout."""
     inner = newline + "  "
     if isinstance(value, JsonTexts):
-        if value.texts:
-            pieces += ("[", inner, ("," + inner).join(value.texts), newline, "]")
-        else:
-            pieces.append("[]")
+        # a JSON text holds no raw newline, so _ITEM_SEP only ever separates items
+        sep = "," + inner
+        block = value.block if sep == _ITEM_SEP else value.block.replace(_ITEM_SEP, sep)
+        pieces += ("[", inner, block, newline, "]") if block else ("[]",)
     elif _holds_texts(value):
         opening = "{"
         for k, v in sorted(value.items()):

@@ -18,6 +18,9 @@ from qbelief.dst import Frame, MassFunction, classical_fidelity, fb_inner_produc
 from qbelief.documents import dump_bba_document, dumps_result
 
 
+TINY_DOC = '{"frame": ["A"], "masses": [{"focal": ["A"], "mass": 1.0}]}'
+
+
 def write_doc(tmp_path, m, name):
     path = tmp_path / name
     path.write_text(json.dumps(dump_bba_document(m)))
@@ -74,6 +77,20 @@ class TestValidate:
     def test_missing_file_exits_three(self, capsys):
         code, _, _ = run(capsys, ["validate", "/no/such/file.json"])
         assert code == 3
+
+    @pytest.mark.parametrize("data, error", [
+        (b"\x80abc", "UnicodeDecodeError"),
+        (b"\xff\xfe" + TINY_DOC.encode("utf-16-le"), "UnicodeDecodeError"),
+        (b"\xef\xbb\xbf" + TINY_DOC.encode(), "JSONDecodeError"),
+    ], ids=["stray-byte", "utf-16", "utf-8-bom"])
+    def test_document_not_utf8_exits_three(self, capsys, tmp_path, data, error):
+        # documents are read as UTF-8 only: no UTF-16 or UTF-32 detection,
+        # and a byte-order mark is not JSON
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        code, out, err = run(capsys, ["validate", str(path)])
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == error
 
     def test_closed_stdout_exits_three(self, capsys, monkeypatch, showcase_path):
         class ClosedPipe(io.StringIO):
@@ -744,13 +761,18 @@ def test_circuit_fb_inner_refused_by_its_evolution(tmp_path):
     assert "the circuit evolution of a 8192x8192 matrix" in error["message"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["transform", "--kind", "q"],
-    ["combine", "--rule", "ccr"],
-], ids=["transform-q", "combine-ccr"])
-def test_oracle_chains_run_at_the_frame_cap(tmp_path, argv):
+@pytest.mark.parametrize("argv, sha256", [
+    (["transform", "--kind", "q", "--backend", "quantum-oracle"],
+     "94a3eda67ada551e3b7fb1892b620b4ae088ad9d3c336c49930c027441fc732d"),
+    (["combine", "--rule", "ccr", "--backend", "quantum-oracle"],
+     "954fa0a418ff163d8f5ead771886ae0bca5bcf75005a67f5025c831c9d3380db"),
+    (["transform", "--kind", "q", "--backend", "classical"],
+     "0b6fb57c1dfe0393f24cf4f5130a42093b27ccd90b730a228992896347e103f9"),
+], ids=["transform-q", "combine-ccr", "classical-transform-q"])
+def test_oracle_chains_run_at_the_frame_cap(tmp_path, argv, sha256):
     # under the same limit the oracle backend applies each stage by its
-    # action, with no 2^20 x 2^20 matrix
+    # action, with no 2^20 x 2^20 matrix; the digest pins each dense
+    # document, its 2^20 subset labels and values, byte for byte
     frame = make_frame(20)
     rng = np.random.default_rng(20)
     paths = [
@@ -758,9 +780,9 @@ def test_oracle_chains_run_at_the_frame_cap(tmp_path, argv):
         for i in range(2 if argv[0] == "combine" else 1)
     ]
     out = tmp_path / "out.json"
-    done = _run_under_3gib(
-        [*argv, "--backend", "quantum-oracle", "--out", str(out), *paths])
+    done = _run_under_3gib([*argv, "--out", str(out), *paths])
     assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
     payload = json.loads(out.read_text())["payload"]
     values = np.array(payload["values" if argv[0] == "transform" else "masses"])
     assert values.shape == (1 << 20,) and np.isfinite(values).all()

@@ -350,9 +350,10 @@ DIGEST = "0123456789abcdef"
 EDGES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 0.5, 1 - 1e-13, 999999999999.5,
          1.5e13, 1e16, -2.5, 1 / 3, 1e-5, 0.1 + 0.2, 123456789012.25]
 
-# each label needs a JSON escape: a quote, a backslash, a non-ASCII letter
-# and a control character
-ESCAPED = ['q"uote', "back\\slash", "\u00e9", "bell\x07"]
+# each label needs a JSON escape: a quote, a backslash, a non-ASCII letter,
+# a control character, and a brace before a quote, which the escaped
+# label keeps apart from the closing brace of its subset's label
+ESCAPED = ['q"uote', "back\\slash", "\u00e9", "bell\x07", 'brace}"']
 
 
 def escaped_frame(n: int) -> Frame:
@@ -409,6 +410,19 @@ class TestDenseWriter:
         freqs = {f"{{e{i}}}": v for i, v in enumerate(EDGES)}
         assert written({"frequencies": freqs}) == oracle({"frequencies": freqs})
         assert written({"v": edges, "w": -edges}) == oracle({"v": edges, "w": -edges})
+
+    def test_repeated_values_match_json_dumps(self):
+        # 4,096 entries of 12 distinct non-zero values and both zeros: each
+        # distinct value is formatted once and gathered
+        frame = make_frame(12)
+        vector = np.random.default_rng(12).choice(np.array(EDGES), size=frame.size)
+        zeros = np.signbit(vector[vector == 0])
+        assert zeros.any() and not zeros.all()
+        fast, slow = dense_pairs(frame, vector, "values", False)
+        # line pairs, not the two texts: a diff of 4,096 similar lines takes minutes
+        fast_lines, slow_lines = written(fast).splitlines(), oracle(slow).splitlines()
+        assert len(fast_lines) == len(slow_lines)
+        assert [(a, b) for a, b in zip(fast_lines, slow_lines) if a != b] == []
 
     @pytest.mark.parametrize("n", [8, 13])
     def test_escaped_labels_match_json_dumps(self, n):
