@@ -13,8 +13,7 @@ JSON texts of their items, one per line, already joined in the indent-2
 layout, so the document copies each block once.  The labels of all 2^n
 subsets are joined from the label runs of the low and the high half of
 the frame, each list built by doubling, with no string per subset; a
-vector's values are formatted once per distinct value when that at least
-halves the values to format.
+vector's values are formatted once per distinct value.
 """
 
 from __future__ import annotations
@@ -223,14 +222,10 @@ def _real_texts(values: np.ndarray) -> list[str]:
 
 def _dense_texts(values: np.ndarray) -> list[str]:
     """:func:`_real_texts` of a dense vector, with its zeros written as
-    ``0.0`` and ``-0.0``: one gather from a table of texts.  The table holds
-    each distinct non-zero value once when that at least halves the values
-    to format, and every non-zero value otherwise."""
+    ``0.0`` and ``-0.0``: one gather from a table of texts that holds each
+    distinct non-zero value once."""
     nonzero = np.flatnonzero(values)
-    part = values[nonzero]
-    distinct, inverse = np.unique(part, return_inverse=True)
-    if 2 * distinct.size > part.size:
-        distinct, inverse = part, np.arange(part.size)
+    distinct, inverse = np.unique(values[nonzero], return_inverse=True)
     index = np.signbit(values).astype(np.intp)  # zeros: 0 for 0.0, 1 for -0.0
     index[nonzero] = inverse + 2
     return np.array(["0.0", "-0.0", *_real_texts(distinct)], dtype=object)[index].tolist()

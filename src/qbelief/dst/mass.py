@@ -185,8 +185,7 @@ def _from_listed(frame: Frame, index: list[int], values: list) -> MassFunction:
     """The mass function of listed subset indices and masses, checked once
     on the arrays: no subset twice, no negative, non-finite or above-one
     mass, and a sum of one.  Each fault names the first offending entry in
-    listing order.  When no listed mass is zero, the sorted index is the
-    focal list."""
+    listing order."""
     idx = np.array(index, dtype=np.int64)
     masses = np.array(values, dtype=np.float64)
     ranked = np.sort(idx)
@@ -208,8 +207,7 @@ def _from_listed(frame: Frame, index: list[int], values: list) -> MassFunction:
     m = object.__new__(MassFunction)  # checked above; the unlisted masses are zero
     object.__setattr__(m, "frame", frame)
     object.__setattr__(m, "masses", _frozen(dense))
-    nonzero = masses != 0.0
-    object.__setattr__(m, "focal", _frozen(ranked if nonzero.all() else np.sort(idx[nonzero])))
+    object.__setattr__(m, "focal", _frozen(ranked[dense[ranked] != 0.0]))
     return m
 
 
