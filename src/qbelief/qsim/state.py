@@ -252,22 +252,37 @@ class StateVector:
         """Seeded inverse-CDF sampling of the basis-state distribution.
 
         Identical (state, shots, seed) gives identical counts; the draw is
-        a single deterministic PCG64 stream folded through searchsorted.
-        The stream is drawn in blocks of ``_SAMPLE_CHUNK``, in order, so the
-        memory used does not grow with ``shots`` and the counts equal those
-        of one draw of all the shots.
+        a single deterministic PCG64 stream folded through the CDF, where
+        a draw u reads the first outcome i with u < cdf[i] and the last
+        entry of the CDF is set to 1.  The stream is drawn in blocks of
+        ``_SAMPLE_CHUNK``, in order, so the memory used does not grow with
+        ``shots`` and the counts equal those of one draw of all the shots.
+        Each block is sorted, and one ``searchsorted`` of the CDF into it
+        adds #{u < cdf[i]} for every i: the outcome of u is at most i
+        exactly when u < cdf[i], so outcome i reads #{u < cdf[i]} -
+        #{u < cdf[i-1]} draws.  Only the non-zero outcomes are counted, and
+        the last index, which keeps the CDF's final 1 even at zero
+        probability; a zero outcome's CDF entry would equal its
+        predecessor's and count nothing.
         """
         blocks = _uniform_blocks(shots, seed)
         probs = self.probabilities()
-        cdf = np.cumsum(probs)
+        counted = probs != 0.0
+        counted[-1] = True
+        support = np.flatnonzero(counted)
+        cdf = np.cumsum(probs[support])
         cdf[-1] = 1.0
-        counts = np.zeros(probs.size, dtype=np.int64)
+        below = np.zeros(support.size, dtype=np.int64)  # #{u < cdf[i]} over the blocks
         for draws in blocks:
-            outcomes = np.searchsorted(cdf, draws, side="right")
-            counts += np.bincount(outcomes, minlength=probs.size)
+            draws.sort()
+            below += np.searchsorted(draws, cdf)
+        counts = below.copy()  # np.diff(below, prepend=0), without its Python set-up
+        counts[1:] -= below[:-1]
         seen = np.flatnonzero(counts)
         return MeasurementRecord(
-            shots=shots, seed=seed, counts=dict(zip(seen.tolist(), counts[seen].tolist()))
+            shots=shots,
+            seed=seed,
+            counts=dict(zip(support[seen].tolist(), counts[seen].tolist())),
         )
 
 

@@ -22,16 +22,22 @@ Two interchangeable backends:
   each eigencomponent of the evolved Hermitian matrix H alone, so the
   kept branch is g(H) psi, with g(lambda) the clock filter of one
   eigenvalue (:func:`_clock_filter`): each stage is one filter between
-  two bases, U (g(lambda) * (V^dagger psi)).  The forward pass is
-  simulated: the Hadamard layer on the |0> clock, the t controlled
-  powers of exp(i H t0) (the phase exp(i t0 lambda x) wherever the clock
-  reads x) and the inverse Fourier transform as an FFT leave the clock
-  state alpha.  The ancilla RY from |0> keeps s_x = sin(theta_x / 2) on
-  ancilla 1 at clock value x, and the adjoint of the forward pass read
-  at clock 0 is <alpha| diag(s) |alpha>, read in closed form: g(lambda)
-  = sum_x s_x |alpha_x|^2 is real.  A ``diag`` operator is evolved on
-  the identity basis, as g(v) psi, and no matrix is built.  A Hermitian
-  A is evolved from one ``eigh``.  A non-Hermitian A enters the circuit
+  two bases, U (g(lambda) * (V^dagger psi)).  The forward pass (the
+  Hadamard layer on the |0> clock, the t controlled powers of exp(i H
+  t0), the phase exp(i t0 lambda x) wherever the clock reads x, and the
+  inverse Fourier transform) leaves the clock state alpha, whose
+  |alpha_x|^2 is the Fejer kernel of t0 lambda about clock value x.  The
+  ancilla RY from |0> keeps s_x = sin(theta_x / 2) on ancilla 1 at clock
+  value x, and the adjoint of the forward pass read at clock 0 is
+  <alpha| diag(s) |alpha>, read in closed form: g(lambda) = sum_x s_x
+  |alpha_x|^2 is real.  Summed over the clock, g is a fixed
+  trigonometric polynomial of phi = t0 lambda, a sine series plus one
+  Fejer term, whose coefficients depend only on t and C / t0 and are
+  computed once (:func:`_series`); no clock vector is simulated, and the
+  filter costs one short series per eigenvalue.  A ``diag`` operator
+  is evolved on the identity basis, as g(v) psi, with g evaluated once
+  per distinct entry of v, and no matrix is built.  A Hermitian A is
+  evolved from one ``eigh``.  A non-Hermitian A enters the circuit
   through the block embedding [[0, A^dagger], [A, 0]] on [psi; 0], whose
   eigenvectors are [v; +/-u] / sqrt(2) at +/-sigma for each singular
   triple (sigma, u, v) of A; its kept half is therefore
@@ -39,13 +45,13 @@ Two interchangeable backends:
   and the embedding is never built.  That odd part is one filter on
   sigma: the clock values that decode to +/-k mirror each other, so
   g(-sigma) reads the same |alpha|^2 with negated weights, except at the
-  clock value 2^(t-1), its own mirror, whose weight is set to 0.  The
-  squared norm of the output is the success probability.
+  clock value 2^(t-1), its own mirror, whose weight is set to 0: the
+  sine series without its Fejer term.  The squared norm of the output is
+  the success probability.
 
 Every other operator is evolved from its dense matrix, under the dense
 budget, in the matrix's own dtype: a real A gets the real ``eigh`` or
-SVD and, since g is real, a real output.  Complex arithmetic stays
-inside the filter.
+SVD and, since g is real, a real output.  No complex array is built.
 
 Only the backend is chosen.  The clock is ``CLOCK_BITS`` = 8 qubits
 wide, and both backends take t0 = 0.9 pi / ||A|| and C = 0.99 / ||A||
@@ -60,6 +66,7 @@ unambiguous.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -145,10 +152,10 @@ def meob_apply(matrix, state: StateVector, config: MEoBConfig) -> tuple[StateVec
     else:
         # at most four d x d float64 arrays are alive at once (the matrix, the
         # two factors of its decomposition, and the unitarity check's Gram
-        # matrix), or three beside the filter's complex (d, 2^t) clock, its
-        # float modulus and that modulus squared, 32 bytes per clock entry.
-        # LAPACK's workspace is not counted: tracemalloc does not see it (the
-        # SVD peaks at its outputs). A diagonal stage holds no d x d array
+        # matrix), or three beside the filter's (d, 2^t - 1) sine table, 8
+        # of the 32 bytes per clock entry that the figure allows. LAPACK's
+        # workspace is not counted: tracemalloc does not see it (the SVD
+        # peaks at its outputs). A diagonal stage holds no d x d array
         # but is held to the same figure, so every chain is refused at its
         # first stage, before anything is built
         check_dense_budget(
@@ -173,26 +180,58 @@ def decode_eigenvalue(clock_value, t: int, t0: float):
     return 2.0 * np.pi * k / size / t0
 
 
-def _clock_filter(lam: np.ndarray, t0: float, weights: np.ndarray) -> np.ndarray:
-    """The kept amplitude g(lambda) of one unit eigencomponent, per eigenvalue.
+@functools.cache
+def _series(t: int, ratio: float) -> tuple[np.ndarray, float]:
+    """The clock filter's sine coefficients b_1..b_(N-1) and its weight
+    s_(N/2), for a ``t``-bit clock (N = 2^t) and C / t0 = ``ratio``.
 
-    The forward pass on the clock vector of each eigenvalue, one row per
-    eigenvalue, on a clock of 2^t = ``weights.size`` values: the Hadamard
-    layer on |0> gives every clock value 1 / sqrt(2^t), the controlled
-    powers multiply clock value x by exp(i (t0 lambda) x), and the inverse
-    QFT is an FFT, so clock value y holds alpha_y = sum_x exp(i (t0 lambda)
-    x) exp(-2 pi i x y / 2^t) / 2^t.  The ancilla RY scales each alpha_y by
-    its rotation weight s_y = ``weights[y]``, and the adjoint of the
-    forward pass read at clock 0 is <alpha| diag(s) |alpha>, so g(lambda) =
-    sum_y s_y |alpha_y|^2, a real number.  t0 lambda is formed before it
-    meets x, so no product overflows for any norm whose t0 is finite.
+    The rotation weights are s_y = clip(ratio (2 pi k / N), -1, 1), k the
+    two's-complement value of clock value y.  With s_(N/2) set to 0 they
+    are odd, s_(N-y) = -s_y, so their DFT S is imaginary, and
+    b_j = -2 (N - j) Im S_j / N^2.  The weights depend on ``t`` and
+    ``ratio`` alone, so each pair is computed once, on first use.
     """
-    # the phases are exponentiated and transformed in place: the only
-    # complex array is this (lam.size, 2^t) one, and it stays in here
-    clock = np.multiply.outer(1j * t0 * lam, np.arange(weights.size))
-    np.exp(clock, out=clock)
-    np.fft.fft(clock, norm="forward", out=clock)  # inverse QFT
-    return np.abs(clock) ** 2 @ weights
+    size = 1 << t
+    # far grid points can exceed the C window by design headroom; they
+    # carry (near-)zero amplitude, so saturating the rotation is safe
+    weights = np.clip(ratio * decode_eigenvalue(np.arange(size), t, 1.0), -1.0, 1.0)
+    mid = float(weights[size // 2])
+    weights[size // 2] = 0.0
+    j = np.arange(1, size)
+    b = -2.0 * (size - j) * np.fft.fft(weights).imag[1:] / size**2
+    b.flags.writeable = False
+    return b, mid
+
+
+def _clock_filter(phi: np.ndarray, t: int, ratio: float, odd: bool) -> np.ndarray:
+    """The kept amplitude g of one unit eigencomponent, per phase phi =
+    t0 lambda, on a ``t``-bit clock (N = 2^t) with C / t0 = ``ratio``.
+
+    The forward pass leaves clock value y holding alpha_y = sum_x exp(i phi
+    x) exp(-2 pi i x y / N) / N (the Hadamard layer, the controlled powers
+    and the inverse QFT), the ancilla RY scales it by s_y, and the adjoint
+    of the forward pass read at clock 0 is g(phi) = sum_y s_y |alpha_y|^2.
+    Each |alpha_y|^2 is the Fejer kernel F(phi - 2 pi y / N), F(delta) =
+    (sin(N delta / 2) / (N sin(delta / 2)))^2 = sum_|m|<N (N - |m|)
+    exp(i m delta) / N^2, so g is a fixed trigonometric polynomial:
+
+        g(phi) = sum_(j=1..N-1) b_j sin(j phi) + s_(N/2) F(phi - pi)
+
+    with the coefficients of :func:`_series`.  The sine series is the odd
+    weight set, s_(N/2) = 0, which the SVD route (``odd``) evolves; the
+    full weight set adds the one Fejer term of clock value N/2 (s_(N/2) =
+    -1 whenever C / t0 > 1 / pi), whose F is 1 on the grid point phi = pi.
+    """
+    b, mid = _series(t, ratio)
+    table = np.multiply.outer(phi, np.arange(1.0, 1 << t))
+    g = np.sin(table, out=table) @ b
+    if not odd:
+        # F(phi - pi) = (sin(N phi / 2) / (N cos(phi / 2)))^2, since N pi / 2
+        # is a multiple of pi; cos never returns 0 for a float, and near
+        # phi = pi the ratio tends to 1
+        half = 0.5 * phi
+        g += mid * (np.sin((1 << t) * half) / ((1 << t) * np.cos(half))) ** 2
+    return g
 
 
 def _check_unitary(basis: np.ndarray) -> None:
@@ -209,38 +248,39 @@ def _run_circuit(a: np.ndarray, psi: np.ndarray, t: int, t0: float, c: float) ->
     after uncomputation, unnormalized.
 
     Every stage is one clock filter between two bases, U (g(lambda) *
-    (V^dagger psi)), with the rotation weights s_y = sin(theta_y / 2) =
-    clip(C lambda_y, -1, 1) built once; C lambda_y is taken as
-    (C / t0) (2 pi k / 2^t), k the two's-complement value of clock value
-    y, so it does not overflow.  A 1-D ``a`` is the diagonal of a
-    diagonal matrix, whose eigenbasis is the identity: g(a) psi.  A
-    Hermitian ``a`` (within 1e-10) is V g(Lambda) V^dagger psi from one
-    ``eigh``.  Any other ``a`` is the embedding-bit-1 half of g(H)
-    [psi; 0], H the embedding [[0, A^dagger], [A, 0]]: from one SVD
-    A = U S V^dagger, U ((g(S) - g(-S)) / 2) V^dagger psi.  Clock values
-    y and 2^t - y decode to +/-k, so |alpha_y(-sigma)|^2 =
-    |alpha_(2^t - y)(sigma)|^2 and s_(2^t - y) = -s_y, except at
-    y = 2^(t-1), which is its own mirror: the odd part (g(S) - g(-S)) / 2
-    is one filter on S with that weight set to 0.  The squared norm of
-    the result is the joint success probability; with exactly
-    representable eigenphases the clock projection is lossless.
-    :func:`meob_apply` passes ``t`` = ``CLOCK_BITS`` and the evolution
-    constants ``t0`` and ``c``.
+    (V^dagger psi)), g the trigonometric polynomial of
+    :func:`_clock_filter` at phi = t0 lambda, whose coefficients depend on
+    ``t`` and C / t0 alone.  A 1-D ``a`` is the diagonal of a diagonal
+    matrix, whose eigenbasis is the identity: g(a) psi, with g evaluated
+    once per distinct entry.  An ``a`` whose asymmetry |A - A^dagger| is
+    within 1e-10 of its largest |entry| is Hermitian: V g(Lambda)
+    V^dagger psi from one ``eigh``.  Any other ``a`` is the
+    embedding-bit-1 half of g(H) [psi; 0], H the embedding
+    [[0, A^dagger], [A, 0]]: from one SVD A = U S V^dagger,
+    U ((g(S) - g(-S)) / 2) V^dagger psi.  Clock values y and 2^t - y
+    decode to +/-k, so |alpha_y(-sigma)|^2 = |alpha_(2^t - y)(sigma)|^2
+    and s_(2^t - y) = -s_y, except at y = 2^(t-1), which is its own
+    mirror: the odd part (g(S) - g(-S)) / 2 is the filter of the odd
+    weight set, the sine series alone.  The squared norm of the result is
+    the joint success probability; with exactly representable eigenphases
+    the clock projection is lossless.  t0 lambda is formed before it
+    meets the series' frequencies, so no product overflows for any norm
+    whose t0 is finite.  :func:`meob_apply` passes ``t`` = ``CLOCK_BITS``
+    and the evolution constants ``t0`` and ``c``.
     """
-    # far grid points can exceed the C window by design headroom; they
-    # carry (near-)zero amplitude, so saturating the rotation is safe
-    weights = np.clip((c / t0) * decode_eigenvalue(np.arange(1 << t), t, 1.0), -1.0, 1.0)
+    ratio = c / t0
     if a.ndim == 1:
-        return _clock_filter(a, t0, weights) * psi
-    if np.abs(a - a.conj().T).max() <= _HERMITIAN_TOL:
-        lam, u = np.linalg.eigh(a)
-        vh = u.conj().T
-    else:
+        values, index = np.unique(a, return_inverse=True)
+        return _clock_filter(t0 * values, t, ratio, odd=False)[index] * psi
+    odd = np.abs(a - a.conj().T).max() > _HERMITIAN_TOL * np.abs(a).max()
+    if odd:
         u, lam, vh = np.linalg.svd(a)
         _check_unitary(vh)
-        weights[1 << (t - 1)] = 0.0  # its own mirror: g becomes (g(S) - g(-S)) / 2
+    else:
+        lam, u = np.linalg.eigh(a)
+        vh = u.conj().T
     _check_unitary(u)
-    return u @ (_clock_filter(lam, t0, weights) * (vh @ psi))
+    return u @ (_clock_filter(t0 * lam, t, ratio, odd) * (vh @ psi))
 
 
 __all__ = [

@@ -18,9 +18,11 @@ indexing) or one pass over all 2^n masses.  They reach n = 20, where the
 definition-level loops cannot.
 
 The phase-estimation references are the closed form of the circuit
-(``fejer_meob_oracle``) and the circuit itself replayed gate by gate on
-the simulator (``phase_estimation_replay``); the library applies the
-same circuit as fused register operators.  The gate-level pieces the
+(``fejer_meob_oracle``), the clock filter simulated on the clock vector
+with an FFT (``clock_filter_fft_oracle``) and the circuit itself
+replayed gate by gate on the simulator (``phase_estimation_replay``);
+the library applies the same circuit as fused register operators and
+its filter as a trigonometric polynomial.  The gate-level pieces the
 program does not run live here: the QFT circuit (``qft_circuit``), with
 its ``rz`` controlled phases and ``swap`` layer, the matrix exponentials
 of the controlled evolution powers (``matrix_exponential``) and the
@@ -367,6 +369,29 @@ def fejer_meob_oracle(
         out = out[d:]
     success = float(np.vdot(out, out).real)
     return out / np.sqrt(success), success
+
+
+def clock_weights_oracle(t: int, ratio: float, odd: bool) -> np.ndarray:
+    """The rotation weights s_y = clip(``ratio`` (2 pi k / 2^t), -1, 1) of
+    a ``t``-bit clock, k the two's-complement value of clock value y; the
+    odd set has s_(2^(t-1)) = 0."""
+    size = 1 << t
+    k = np.arange(size)
+    weights = np.clip(ratio * (2.0 * np.pi * np.where(k < size // 2, k, k - size) / size), -1, 1)
+    if odd:
+        weights[size // 2] = 0.0
+    return weights
+
+
+def clock_filter_fft_oracle(lam: np.ndarray, t0: float, weights: np.ndarray) -> np.ndarray:
+    """The clock filter g(lambda) simulated on the clock, one row per
+    eigenvalue: the Hadamard layer and the controlled powers leave clock
+    value x holding exp(i (t0 lambda) x) / sqrt(2^t), the inverse QFT is
+    an FFT giving alpha_y, and g(lambda) = sum_y s_y |alpha_y|^2 with
+    s_y = ``weights[y]``."""
+    clock = np.exp(np.multiply.outer(1j * t0 * lam, np.arange(weights.size)))
+    alpha = np.fft.fft(clock, norm="forward")
+    return np.abs(alpha) ** 2 @ weights
 
 
 #: the two-qubit SWAP, targets[0] carrying the low bit of its index

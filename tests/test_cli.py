@@ -680,6 +680,14 @@ def test_cli_import_loads_no_scipy():
     assert _modules_loaded_with_cli("scipy") == "[]"
 
 
+def test_cli_import_loads_no_numpy_fft():
+    # the circuit clock filter's coefficients take one FFT on first use,
+    # not at import
+    loaded = _modules_loaded_with_cli("numpy")
+    assert "'numpy.linalg" in loaded
+    assert "'numpy.fft" not in loaded
+
+
 def test_cli_import_loads_no_click():
     assert _modules_loaded_with_cli("click") == "[]"
 

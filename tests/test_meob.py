@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import _count_state_methods, make_frame, random_bbas
-from oracles import fejer_meob_oracle, phase_estimation_replay
+from oracles import (
+    clock_filter_fft_oracle,
+    clock_weights_oracle,
+    fejer_meob_oracle,
+    phase_estimation_replay,
+)
 from qbelief.dst import b_from_mass, transform_matrix, transform_operator, validate_bba
 from qbelief.dst.operators import TransformOperator
 from qbelief.errors import (
@@ -314,9 +319,8 @@ class TestCircuitBackend:
         if hermitian:
             a = a + a.T
         t0, c = default_constants(a)
-        k = decode_eigenvalue(np.arange(1 << CLOCK_BITS), CLOCK_BITS, 1.0)
-        weights = np.clip((c / t0) * k, -1.0, 1.0)
-        assert _clock_filter(np.linalg.svd(a)[1], t0, weights).dtype == np.float64
+        phi = t0 * np.linalg.svd(a)[1]
+        assert _clock_filter(phi, CLOCK_BITS, c / t0, not hermitian).dtype == np.float64
         out = _run_circuit(a, normalized(rng.normal(size=8)).real, CLOCK_BITS, t0, c)
         assert out.dtype == np.float64
 
@@ -387,11 +391,13 @@ class TestCircuitBackend:
     @pytest.mark.parametrize("kind", ["q", "pl", "bet"])
     @pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
     def test_dense_budget_covers_the_peak(self, monkeypatch, kind, n):
-        # the figure checked against the dense budget is what the circuit
+        # the figure checked against the dense budget covers what the circuit
         # path holds at its peak, on the SVD (q, bet) and eigh (pl) routes:
-        # the filter's (d, 2^t) arrays below n = 8, four d x d arrays above.
-        # The FFT's plan for the clock length is made once per process,
-        # outside any one evolution, so a first run makes it before tracing
+        # four d x d arrays from n = 8, and less below, where the filter's
+        # (d, 2^t - 1) sine table takes 8 of the 32 bytes per clock entry.
+        # The filter's series coefficients (one FFT) are computed once per
+        # process, outside any one evolution, so a first run makes them
+        # before tracing
         meob_apply(transform_operator("q", 1), StateVector(1), CIRCUIT)
         budgets = []
 
@@ -417,6 +423,80 @@ class TestCircuitBackend:
         monkeypatch.setattr(TransformOperator, "dense", lambda self: pytest.fail("matrix built"))
         with pytest.raises(DenseBudgetExceeded):
             meob_apply(transform_operator("q", 12), StateVector(12), CIRCUIT)
+
+
+class TestClockSeries:
+    """The filter's trigonometric polynomial against the clock simulated with an FFT."""
+
+    @pytest.mark.parametrize("ratio", [0.99 / (0.9 * np.pi), 0.25])
+    @pytest.mark.parametrize("odd", [False, True])
+    @pytest.mark.parametrize("t", range(3, 13))
+    def test_series_equals_the_fft_clock_to_1e13(self, t, odd, ratio, rng):
+        # random phases, phi = 0, the ends +/- t0 ||A|| = +/- 0.9 pi of the
+        # program's spectrum and the grid point pi, as a test's own t0 reaches it
+        ends = [0.0, 0.9 * np.pi, -0.9 * np.pi, np.pi]
+        phi = np.concatenate([rng.uniform(-np.pi, np.pi, 40), ends])
+        expect = clock_filter_fft_oracle(phi, 1.0, clock_weights_oracle(t, ratio, odd))
+        np.testing.assert_allclose(_clock_filter(phi, t, ratio, odd), expect, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_diag_gather_equals_per_entry_evaluation(self, n):
+        # one row per distinct b-value, gathered back to every entry: the
+        # same numbers as filtering each entry alone, up to the rounding of
+        # a matrix-vector product whose row count differs
+        m1, m2 = random_bbas(2, n, seed=4700 + n)
+        psi, v = np.sqrt(m1.masses), b_from_mass(m2).values
+        t0, c = default_constants(np.diag(v))
+        out = _run_circuit(v, psi, CLOCK_BITS, t0, c)
+        each = [_clock_filter(np.array([t0 * x]), CLOCK_BITS, c / t0, False)[0] for x in v]
+        np.testing.assert_allclose(out, np.array(each) * psi, rtol=0, atol=1e-15)
+
+    def test_diag_filters_one_row_per_distinct_value(self, monkeypatch, rng):
+        rows = []
+
+        def recorded(phi, *args, _original=meob_module._clock_filter, **kwargs):
+            rows.append(phi.size)
+            return _original(phi, *args, **kwargs)
+
+        monkeypatch.setattr(meob_module, "_clock_filter", recorded)
+        v = rng.permutation(np.repeat([0.25, 1.0, -0.5], [100, 300, 112]))
+        psi = normalized(rng.uniform(size=512)).real
+        out, p = meob_apply(transform_operator("diag", 9, v), StateVector(9, psi), CIRCUIT)
+        assert rows == [3]
+        t0, c = default_constants(np.diag(v))
+        expect, p_expect = fejer_meob_oracle(np.diag(v), psi, CLOCK_BITS, t0, c)
+        np.testing.assert_allclose(out.amps, expect, rtol=0, atol=1e-12)
+        assert p == pytest.approx(p_expect, rel=1e-12, abs=0)
+
+
+class TestHermitianRoute:
+    """The eigh route is taken when A is Hermitian relative to its own scale."""
+
+    @pytest.mark.parametrize("scale", [1e-11, 1e-100])
+    def test_small_non_hermitian_matrix_takes_the_svd_route(self, scale):
+        # an absolute 1e-10 would pass s [[0, 1], [0.25, 0]] as Hermitian
+        # and let eigh read one triangle of it
+        a = np.array([[0.0, 1.0], [0.25, 0.0]])
+        state = StateVector(1, [0.6, 0.8])
+        expect, p_expect = meob_apply(a, state, CIRCUIT)
+        out, p = meob_apply(a * scale, state, CIRCUIT)
+        np.testing.assert_allclose(out.amps, expect.amps, rtol=0, atol=1e-12)
+        assert p == pytest.approx(p_expect, rel=1e-12, abs=0)
+
+    def test_large_symmetric_matrix_takes_the_eigh_route(self, rng):
+        # a symmetric matrix scaled by 1e12 whose upper triangle is off by
+        # one unit in the last place: its asymmetry, 2.4e-4, is rounding
+        h = rng.normal(size=(4, 4))
+        h = h + h.T
+        h[0, 1] = h[1, 0] = 1.5
+        a = h * 1e12
+        a[0, 1] = np.nextafter(a[0, 1], np.inf)
+        assert np.abs(a - a.T).max() == np.spacing(1.5e12) == 2.0**-12
+        state = StateVector(2, normalized(rng.normal(size=4)).real)
+        expect, p_expect = meob_apply(h, state, CIRCUIT)
+        out, p = meob_apply(a, state, CIRCUIT)
+        np.testing.assert_allclose(out.amps, expect.amps, rtol=0, atol=1e-12)
+        assert p == pytest.approx(p_expect, rel=1e-12, abs=0)
 
 
 class TestOracleCircuitAgreement:

@@ -9,14 +9,28 @@ from qbelief.errors import (
     QubitCountMismatch,
     ValidationError,
 )
+from conftest import make_frame
 from oracles import SWAP, extract_register_oracle, sample_counts_oracle
 from qbelief.qsim import RY, H, StateVector, X, new_state, product_state
 from qbelief.qsim import state as state_module
+from qbelief.dst import validate_bba
+from qbelief.quantum import prepare_bba_state
 
 
 def random_state(k, rng):
     amps = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
     return StateVector(k, amps / np.linalg.norm(amps))
+
+
+def sparse_prepared_state(n, seed):
+    """The prepared state of a mass function on at most five focal sets,
+    none of them the full set of the n-element frame."""
+    rng = np.random.default_rng(seed)
+    focal = rng.choice((1 << n) - 1, size=min(5, (1 << n) - 1), replace=False)
+    masses = rng.exponential(size=focal.size)
+    m = validate_bba(make_frame(n), dict(zip(focal.tolist(), (masses / masses.sum()).tolist())))
+    assert m.masses[-1] == 0.0
+    return prepare_bba_state(m)
 
 
 def controlled_operator(k, u, targets, controls):
@@ -327,6 +341,23 @@ class TestSampling:
         s = random_state(3, rng)
         shots = (1 << 20) + 12345  # one full chunk and a partial one
         assert s.sample(shots, 8).counts == sample_counts_oracle(s, shots, 8)
+
+    @pytest.mark.parametrize("shots", [1, 7, 4096, (1 << 20) + 12345])
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_prepared_sparse_states_equal_one_draw(self, n, shots):
+        # a few focal sets and no mass on the full set: the counts read only
+        # the support, and the full set's index still closes the CDF at 1
+        s = sparse_prepared_state(n, seed=5200 + n)
+        record = s.sample(shots, 9)
+        assert list(record.counts.items()) == list(sample_counts_oracle(s, shots, 9).items())
+
+    @pytest.mark.parametrize("shots", [1, 7, 4096])
+    @pytest.mark.parametrize("n", [1, 4, 11])
+    def test_prepared_sparse_states_in_blocks_of_eight(self, monkeypatch, n, shots):
+        monkeypatch.setattr(state_module, "_SAMPLE_CHUNK", 8)
+        s = sparse_prepared_state(n, seed=5300 + n)
+        record = s.sample(shots, 2)
+        assert list(record.counts.items()) == list(sample_counts_oracle(s, shots, 2).items())
 
     def test_memory_does_not_grow_with_shots(self, monkeypatch, rng):
         import tracemalloc
