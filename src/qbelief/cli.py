@@ -30,8 +30,8 @@ from .documents import (
     subset_labels,
 )
 from .dst.mass import MassFunction, demo_mass_function, trend_mass_functions
-from .errors import ComputationError, QBeliefError, ValidationError
-from .qasm import circuit_to_json, circuit_to_qasm
+from .errors import ComputationError, QBeliefError, ValidationError, check_dense_budget
+from .qasm import circuit_json_floor, circuit_to_json, circuit_to_qasm
 from .quantum import MEoBConfig
 from .quantum.prepare import build_preparation_tree, synthesize_preparation_circuit
 
@@ -278,7 +278,8 @@ def prepare(args: argparse.Namespace) -> None:
     ``--emit`` writes the circuit: QASM is written straight from the
     preparation tree, each level as one Gray-code multiplexor (2^n - 1
     ``ry`` and 2^n - 2 ``cx`` lines in all, for any n), and circuit JSON
-    spells the levels out as 2^n - 1 multi-controlled RYs; ``--shots``
+    spells the levels out as 2^n - 1 multi-controlled RYs, refused when
+    its text would exceed the dense budget (from n = 19); ``--shots``
     with ``--seed`` samples the prepared state.
     """
     started = time.perf_counter()
@@ -287,6 +288,11 @@ def prepare(args: argparse.Namespace) -> None:
     if emit_kind is not None:
         if shots is not None and out is None:
             raise ValidationError("--emit plus --shots needs --out for the circuit file")
+        if emit_kind == "circuit-json":
+            # its ops are built and written in full, so a text that cannot
+            # fit the budget is refused before any of them exists
+            check_dense_budget(circuit_json_floor(m.frame.n),
+                               f"the circuit JSON of a preparation on {m.frame.n} qubits")
         tree = build_preparation_tree(m)
         _write(circuit_to_qasm(tree) if emit_kind == "qasm"
                else circuit_to_json(synthesize_preparation_circuit(tree)), out)

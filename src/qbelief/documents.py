@@ -304,39 +304,62 @@ def dumps_result(doc: dict) -> str:
     return "".join(pieces)
 
 
+_CONTAINERS = (JsonTexts, dict, list, tuple)
+
+
 def _lay_out(value: Any, newline: str, pieces: list[str]) -> None:
-    """Append ``value`` to ``pieces`` in the key-sorted indent-2 layout;
-    ``newline`` starts each of its lines after the first.  :class:`JsonTexts`
-    and the dicts that hold them are laid out here, so that each block is
-    copied once, by the document's one ``"".join``; a block at another depth
-    than the payload's arrays has its separators re-indented first.
-    Any other value is one ``json.dumps`` call: a container is re-indented
-    (a JSON text holds no raw newline, so each one in the output starts a
-    line), and a scalar is one line in either layout."""
+    """Append the container ``value`` to ``pieces`` in the key-sorted
+    indent-2 layout; ``newline`` starts each of its lines after the first.
+    Every container is laid out here, so that each :class:`JsonTexts`
+    block is copied once, by the document's one ``"".join``; a block at
+    another depth than the payload's arrays has its separators re-indented
+    first.  Keys are strings, as :func:`result_document` makes them; a
+    scalar is written by :func:`_scalar`."""
     inner = newline + "  "
     if isinstance(value, JsonTexts):
         # a JSON text holds no raw newline, so _ITEM_SEP only ever separates items
         sep = "," + inner
         block = value.block if sep == _ITEM_SEP else value.block.replace(_ITEM_SEP, sep)
         pieces += ("[", inner, block, newline, "]") if block else ("[]",)
-    elif _holds_texts(value):
+    elif isinstance(value, dict):
         opening = "{"
         for k, v in sorted(value.items()):
-            pieces += (opening, inner, json.dumps(k), ": ")
-            _lay_out(v, inner, pieces)
+            pieces += (opening, inner, json.encoder.encode_basestring_ascii(k), ": ")
+            if isinstance(v, _CONTAINERS):
+                _lay_out(v, inner, pieces)
+            else:
+                pieces.append(_scalar(v))
             opening = ","
-        pieces += (newline, "}")
-    elif isinstance(value, (dict, list, tuple)):
-        pieces.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", newline))
-    else:
-        pieces.append(json.dumps(value))
+        pieces += (newline, "}") if value else ("{}",)
+    elif isinstance(value, (list, tuple)):
+        opening = "["
+        for v in value:
+            pieces += (opening, inner)
+            if isinstance(v, _CONTAINERS):
+                _lay_out(v, inner, pieces)
+            else:
+                pieces.append(_scalar(v))
+            opening = ","
+        pieces += (newline, "]") if value else ("[]",)
 
 
-def _holds_texts(value: Any) -> bool:
-    """Whether ``value`` is a dict with a :class:`JsonTexts` at any depth."""
-    return isinstance(value, dict) and any(
-        isinstance(v, JsonTexts) or _holds_texts(v) for v in value.values()
-    )
+def _scalar(value: Any) -> str:
+    """``json.dumps(value)`` of a scalar, from the encoders ``json``'s C
+    writer uses: a string, ``None``, a bool, an int or a finite float.  Any
+    other value goes to ``json.dumps`` itself."""
+    if isinstance(value, str):
+        return json.encoder.encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
 
 
 __all__ = [

@@ -76,4 +76,18 @@ def circuit_to_json(circuit: Circuit) -> str:
     return json.dumps({"schema": "qbelief/circuit-v1", "qubits": circuit.k, "ops": ops}, indent=2) + "\n"
 
 
-__all__ = ["circuit_to_qasm", "circuit_to_json"]
+def circuit_json_floor(n: int) -> int:
+    """A lower bound on the length of :func:`circuit_to_json`'s text for
+    the preparation circuit on ``n`` qubits, from ``n`` alone.
+
+    The circuit has 2^k ops with k controls on each level k < n.  Its
+    indent-2 layout is fixed apart from the number texts, each at least
+    one character: counted at one, an op takes 135 characters besides its
+    controls, each control pair 46, and the header and footer 61.
+    """
+    ops = (1 << n) - 1
+    controls = ((n - 2) << n) + 2  # the sum of k 2^k over the levels
+    return 61 + 135 * ops + 46 * controls
+
+
+__all__ = ["circuit_to_qasm", "circuit_to_json", "circuit_json_floor"]

@@ -36,7 +36,10 @@ Two interchangeable backends:
   computed once (:func:`_series`); no clock vector is simulated, and the
   filter costs one short series per eigenvalue.  A ``diag`` operator
   is evolved on the identity basis, as g(v) psi, with g evaluated once
-  per distinct entry of v, and no matrix is built.  A Hermitian A is
+  per distinct entry of v, and no matrix is built.  Every other transform
+  operator is a fixed matrix of (kind, n), so its stage (U, g(lambda),
+  V^dagger) is decomposed and filtered once per (kind, n) and kept, read
+  only, up to d = 2^8 (:func:`_transform_stage`).  A Hermitian A is
   evolved from one ``eigh``.  A non-Hermitian A enters the circuit
   through the block embedding [[0, A^dagger], [A, 0]] on [psi; 0], whose
   eigenvectors are [v; +/-u] / sqrt(2) at +/-sigma for each singular
@@ -49,9 +52,9 @@ Two interchangeable backends:
   sine series without its Fejer term.  The squared norm of the output is
   the success probability.
 
-Every other operator is evolved from its dense matrix, under the dense
-budget, in the matrix's own dtype: a real A gets the real ``eigh`` or
-SVD and, since g is real, a real output.  No complex array is built.
+Every operator but ``diag`` is evolved from its dense matrix, under the
+dense budget, in the matrix's own dtype: a real A gets the real ``eigh``
+or SVD and, since g is real, a real output.  No complex array is built.
 
 Only the backend is chosen.  The clock is ``CLOCK_BITS`` = 8 qubits
 wide, and both backends take t0 = 0.9 pi / ||A|| and C = 0.99 / ||A||
@@ -88,6 +91,13 @@ _MIN_SUCCESS = 1e-12
 
 BACKENDS = ("oracle", "circuit")
 CLOCK_BITS = 8
+
+#: the largest n whose transform stages :func:`_transform_stage` keeps: a
+#: stage holds at most two d x d float64 bases, 1 MiB at d = 2^8, and the
+#: eight transform kinds at n = 1..8 hold under 12 MB in all
+_STAGE_MEMO_MAX_N = 8
+#: the kept transform stages (u, g, vh), by (kind, n, clock bits)
+_STAGES: dict[tuple[str, int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
 @dataclass(frozen=True)
@@ -133,7 +143,8 @@ def meob_apply(matrix, state: StateVector, config: MEoBConfig) -> tuple[StateVec
     a ``CLOCK_BITS`` clock, read at clock 0, and its squared norm: a
     ``diag`` operator is evolved from its vector ``v`` on the identity
     basis, every other operator from its dense matrix (an evolution that
-    does not fit the dense budget is refused before anything is built).
+    does not fit the dense budget is refused before anything is built),
+    a transform operator's up to n = 8 decomposed once per (kind, n).
     Both then share one tail: a success below 1e-12 (or NaN) raises
     :class:`PostselectionFailed`, otherwise the output is normalized.
     """
@@ -161,8 +172,13 @@ def meob_apply(matrix, state: StateVector, config: MEoBConfig) -> tuple[StateVec
         check_dense_budget(
             32 * d * (d + (1 << CLOCK_BITS)), f"the circuit evolution of a {d}x{d} matrix"
         )
-        diag = isinstance(op, TransformOperator) and op.kind == "diag"
-        out = _run_circuit(op.v if diag else op.dense(), state.amps, CLOCK_BITS, t0, c)
+        if not isinstance(op, TransformOperator):
+            out = _run_circuit(op.dense(), state.amps, CLOCK_BITS, t0, c)
+        elif op.kind == "diag":
+            out = _run_circuit(op.v, state.amps, CLOCK_BITS, t0, c)
+        else:
+            u, g, vh = _transform_stage(op, t0, c)
+            out = u @ (g * (vh @ state.amps))
         success = float(np.real(np.vdot(out, out)))
     if not success >= _MIN_SUCCESS:
         raise PostselectionFailed(f"evolution annihilates the state (success {success:.3g})")
@@ -252,26 +268,42 @@ def _run_circuit(a: np.ndarray, psi: np.ndarray, t: int, t0: float, c: float) ->
     :func:`_clock_filter` at phi = t0 lambda, whose coefficients depend on
     ``t`` and C / t0 alone.  A 1-D ``a`` is the diagonal of a diagonal
     matrix, whose eigenbasis is the identity: g(a) psi, with g evaluated
-    once per distinct entry.  An ``a`` whose asymmetry |A - A^dagger| is
-    within 1e-10 of its largest |entry| is Hermitian: V g(Lambda)
-    V^dagger psi from one ``eigh``.  Any other ``a`` is the
-    embedding-bit-1 half of g(H) [psi; 0], H the embedding
-    [[0, A^dagger], [A, 0]]: from one SVD A = U S V^dagger,
-    U ((g(S) - g(-S)) / 2) V^dagger psi.  Clock values y and 2^t - y
-    decode to +/-k, so |alpha_y(-sigma)|^2 = |alpha_(2^t - y)(sigma)|^2
-    and s_(2^t - y) = -s_y, except at y = 2^(t-1), which is its own
-    mirror: the odd part (g(S) - g(-S)) / 2 is the filter of the odd
-    weight set, the sine series alone.  The squared norm of the result is
-    the joint success probability; with exactly representable eigenphases
-    the clock projection is lossless.  t0 lambda is formed before it
-    meets the series' frequencies, so no product overflows for any norm
-    whose t0 is finite.  :func:`meob_apply` passes ``t`` = ``CLOCK_BITS``
-    and the evolution constants ``t0`` and ``c``.
+    once per distinct entry.  A 2-D ``a`` is decomposed by
+    :func:`_circuit_stage`.  The squared norm of the result is the joint
+    success probability; with exactly representable eigenphases the clock
+    projection is lossless.  :func:`meob_apply` passes ``t`` =
+    ``CLOCK_BITS`` and the evolution constants ``t0`` and ``c``.
     """
-    ratio = c / t0
     if a.ndim == 1:
-        values, index = np.unique(a, return_inverse=True)
-        return _clock_filter(t0 * values, t, ratio, odd=False)[index] * psi
+        # the sorted distinct entries and each entry's index among them, as
+        # np.unique gives them, from one sort and without its set-up
+        ordered = np.sort(a)
+        first = np.empty(a.size, dtype=bool)
+        first[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        values = ordered[first]
+        g = _clock_filter(t0 * values, t, c / t0, odd=False)
+        return g[np.searchsorted(values, a)] * psi
+    u, g, vh = _circuit_stage(a, t, t0, c)
+    return u @ (g * (vh @ psi))
+
+
+def _circuit_stage(a: np.ndarray, t: int, t0: float, c: float) -> tuple[np.ndarray, ...]:
+    """The stage of a square ``a`` as read-only (U, g, V^dagger): the
+    kept branch of psi is U (g * (V^dagger psi)).
+
+    An ``a`` whose asymmetry |A - A^dagger| is within 1e-10 of its largest
+    |entry| is Hermitian: V g(Lambda) V^dagger from one ``eigh``.  Any
+    other ``a`` is the embedding-bit-1 half of g(H) [psi; 0], H the
+    embedding [[0, A^dagger], [A, 0]]: from one SVD A = U S V^dagger,
+    U ((g(S) - g(-S)) / 2) V^dagger.  Clock values y and 2^t - y decode
+    to +/-k, so |alpha_y(-sigma)|^2 = |alpha_(2^t - y)(sigma)|^2 and
+    s_(2^t - y) = -s_y, except at y = 2^(t-1), which is its own mirror:
+    the odd part (g(S) - g(-S)) / 2 is the filter of the odd weight set,
+    the sine series alone.  Both bases are checked for unitarity.  t0
+    lambda is formed before it meets the series' frequencies, so no
+    product overflows for any norm whose t0 is finite.
+    """
     odd = np.abs(a - a.conj().T).max() > _HERMITIAN_TOL * np.abs(a).max()
     if odd:
         u, lam, vh = np.linalg.svd(a)
@@ -280,7 +312,25 @@ def _run_circuit(a: np.ndarray, psi: np.ndarray, t: int, t0: float, c: float) ->
         lam, u = np.linalg.eigh(a)
         vh = u.conj().T
     _check_unitary(u)
-    return u @ (_clock_filter(t0 * lam, t, ratio, odd) * (vh @ psi))
+    stage = (u, _clock_filter(t0 * lam, t, c / t0, odd), vh)
+    for part in stage:
+        part.flags.writeable = False
+    return stage
+
+
+def _transform_stage(op: TransformOperator, t0: float, c: float) -> tuple[np.ndarray, ...]:
+    """:func:`_circuit_stage` of a transform operator other than ``diag``,
+    at ``CLOCK_BITS``.  Its matrix, and with it t0 and c, depend on (kind,
+    n) alone, so a stage up to n = ``_STAGE_MEMO_MAX_N`` is decomposed on
+    its first evolution and kept in ``_STAGES``; a larger one is
+    decomposed on every call."""
+    key = (op.kind, op.n, CLOCK_BITS)
+    stage = _STAGES.get(key)
+    if stage is None:
+        stage = _circuit_stage(op.dense(), CLOCK_BITS, t0, c)
+        if op.n <= _STAGE_MEMO_MAX_N:
+            _STAGES[key] = stage
+    return stage
 
 
 __all__ = [

@@ -329,8 +329,10 @@ def extract_register_oracle(amps: np.ndarray, qubits, fixed: dict[int, int]) -> 
 
 
 def _embedding(a: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``a`` itself when it is Hermitian to within 1e-10 of its largest
+    |entry|, else the embedding [[0, A^dagger], [A, 0]]; and which it is."""
     a = np.asarray(a, dtype=np.complex128)
-    if np.abs(a - a.conj().T).max() <= 1e-10:
+    if np.abs(a - a.conj().T).max() <= 1e-10 * np.abs(a).max():
         return a, False
     zero = np.zeros_like(a)
     return np.block([[zero, a.conj().T], [a, zero]]), True

@@ -739,6 +739,20 @@ def test_dense_allocation_refused_before_it_is_made(tmp_path, n):
     assert json.loads(done.stderr)["error"] == "DenseBudgetExceeded"
 
 
+def test_circuit_json_refused_before_its_ops_are_built(tmp_path):
+    # at n = 20 the 2^20 - 1 ops and their text would not fit in 3 GiB:
+    # the text's closed-form floor exceeds the budget, so the request
+    # exits 2 before the circuit is synthesized
+    frame = make_frame(20)
+    m = random_mass_function(frame, np.random.default_rng(20), max_focal=64)
+    path = write_doc(tmp_path, m, "n20.json")
+    done = _run_under_3gib(["prepare", "--emit", "circuit-json", path])
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    error = json.loads(done.stderr)
+    assert error["error"] == "DenseBudgetExceeded"
+    assert "the circuit JSON of a preparation on 20 qubits" in error["message"]
+
+
 def _overlapping_pair(tmp_path, n):
     """Two n-element documents on the same focal sets (at most 40) with
     independent masses, so that their fidelity is far from 0."""

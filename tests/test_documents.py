@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from conftest import make_frame, random_mass_function
+from conftest import make_frame, random_bbas, random_mass_function
 from oracles import (
     circuit_from_json,
     dump_bba_oracle,
@@ -35,7 +36,8 @@ from qbelief.errors import (
     UnknownElement,
     ValidationError,
 )
-from qbelief.qasm import circuit_to_json, circuit_to_qasm
+from qbelief.errors import DENSE_BUDGET_BYTES
+from qbelief.qasm import circuit_json_floor, circuit_to_json, circuit_to_qasm
 from qbelief.quantum import build_preparation_tree, synthesize_preparation_circuit
 
 
@@ -506,3 +508,14 @@ class TestCircuitSerialization:
         doc = json.loads(circuit_to_json(circ))
         assert doc["qubits"] == 3
         assert len(doc["ops"]) == 7
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_json_floor_bounds_the_text(self, n):
+        # the floor is the text with every number written as one character
+        (m,) = random_bbas(1, n, seed=n, allow_empty=True)
+        text = circuit_to_json(synthesize_preparation_circuit(build_preparation_tree(m)))
+        one_char = re.sub(r"-?[0-9][0-9.e+-]*", "0", text)
+        assert circuit_json_floor(n) == len(one_char) <= len(text)
+
+    def test_json_floor_admits_n_18_and_refuses_n_19(self):
+        assert circuit_json_floor(18) <= DENSE_BUDGET_BYTES < circuit_json_floor(19)

@@ -327,7 +327,9 @@ class TestCircuitBackend:
     def test_one_decomposition_per_stage(self, monkeypatch):
         # ccr's stages diag, q, diag, q_inv: the diagonals evolve on the
         # identity basis and take no decomposition, q and q_inv take an SVD
-        # of the real d x d matrix itself
+        # of the real d x d matrix itself on a cold memo, and none once
+        # their stages are kept
+        monkeypatch.setattr(meob_module, "_STAGES", {})
         calls = []
         for name in ("eigh", "svd"):
             def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
@@ -338,6 +340,9 @@ class TestCircuitBackend:
         m1, m2 = random_bbas(2, 3, seed=4207)
         ccr_qc(m1, m2, MEoBConfig(backend="circuit"))
         assert calls == [("svd", (8, 8), np.float64)] * 2
+        calls.clear()
+        ccr_qc(m1, m2, MEoBConfig(backend="circuit"))
+        assert calls == []
 
     @pytest.mark.parametrize("values", ["sqrt_m", "b"])
     @pytest.mark.parametrize("n", range(1, 10))
@@ -397,8 +402,10 @@ class TestCircuitBackend:
         # (d, 2^t - 1) sine table takes 8 of the 32 bytes per clock entry.
         # The filter's series coefficients (one FFT) are computed once per
         # process, outside any one evolution, so a first run makes them
-        # before tracing
+        # before tracing; the traced run starts from an empty stage memo,
+        # so that it decomposes its matrix
         meob_apply(transform_operator("q", 1), StateVector(1), CIRCUIT)
+        monkeypatch.setattr(meob_module, "_STAGES", {})
         budgets = []
 
         def recorded(nbytes, what, _original=meob_module.check_dense_budget):
@@ -469,6 +476,60 @@ class TestClockSeries:
         assert p == pytest.approx(p_expect, rel=1e-12, abs=0)
 
 
+TRANSFORM_KINDS = ["q", "q_inv", "b", "b_inv", "bel", "pl", "fractal", "bet"]
+
+
+class TestStageMemo:
+    """A transform stage is decomposed and filtered once per (kind, n), up to n = 8."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("kind", TRANSFORM_KINDS)
+    def test_cold_and_warm_stages_agree(self, monkeypatch, kind, n):
+        monkeypatch.setattr(meob_module, "_STAGES", {})
+        (m,) = random_bbas(1, n, seed=4800 + n)
+        psi = np.sqrt(m.masses)
+        op = transform_operator(kind, n)
+        cold, p_cold = meob_apply(op, StateVector(n, psi), CIRCUIT)
+        assert list(meob_module._STAGES) == [(kind, n, CLOCK_BITS)]
+        warm, p_warm = meob_apply(op, StateVector(n, psi), CIRCUIT)
+        assert warm.amps.tobytes() == cold.amps.tobytes()
+        assert p_warm == p_cold
+        a = transform_matrix(kind, n)
+        t0, c = default_constants(a)
+        expect, p_expect = fejer_meob_oracle(a, psi, CLOCK_BITS, t0, c)
+        np.testing.assert_allclose(cold.amps, expect, rtol=0, atol=1e-12)
+        assert p_cold == pytest.approx(p_expect, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("kind", ["q", "pl"])
+    def test_kept_arrays_are_read_only(self, monkeypatch, kind):
+        # q on the SVD route, pl on the eigh route, whose V^dagger is a view
+        monkeypatch.setattr(meob_module, "_STAGES", {})
+        meob_apply(transform_operator(kind, 3), StateVector(3, np.full(8, 8**-0.5)), CIRCUIT)
+        (stage,) = meob_module._STAGES.values()
+        for part in stage:
+            assert not part.flags.writeable
+            with pytest.raises(ValueError):
+                part[0] = 0.0
+
+    def test_memo_is_bounded(self, monkeypatch):
+        # every kind at n = 1..9: the n = 9 stages are decomposed per call
+        # and not kept, and the kept bases stay under the stated 12 MB
+        monkeypatch.setattr(meob_module, "_STAGES", {})
+        for n in range(1, 10):
+            state = StateVector(n, np.full(1 << n, 2.0 ** (-n / 2)))
+            for kind in TRANSFORM_KINDS:
+                meob_apply(transform_operator(kind, n), state, CIRCUIT)
+        kept = meob_module._STAGES
+        assert sorted(kept) == sorted(
+            (kind, n, CLOCK_BITS) for kind in TRANSFORM_KINDS for n in range(1, 9))
+        assert sum(part.nbytes for stage in kept.values() for part in stage) < 12e6
+
+    def test_explicit_matrix_is_not_kept(self, monkeypatch):
+        monkeypatch.setattr(meob_module, "_STAGES", {})
+        meob_apply(transform_matrix("q", 3), StateVector(3), CIRCUIT)
+        assert meob_module._STAGES == {}
+
+
 class TestHermitianRoute:
     """The eigh route is taken when A is Hermitian relative to its own scale."""
 
@@ -481,6 +542,17 @@ class TestHermitianRoute:
         expect, p_expect = meob_apply(a, state, CIRCUIT)
         out, p = meob_apply(a * scale, state, CIRCUIT)
         np.testing.assert_allclose(out.amps, expect.amps, rtol=0, atol=1e-12)
+        assert p == pytest.approx(p_expect, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("scale", [1e-11, 1e-100])
+    def test_closed_form_oracle_scales_the_same(self, scale):
+        # the reference's embedding test is relative too: an absolute 1e-10
+        # would take s [[0, 1], [0.25, 0]] for Hermitian below s = 1e-10
+        a = np.array([[0.0, 1.0], [0.25, 0.0]])
+        psi = np.array([0.6, 0.8])
+        expect, p_expect = fejer_meob_oracle(a, psi, CLOCK_BITS, *default_constants(a))
+        out, p = fejer_meob_oracle(a * scale, psi, CLOCK_BITS, *default_constants(a * scale))
+        np.testing.assert_allclose(out, expect, rtol=0, atol=1e-12)
         assert p == pytest.approx(p_expect, rel=1e-12, abs=0)
 
     def test_large_symmetric_matrix_takes_the_eigh_route(self, rng):
