@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from pathlib import Path
+from contextlib import nullcontext
 from typing import NoReturn
 
 import numpy as np
@@ -31,9 +31,9 @@ from .documents import (
 )
 from .dst.mass import MassFunction, demo_mass_function, trend_mass_functions
 from .errors import ComputationError, QBeliefError, ValidationError, check_dense_budget
-from .qasm import circuit_json_floor, circuit_to_json, circuit_to_qasm
+from .qasm import circuit_json_floor, circuit_to_qasm, preparation_to_json
 from .quantum import MEoBConfig
-from .quantum.prepare import build_preparation_tree, synthesize_preparation_circuit
+from .quantum.prepare import build_preparation_tree
 
 BACKENDS = ("classical", "quantum-oracle", "quantum-circuit")
 
@@ -95,11 +95,15 @@ def _meob_config(backend: str) -> MEoBConfig:
     return MEoBConfig(backend="circuit" if backend == "quantum-circuit" else "oracle")
 
 
+_SLICE = 1 << 20  # characters per write
+
+
 def _write(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    """Write ``text`` to the file ``out``, or to stdout, in slices, so that
+    no encoded copy of the whole text is held."""
+    with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as stream:
+        for start in range(0, len(text), _SLICE):
+            stream.write(text[start:start + _SLICE])
 
 
 def _respond(
@@ -230,8 +234,7 @@ def similarity(args: argparse.Namespace) -> None:
     elif measure == "fb-inner":
         value = quantum.fb_inner_product_qc(m1, m2, _meob_config(backend))
     elif measure == "fidelity":
-        est = quantum.swap_test(quantum.prepare_bba_state(m1), quantum.prepare_bba_state(m2))
-        value = float(np.sqrt(max(est, 0.0)))
+        value = quantum.fidelity_qc(m1, m2)
     else:
         raise ValidationError(f"measure {measure!r} has no quantum backend")
     _respond(("similarity", measure, backend, m1, m2), "similarity." + measure, backend,
@@ -275,12 +278,12 @@ def prob(args: argparse.Namespace) -> None:
 def prepare(args: argparse.Namespace) -> None:
     """Synthesize the state-preparation circuit for a mass function.
 
-    ``--emit`` writes the circuit: QASM is written straight from the
-    preparation tree, each level as one Gray-code multiplexor (2^n - 1
-    ``ry`` and 2^n - 2 ``cx`` lines in all, for any n), and circuit JSON
-    spells the levels out as 2^n - 1 multi-controlled RYs, refused when
-    its text would exceed the dense budget (from n = 19); ``--shots``
-    with ``--seed`` samples the prepared state.
+    ``--emit`` writes the circuit straight from the preparation tree:
+    QASM writes each level as one Gray-code multiplexor (2^n - 1 ``ry``
+    and 2^n - 2 ``cx`` lines in all, for any n), and circuit JSON spells
+    the levels out as 2^n - 1 multi-controlled RYs, refused when its text
+    would exceed the dense budget (from n = 19); ``--shots`` with
+    ``--seed`` samples the prepared state.
     """
     started = time.perf_counter()
     emit_kind, shots, seed, out = args.emit, args.shots, args.seed, args.out
@@ -289,13 +292,12 @@ def prepare(args: argparse.Namespace) -> None:
         if shots is not None and out is None:
             raise ValidationError("--emit plus --shots needs --out for the circuit file")
         if emit_kind == "circuit-json":
-            # its ops are built and written in full, so a text that cannot
-            # fit the budget is refused before any of them exists
+            # the text is built whole before it is written, so a text that
+            # cannot fit the budget is refused before any of it exists
             check_dense_budget(circuit_json_floor(m.frame.n),
                                f"the circuit JSON of a preparation on {m.frame.n} qubits")
         tree = build_preparation_tree(m)
-        _write(circuit_to_qasm(tree) if emit_kind == "qasm"
-               else circuit_to_json(synthesize_preparation_circuit(tree)), out)
+        _write((circuit_to_qasm if emit_kind == "qasm" else preparation_to_json)(tree), out)
         if shots is None:
             return
         out = None  # the measurement record goes to stdout

@@ -1,22 +1,20 @@
-"""OpenQASM 2.0 emission and circuit JSON serialization.
+"""OpenQASM 2.0 and circuit JSON, both written from the preparation tree.
 
-QASM is written straight from the preparation tree: each level, one
-uniformly controlled RY, becomes the Gray-code multiplexor of Möttönen
-et al. (quant-ph/0407010), 2^k ``ry`` lines interleaved with 2^k ``cx``
-lines for k controls, with no cap on k.  A preparation on n qubits thus
-prints 2^n - 1 ``ry`` and 2^n - 2 ``cx`` lines.  Circuit JSON keeps the
-native multi-controlled form; the tests read it back with
-``tests/oracles.py::circuit_from_json`` and check that the round trip is
-lossless.
+QASM writes each level, one uniformly controlled RY, as the Gray-code
+multiplexor of Möttönen et al. (quant-ph/0407010): 2^k ``ry`` lines
+interleaved with 2^k ``cx`` lines for k controls, with no cap on k.  A
+preparation on n qubits thus prints 2^n - 1 ``ry`` and 2^n - 2 ``cx``
+lines.  Circuit JSON keeps the native multi-controlled form, one RY per
+tree node, and is printed from templates of the layout that
+``json.dumps(..., indent=2)`` gives; no gate object is built for either.
+The tests read the JSON back with ``tests/oracles.py::circuit_from_json``
+and hold its text to a ``json.dumps`` reference byte for byte.
 """
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
-from .qsim.circuit import Circuit
 from .quantum.prepare import PreparationTree
 
 
@@ -63,31 +61,53 @@ def _multiplexed_ry(angles: np.ndarray, target: int, controls: tuple[int, ...]) 
     return lines
 
 
-def circuit_to_json(circuit: Circuit) -> str:
-    ops = [
-        {
-            "gate": op.gate.kind,
-            "params": list(op.gate.params),
-            "targets": list(op.targets),
-            "controls": [[q, pol] for q, pol in op.controls],
-        }
-        for op in circuit.ops
-    ]
-    return json.dumps({"schema": "qbelief/circuit-v1", "qubits": circuit.k, "ops": ops}, indent=2) + "\n"
+_HEAD = '{\n  "schema": "qbelief/circuit-v1",\n  "qubits": %d,\n  "ops": [\n'
+_OP = ('    {\n      "gate": "ry",\n      "params": [\n        %r\n      ],\n'
+       '      "targets": [\n        %d\n      ],\n      "controls": [%s%s]\n    }')
+_PAIR = '\n        [\n          %d,\n          %d\n        ]'
+_CLOSE = "\n      "  # before the ] of a control list that is not empty
+_TAIL = "\n  ]\n}\n"
+
+
+def preparation_to_json(tree: PreparationTree) -> str:
+    """Print a preparation tree as circuit JSON: 2^n - 1 multi-controlled
+    RYs, in the bytes of ``json.dumps(..., indent=2)`` of their dicts.
+
+    Level l has one op per node path p, in index order, controlled on the
+    l higher qubits, highest first, each paired with its bit of p.  Those
+    control lists are written by doubling: the paths of level l + 1 are
+    the paths of level l, each followed by the new lowest control at 0 and
+    then at 1.  Angles are written by ``float.__repr__``, as ``json`` does.
+    """
+    ops: list[str] = []
+    runs, close = [""], ""
+    for target, controls, angles in tree.levels():
+        if controls:
+            sep = "," if runs[0] else ""
+            pairs = [sep + _PAIR % (controls[0], bit) for bit in (0, 1)]
+            runs = [run + pair for run in runs for pair in pairs]
+            close = _CLOSE
+        ops += [_OP % (angle, target, run, close) for angle, run in zip(angles.tolist(), runs)]
+    # the header and the tail join the first and last ops, so the text is
+    # copied once, by the join
+    ops[0] = _HEAD % tree.n + ops[0]
+    ops[-1] += _TAIL
+    return ",\n".join(ops)
 
 
 def circuit_json_floor(n: int) -> int:
-    """A lower bound on the length of :func:`circuit_to_json`'s text for
-    the preparation circuit on ``n`` qubits, from ``n`` alone.
+    """A lower bound on the length of :func:`preparation_to_json`'s text on
+    ``n`` qubits, from ``n`` alone: its layout with every number written as
+    one character.
 
-    The circuit has 2^k ops with k controls on each level k < n.  Its
-    indent-2 layout is fixed apart from the number texts, each at least
-    one character: counted at one, an op takes 135 characters besides its
-    controls, each control pair 46, and the header and footer 61.
+    Level l has 2^l ops with l control pairs each.  The ops are joined by
+    a comma and a newline.  Each op but the root closes its control list
+    on a line of its own and joins its pairs by commas, one fewer than
+    it has pairs.
     """
-    ops = (1 << n) - 1
-    controls = ((n - 2) << n) + 2  # the sum of k 2^k over the levels
-    return 61 + 135 * ops + 46 * controls
+    ops, pairs = (1 << n) - 1, ((n - 2) << n) + 2  # pairs: the sum of l 2^l
+    return (len(_HEAD % 0 + _TAIL) - len(",\n") + ops * len(_OP % (0, 0, "", "") + ",\n")
+            + pairs * len(_PAIR % (0, 0) + ",") + (ops - 1) * (len(_CLOSE) - len(",")))
 
 
-__all__ = ["circuit_to_qasm", "circuit_to_json", "circuit_json_floor"]
+__all__ = ["circuit_to_qasm", "preparation_to_json", "circuit_json_floor"]

@@ -13,6 +13,7 @@ from .pipelines import (
     dempster_qc,
     evolve_mass,
     fb_inner_product_qc,
+    fidelity_qc,
     ppt_qc,
     ptm_qc,
 )
@@ -21,7 +22,6 @@ from .prepare import (
     build_preparation_tree,
     encode_state,
     prepare_bba_state,
-    synthesize_preparation_circuit,
 )
 from .query import BeliefQuery, belief_query_circuit, estimate_belief
 from .swap import swap_test
@@ -29,7 +29,6 @@ from .swap import swap_test
 __all__ = [
     "PreparationTree",
     "build_preparation_tree",
-    "synthesize_preparation_circuit",
     "prepare_bba_state",
     "encode_state",
     "BeliefQuery",
@@ -48,4 +47,5 @@ __all__ = [
     "ppt_qc",
     "ptm_qc",
     "fb_inner_product_qc",
+    "fidelity_qc",
 ]

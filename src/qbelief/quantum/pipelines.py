@@ -155,17 +155,23 @@ def fb_inner_product_qc(m1: MassFunction, m2: MassFunction, config: MEoBConfig) 
     """Fractal-reallocation similarity via the swap test.
 
     Each input runs diag(sqrt(m_i)) then the fractal matrix, with all four
-    evolution ancillas postselected before the swap test; the test yields
-    the squared cosine, and the square root is the similarity (both
-    vectors are non-negative).
+    evolution ancillas postselected before the swap test.
     """
     require_same_frame(m1, m2)
-    n = m1.frame.n
-    mf = transform_operator("fractal", n)
-    s1, _ = evolve_mass(m1, mf, config)
-    s2, _ = evolve_mass(m2, mf, config)
-    estimate = swap_test(s1, s2)
-    return float(np.sqrt(max(estimate, 0.0)))
+    mf = transform_operator("fractal", m1.frame.n)
+    return _swap_cosine(evolve_mass(m1, mf, config)[0], evolve_mass(m2, mf, config)[0])
+
+
+def fidelity_qc(m1: MassFunction, m2: MassFunction) -> float:
+    """Fidelity, sum sqrt(m1 m2), via the swap test on the prepared states."""
+    require_same_frame(m1, m2)
+    return _swap_cosine(prepare_bba_state(m1), prepare_bba_state(m2))
+
+
+def _swap_cosine(s1: StateVector, s2: StateVector) -> float:
+    """|<s1|s2>| of two non-negative states: the square root of the swap
+    test's estimate of the squared cosine."""
+    return float(np.sqrt(max(swap_test(s1, s2), 0.0)))
 
 
 __all__ = [
@@ -177,4 +183,5 @@ __all__ = [
     "ppt_qc",
     "ptm_qc",
     "fb_inner_product_qc",
+    "fidelity_qc",
 ]

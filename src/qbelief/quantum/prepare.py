@@ -6,9 +6,10 @@ one Y-rotation per node: level l (0-based from the root) splits on
 qubit n-1-l, the |0> branch is the "left" child, and leaf order
 therefore equals focal-index order.  ``PreparationTree.levels`` is the
 one statement of that layout: each level is one uniformly controlled RY
-with an angle per control pattern.  QASM export writes it as one
-Gray-code multiplexor, and circuit JSON spells it out as 2^l native
-controlled rotations, 2^n - 1 in all.
+with an angle per control pattern.  Both exports in ``qasm`` print the
+levels without building a gate: QASM writes each as one Gray-code
+multiplexor, and circuit JSON spells it out as 2^l native controlled
+rotations, 2^n - 1 in all.
 
 ``prepare_bba_state`` runs no gate.  Before level l only the 2^l
 amplitudes on the prepared prefix (every lower qubit at |0>) can be
@@ -24,13 +25,10 @@ with each level applied by ``StateVector.apply_multiplexed_ry``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from ..dst.mass import MassFunction
-from ..qsim.circuit import Circuit, CircuitOp
-from ..qsim.gates import RY
 from ..qsim.state import StateVector
 
 
@@ -102,24 +100,6 @@ def build_preparation_tree(m: MassFunction) -> PreparationTree:
     return PreparationTree(n, _levels(sums, n + 1), _levels(2.0 * half, n))
 
 
-def synthesize_preparation_circuit(tree: PreparationTree) -> Circuit:
-    """One multi-controlled RY per tree node, for circuit JSON.
-
-    Controls pin the already-prepared higher qubits to the node's path,
-    highest qubit first.  Empty subtrees still emit their (identity-angle)
-    gates so the gate count stays exactly 2^n - 1.  The levels are valid
-    by construction, so the ops are built as they are, without the checks
-    of ``Circuit.append``.
-    """
-    ops = [
-        CircuitOp(RY(alpha), (target,), tuple(zip(controls[::-1], path)))
-        for target, controls, angles in tree.levels()
-        # the paths in index order, highest control bit first
-        for alpha, path in zip(angles.tolist(), product((0, 1), repeat=len(controls)))
-    ]
-    return Circuit(tree.n, ops)
-
-
 def prepare_bba_state(m: MassFunction) -> StateVector:
     """Double the amplitudes level by level, root first, in O(2^n); they
     come out as +sqrt(mass), in the bytes of the tree's circuit."""
@@ -150,7 +130,6 @@ def encode_state(m: MassFunction) -> StateVector:
 __all__ = [
     "PreparationTree",
     "build_preparation_tree",
-    "synthesize_preparation_circuit",
     "prepare_bba_state",
     "encode_state",
 ]

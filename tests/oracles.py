@@ -40,7 +40,10 @@ half of the query's register its ancilla read needs, and the swap test
 from its closed form on the two input vectors.
 
 ``circuit_from_json`` reads exported circuit JSON back into a circuit,
-so the tests can check that the export round-trips losslessly.
+so the tests can check that the export round-trips losslessly;
+``preparation_json_oracle`` is that export written the long way, one op
+dict per tree node, its controls from ``itertools.product``, then
+``json.dumps(indent=2)``.
 
 ``conjunctive_matrix`` and ``disjunctive_matrix`` write each combination
 rule as one matrix product, Mq^-1 diag(q) Mq and Mb^-1 diag(b) Mb, from
@@ -56,6 +59,7 @@ import hashlib
 import json
 import math
 import re
+from itertools import product
 
 import numpy as np
 
@@ -533,6 +537,19 @@ def circuit_from_json(text: str) -> Circuit:
         (target,) = op["targets"]
         circ.append(gate, int(target), [(int(q), int(pol)) for q, pol in op["controls"]])
     return circ
+
+
+def preparation_json_oracle(tree) -> str:
+    """Circuit JSON of a preparation tree: one RY per node, controlled on
+    the node's path, highest qubit first."""
+    ops = [
+        {"gate": "ry", "params": [alpha], "targets": [target],
+         "controls": [[q, bit] for q, bit in zip(controls[::-1], path)]}
+        for target, controls, angles in tree.levels()
+        for alpha, path in zip(angles.tolist(), product((0, 1), repeat=len(controls)))
+    ]
+    return json.dumps({"schema": "qbelief/circuit-v1", "qubits": tree.n, "ops": ops},
+                      indent=2) + "\n"
 
 
 def phase_estimation_replay(

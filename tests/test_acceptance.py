@@ -14,6 +14,7 @@ import pytest
 
 from conftest import make_frame, random_bbas
 from oracles import (
+    circuit_from_json,
     conjunctive_matrix,
     conjunctive_oracle,
     disjunctive_matrix,
@@ -37,6 +38,7 @@ from qbelief.dst import (
 )
 from qbelief.dst.transforms import subset_sum_inverse, superset_sum_inverse
 from qbelief.errors import TotalConflict
+from qbelief.qasm import preparation_to_json
 from qbelief.qsim import StateVector
 from qbelief.quantum import (
     BeliefQuery,
@@ -51,7 +53,6 @@ from qbelief.quantum import (
     prepare_bba_state,
     ptm_qc,
     swap_test,
-    synthesize_preparation_circuit,
 )
 
 ORACLE = MEoBConfig(backend="oracle")
@@ -271,7 +272,7 @@ def test_criterion_08_gate_counts():
     for n in range(1, 9):
         frame = make_frame(n)
         m = validate_bba(frame, {tuple(frame.elements): 1.0})
-        circ = synthesize_preparation_circuit(build_preparation_tree(m))
+        circ = circuit_from_json(preparation_to_json(build_preparation_tree(m)))
         assert circ.gate_count == (1 << n) - 1
         assert all(op.gate.kind == "ry" for op in circ.ops)
         per_level = {}

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from conftest import make_frame, random_bbas, random_mass_function
 from oracles import circuit_from_json, dumps_result_oracle, inputs_digest_oracle
 import qbelief
+from qbelief import cli
 from qbelief.cli import main
 from qbelief.dst import (
     Frame,
@@ -233,6 +235,19 @@ class TestSimilarity:
             classical["payload"]["value"], abs=1e-8
         )
 
+    @pytest.mark.parametrize("backend", ["quantum-oracle", "quantum-circuit"])
+    @pytest.mark.parametrize("other", [("C", "D"), ("C", "D", "E")], ids=["same-size", "larger"])
+    def test_quantum_fidelity_refuses_another_frame(self, capsys, tmp_path, frame2, backend, other):
+        # equal masses on equal indices: without the frame check the swap
+        # test read 1.0 for the same-size frame
+        a = write_doc(tmp_path, validate_bba(frame2, {("A",): 0.5, ("B",): 0.5}), "a.json")
+        b = write_doc(tmp_path, validate_bba(Frame(other), {("C",): 0.5, ("D",): 0.5}), "b.json")
+        for backend_args in (["--backend", backend], []):  # classical agrees
+            code, out, err = run(
+                capsys, ["similarity", "--measure", "fidelity", *backend_args, a, b])
+            assert (code, out) == (1, "")
+            assert json.loads(err)["error"] == "FrameMismatch"
+
 
 class TestEntropyAndProb:
     def test_vacuous_entropies(self, capsys, tmp_path, frame2):
@@ -323,28 +338,49 @@ class TestPrepare:
         )
         assert code == 1
 
-    @pytest.mark.parametrize("emit, built", [("qasm", 0), ("circuit-json", 1)])
-    def test_qasm_is_written_from_the_tree(self, capsys, monkeypatch, showcase_path, emit, built):
-        from qbelief import cli
-        from qbelief.qsim.circuit import Circuit
+    @pytest.mark.parametrize("emit", ["qasm", "circuit-json"])
+    def test_qasm_is_written_from_the_tree(self, capsys, monkeypatch, showcase_path, emit):
+        # both exports print the tree's levels: no circuit, op or gate is built
+        from qbelief.qsim.circuit import Circuit, CircuitOp
+        from qbelief.qsim.gates import Gate
 
-        calls = {"append": 0, "synthesize": 0}
-        append, synthesize = Circuit.append, cli.synthesize_preparation_circuit
+        built = []
+        for cls in (Circuit, CircuitOp, Gate):
+            def counted(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
 
-        def counted_append(self, *args, **kwargs):
-            calls["append"] += 1
-            return append(self, *args, **kwargs)
-
-        def counted_synthesize(tree):
-            calls["synthesize"] += 1
-            return synthesize(tree)
-
-        monkeypatch.setattr(Circuit, "append", counted_append)
-        monkeypatch.setattr(cli, "synthesize_preparation_circuit", counted_synthesize)
+            monkeypatch.setattr(cls, "__init__", counted)
         code, _, err = run(capsys, ["prepare", showcase_path, "--emit", emit])
         assert code == 0, err
-        # circuit JSON builds its 7 ops straight from the tree's levels
-        assert calls == {"append": 0, "synthesize": built}
+        assert built == []
+        Circuit(1).append(Gate("x"), 0)  # the count sees a construction
+        assert built == ["Circuit", "Gate", "CircuitOp"]
+
+
+class TestWrite:
+    def test_file_write_holds_no_copy_of_the_text(self, tmp_path):
+        text = "0123456789abcdef" * (1 << 21)  # 32 MiB of ASCII
+        path = tmp_path / "big.txt"
+        tracemalloc.start()
+        try:
+            cli._write(text, str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(text) // 8
+        assert path.read_text(encoding="utf-8") == text
+
+    def test_slices_keep_the_bytes(self, capsys, tmp_path):
+        # multi-byte characters on both sides of every slice boundary
+        text = "é€x\n" * (3 * cli._SLICE // 4 + 1)
+        path = tmp_path / "out.txt"
+        cli._write(text, str(path))
+        assert path.read_bytes() == text.encode("utf-8")
+        cli._write(text, None)
+        assert capsys.readouterr().out == text
+        cli._write("", str(path))
+        assert path.read_bytes() == b""
 
 
 class TestDeterminism:
@@ -740,9 +776,9 @@ def test_dense_allocation_refused_before_it_is_made(tmp_path, n):
 
 
 def test_circuit_json_refused_before_its_ops_are_built(tmp_path):
-    # at n = 20 the 2^20 - 1 ops and their text would not fit in 3 GiB:
-    # the text's closed-form floor exceeds the budget, so the request
-    # exits 2 before the circuit is synthesized
+    # at n = 20 the text of the 2^20 - 1 ops is at least 1.0 GB: its closed-form
+    # floor exceeds the budget, so the request exits 2 before the tree is
+    # built or any op text is written
     frame = make_frame(20)
     m = random_mass_function(frame, np.random.default_rng(20), max_focal=64)
     path = write_doc(tmp_path, m, "n20.json")

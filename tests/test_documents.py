@@ -10,6 +10,7 @@ from oracles import (
     dump_bba_oracle,
     dumps_result_oracle,
     inputs_digest_oracle,
+    preparation_json_oracle,
     round_payload_oracle,
 )
 from qbelief.documents import (
@@ -37,8 +38,8 @@ from qbelief.errors import (
     ValidationError,
 )
 from qbelief.errors import DENSE_BUDGET_BYTES
-from qbelief.qasm import circuit_json_floor, circuit_to_json, circuit_to_qasm
-from qbelief.quantum import build_preparation_tree, synthesize_preparation_circuit
+from qbelief.qasm import circuit_json_floor, circuit_to_qasm, preparation_to_json
+from qbelief.quantum import build_preparation_tree, prepare_bba_state
 
 
 def showcase_doc():
@@ -483,11 +484,9 @@ class TestDenseWriter:
 class TestCircuitSerialization:
     def test_json_round_trip_reproduces_state(self):
         m = parse_bba_document(showcase_doc())
-        circ = synthesize_preparation_circuit(build_preparation_tree(m))
-        text = circuit_to_json(circ)
-        loaded = circuit_from_json(text)
+        loaded = circuit_from_json(preparation_to_json(build_preparation_tree(m)))
         np.testing.assert_allclose(
-            loaded.simulate(0).amps, circ.simulate(0).amps, atol=1e-10
+            loaded.simulate(0).amps, prepare_bba_state(m).amps, atol=1e-10
         )
 
     def test_qasm_header_and_gate_subset(self):
@@ -504,8 +503,7 @@ class TestCircuitSerialization:
         # json keeps the native form; parsing its ops back gives the
         # same statevector the QASM export started from
         m = parse_bba_document(showcase_doc())
-        circ = synthesize_preparation_circuit(build_preparation_tree(m))
-        doc = json.loads(circuit_to_json(circ))
+        doc = json.loads(preparation_to_json(build_preparation_tree(m)))
         assert doc["qubits"] == 3
         assert len(doc["ops"]) == 7
 
@@ -513,9 +511,28 @@ class TestCircuitSerialization:
     def test_json_floor_bounds_the_text(self, n):
         # the floor is the text with every number written as one character
         (m,) = random_bbas(1, n, seed=n, allow_empty=True)
-        text = circuit_to_json(synthesize_preparation_circuit(build_preparation_tree(m)))
+        text = preparation_to_json(build_preparation_tree(m))
         one_char = re.sub(r"-?[0-9][0-9.e+-]*", "0", text)
         assert circuit_json_floor(n) == len(one_char) <= len(text)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_json_text_is_the_json_dumps_reference(self, n):
+        # n >= 11 writes two-digit qubit indices; sparse and certain
+        # documents leave subtrees empty, whose angle is 0.0
+        frame = make_frame(n)
+        rng = np.random.default_rng(3200 + n)
+        masses = [
+            random_mass_function(frame, rng, allow_empty=True),
+            random_mass_function(frame, rng, max_focal=3),
+            validate_bba(frame, {int(rng.integers(0, 1 << n)): 1.0}),
+            validate_bba(frame, {0: 0.25, frame.size - 1: 0.75}),
+        ]
+        empty_subtrees = 0
+        for m in masses:
+            tree = build_preparation_tree(m)
+            assert preparation_to_json(tree) == preparation_json_oracle(tree)
+            empty_subtrees += sum(int((angles == 0.0).sum()) for angles in tree.angles)
+        assert empty_subtrees > 0 or n == 1  # the root alone cannot be empty
 
     def test_json_floor_admits_n_18_and_refuses_n_19(self):
         assert circuit_json_floor(18) <= DENSE_BUDGET_BYTES < circuit_json_floor(19)

@@ -22,11 +22,22 @@ def layertrace():
     return module
 
 
+# hooked names the package deleted on purpose: circuit JSON is written from
+# the preparation tree, so no circuit is synthesized and the counters of
+# these hooks read 0.  Neither name may come back, as its hook reads a
+# circuit's ``.ops`` from the call.
+RETIRED = {
+    "qbelief.quantum.prepare.synthesize_preparation_circuit",
+    "qbelief.qasm.circuit_to_json",
+}
+
+
 def test_every_counter_hook_wraps_a_function(layertrace):
     trace = layertrace.LayerTrace()
     trace.install()
     trace.uninstall()
-    assert set(layertrace._HOOKS) <= set(trace.names)
+    assert set(layertrace._HOOKS) - RETIRED <= set(trace.names)
+    assert not RETIRED & set(trace.names)
 
 
 def test_meob_hook_counts_each_backend(layertrace):

@@ -4,17 +4,23 @@ import numpy as np
 import pytest
 
 from conftest import _count_state_methods, make_frame, random_bbas, random_mass_function
+from oracles import circuit_from_json
 from qbelief.cli import main
 from qbelief.documents import dump_bba_document
 from qbelief.dst import validate_bba
+from qbelief.qasm import preparation_to_json
 from qbelief.qsim import new_state
 from qbelief.quantum import (
     build_preparation_tree,
     encode_state,
     prepare_bba_state,
     ptm_qc,
-    synthesize_preparation_circuit,
 )
+
+
+def exported_circuit(m):
+    """The preparation circuit, read back from its circuit JSON."""
+    return circuit_from_json(preparation_to_json(build_preparation_tree(m)))
 
 
 class TestTreeValues:
@@ -60,7 +66,7 @@ class TestCircuitShape:
     def test_gate_count_is_full_tree(self, n):
         frame = make_frame(n)
         m = validate_bba(frame, {tuple(frame.elements): 1.0})
-        circ = synthesize_preparation_circuit(build_preparation_tree(m))
+        circ = exported_circuit(m)
         assert circ.gate_count == (1 << n) - 1
         # level l contributes 2^l rotations with l controls
         by_level = {}
@@ -69,12 +75,12 @@ class TestCircuitShape:
         assert by_level == {l: 1 << l for l in range(n)}
 
     def test_layer_targets_descend(self, showcase):
-        circ = synthesize_preparation_circuit(build_preparation_tree(showcase))
+        circ = exported_circuit(showcase)
         targets = [op.targets[0] for op in circ.ops]
         assert targets == [2, 1, 1, 0, 0, 0, 0]
 
     def test_every_gate_is_a_rotation(self, showcase):
-        circ = synthesize_preparation_circuit(build_preparation_tree(showcase))
+        circ = exported_circuit(showcase)
         assert all(op.gate.kind == "ry" for op in circ.ops)
 
 
@@ -114,7 +120,7 @@ class TestPreparedAmplitudes:
     def test_degenerate_subtrees_still_emit_gates(self, frame3):
         # certainty leaves most of the tree empty; the gate count may not shrink
         m = validate_bba(frame3, {("B",): 1.0})
-        circ = synthesize_preparation_circuit(build_preparation_tree(m))
+        circ = exported_circuit(m)
         assert circ.gate_count == 7
         state = circ.simulate(0)
         np.testing.assert_allclose(state.amps.real, np.sqrt(m.masses), atol=1e-12)
@@ -154,7 +160,7 @@ class TestSimulatedEqualsExported:
         assert build_preparation_tree(masses[-1]).angles[0][0] == np.pi
         for m in masses:
             got = prepare_bba_state(m).amps.tobytes()
-            circ = synthesize_preparation_circuit(build_preparation_tree(m))
+            circ = exported_circuit(m)
             assert got == circ.run(new_state(n)).amps.tobytes()
             assert got == multiplexed_ry_reference(m).amps.tobytes()
 

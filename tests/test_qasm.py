@@ -11,9 +11,9 @@ from conftest import make_frame, random_bbas
 from oracles import circuit_from_json, qasm_replay
 from qbelief.dst import validate_bba
 from qbelief.errors import ValidationError
-from qbelief.qasm import _multiplexed_ry, circuit_to_qasm
+from qbelief.qasm import _multiplexed_ry, circuit_to_qasm, preparation_to_json
 from qbelief.qsim import RY, Circuit, new_state
-from qbelief.quantum import build_preparation_tree, synthesize_preparation_circuit
+from qbelief.quantum import build_preparation_tree
 
 
 def qasm_text(k, body):
@@ -112,7 +112,7 @@ class TestPreparationExport:
     def test_replay_matches_native_circuit(self, n):
         for m in preparation_masses(n):
             tree = build_preparation_tree(m)
-            native = synthesize_preparation_circuit(tree)
+            native = circuit_from_json(preparation_to_json(tree))
             text = circuit_to_qasm(tree)
             assert count_lines(text, "ry") == (1 << n) - 1
             assert count_lines(text, "cx") == (1 << n) - 2
