@@ -30,8 +30,8 @@ from .documents import (
     subset_labels,
 )
 from .dst.mass import MassFunction, demo_mass_function, trend_mass_functions
-from .errors import ComputationError, QBeliefError, ValidationError, check_dense_budget
-from .qasm import circuit_json_floor, circuit_to_qasm, preparation_to_json
+from .errors import ComputationError, QBeliefError, ValidationError
+from .qasm import circuit_to_qasm, preparation_to_json
 from .quantum import MEoBConfig
 from .quantum.prepare import build_preparation_tree
 
@@ -98,31 +98,35 @@ def _meob_config(backend: str) -> MEoBConfig:
 _SLICE = 1 << 20  # characters per write
 
 
+def _output(out: str | None):
+    """The file ``out``, opened for writing, or stdout."""
+    return open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout)
+
+
 def _write(text: str, out: str | None) -> None:
     """Write ``text`` to the file ``out``, or to stdout, in slices, so that
     no encoded copy of the whole text is held."""
-    with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as stream:
+    with _output(out) as stream:
         for start in range(0, len(text), _SLICE):
             stream.write(text[start:start + _SLICE])
 
 
 def _respond(
+    args: argparse.Namespace,
     inputs: tuple[str | int | MassFunction | None, ...],
     operation: str,
     backend: str | None,
     payload: dict,
-    out: str | None,
-    timing: bool,
-    started: float,
     shots: int | None = None,
     seed: int | None = None,
 ) -> None:
     """Shared tail of the result commands: digest the inputs, attach the
-    ``--timing`` wall time, build the result document and write it."""
+    ``--timing`` wall time since ``args.started``, build the result
+    document and write it to ``args.out``."""
     digest = inputs_digest(*inputs)
-    wall_time_s = time.perf_counter() - started if timing else None
+    wall_time_s = time.perf_counter() - args.started if args.timing else None
     doc = result_document(operation, digest, backend, payload, shots, seed, wall_time_s)
-    _write(dumps_result(doc), out)
+    _write(dumps_result(doc), args.out)
 
 
 @_command()
@@ -151,7 +155,6 @@ def transform(args: argparse.Namespace) -> None:
     Classical backends print the full vector; quantum backends print the
     normalized state amplitudes, which carry the vector only up to scale.
     """
-    started = time.perf_counter()
     kind, backend = args.kind, args.backend
     m = load_bba_document(args.path)
     labels = dense_subset_labels(m.frame)
@@ -176,8 +179,7 @@ def transform(args: argparse.Namespace) -> None:
             "normalized_only": True,
             "note": "amplitudes carry the vector up to scale; totals are not observable",
         }
-    _respond(("transform", kind, backend, m), "transform." + kind, backend, payload,
-             args.out, args.timing, started)
+    _respond(args, ("transform", kind, backend, m), "transform." + kind, backend, payload)
 
 
 @_command(_required("--rule", "ccr", "dcr", "dempster"), _BACKEND, _OUT, _TIMING,
@@ -185,7 +187,6 @@ def transform(args: argparse.Namespace) -> None:
 def combine(args: argparse.Namespace) -> None:
     """Combine two mass functions; quantum Dempster is quantum conjunctive
     combination plus the classical renormalization step."""
-    started = time.perf_counter()
     rule, backend = args.rule, args.backend
     m1 = load_bba_document(args.path1)
     m2 = load_bba_document(args.path2)
@@ -206,8 +207,7 @@ def combine(args: argparse.Namespace) -> None:
         "subsets": dense_subset_labels(m1.frame),
         "masses": combined.masses,
     }
-    _respond(("combine", rule, backend, m1, m2), "combine." + rule, backend, payload,
-             args.out, args.timing, started)
+    _respond(args, ("combine", rule, backend, m1, m2), "combine." + rule, backend, payload)
 
 
 @_command(_required("--measure", "jousselme", "fb-inner", "fidelity", "euclidean", "inner-bba"),
@@ -219,7 +219,6 @@ def similarity(args: argparse.Namespace) -> None:
     fidelity); quadratic-form measures subtract mass vectors and have no
     circuit formulation.
     """
-    started = time.perf_counter()
     measure, backend = args.measure, args.backend
     m1 = load_bba_document(args.path1)
     m2 = load_bba_document(args.path2)
@@ -237,18 +236,16 @@ def similarity(args: argparse.Namespace) -> None:
         value = quantum.fidelity_qc(m1, m2)
     else:
         raise ValidationError(f"measure {measure!r} has no quantum backend")
-    _respond(("similarity", measure, backend, m1, m2), "similarity." + measure, backend,
-             {"value": value}, args.out, args.timing, started)
+    _respond(args, ("similarity", measure, backend, m1, m2), "similarity." + measure, backend,
+             {"value": value})
 
 
 @_command(_required("--kind", "js", "fb"), _OUT, _TIMING)
 def entropy(args: argparse.Namespace) -> None:
     """Total-uncertainty measure of a mass function, in bits."""
-    started = time.perf_counter()
     m = load_bba_document(args.path)
     value = dst.js_entropy(m) if args.kind == "js" else dst.fb_entropy(m)
-    _respond(("entropy", args.kind, m), "entropy." + args.kind, None, {"bits": value},
-             args.out, args.timing, started)
+    _respond(args, ("entropy", args.kind, m), "entropy." + args.kind, None, {"bits": value})
 
 
 @_command(_required("--method", "ppt", "ptm"), _BACKEND,
@@ -256,7 +253,6 @@ def entropy(args: argparse.Namespace) -> None:
           _TIMING)
 def prob(args: argparse.Namespace) -> None:
     """Probability transform of a mass function over the frame elements."""
-    started = time.perf_counter()
     method, backend, shots, seed = args.method, args.backend, args.shots, args.seed
     if shots is not None and (method != "ptm" or backend == "classical"):
         raise ValidationError("--shots samples only --method ptm on a quantum backend")
@@ -270,8 +266,8 @@ def prob(args: argparse.Namespace) -> None:
             raise ValidationError("--shots needs --seed for reproducibility")
         values = quantum.ptm_qc(m, shots, seed)
     payload = {"elements": list(m.frame.elements), "probabilities": values}
-    _respond(("prob", method, backend, m, shots, seed), "prob." + method, backend, payload,
-             args.out, args.timing, started, shots, seed)
+    _respond(args, ("prob", method, backend, m, shots, seed), "prob." + method, backend,
+             payload, shots, seed)
 
 
 @_command(("--emit", {"choices": ("qasm", "circuit-json")}), _SHOTS, _SEED, _OUT, _TIMING)
@@ -281,26 +277,24 @@ def prepare(args: argparse.Namespace) -> None:
     ``--emit`` writes the circuit straight from the preparation tree:
     QASM writes each level as one Gray-code multiplexor (2^n - 1 ``ry``
     and 2^n - 2 ``cx`` lines in all, for any n), and circuit JSON spells
-    the levels out as 2^n - 1 multi-controlled RYs, refused when its text
-    would exceed the dense budget (from n = 19); ``--shots`` with
+    the levels out as 2^n - 1 multi-controlled RYs, written as they are
+    made, in memory that does not grow with the text; ``--shots`` with
     ``--seed`` samples the prepared state.
     """
-    started = time.perf_counter()
-    emit_kind, shots, seed, out = args.emit, args.shots, args.seed, args.out
+    emit_kind, shots, seed = args.emit, args.shots, args.seed
     m = load_bba_document(args.path)
     if emit_kind is not None:
-        if shots is not None and out is None:
+        if shots is not None and args.out is None:
             raise ValidationError("--emit plus --shots needs --out for the circuit file")
-        if emit_kind == "circuit-json":
-            # the text is built whole before it is written, so a text that
-            # cannot fit the budget is refused before any of it exists
-            check_dense_budget(circuit_json_floor(m.frame.n),
-                               f"the circuit JSON of a preparation on {m.frame.n} qubits")
         tree = build_preparation_tree(m)
-        _write((circuit_to_qasm if emit_kind == "qasm" else preparation_to_json)(tree), out)
+        if emit_kind == "qasm":
+            _write(circuit_to_qasm(tree), args.out)
+        else:
+            with _output(args.out) as stream:
+                preparation_to_json(tree, stream.write)
         if shots is None:
             return
-        out = None  # the measurement record goes to stdout
+        args.out = None  # the measurement record goes to stdout
     if shots is None:
         raise ValidationError("nothing to do: pass --emit and/or --shots")
     if seed is None:
@@ -314,8 +308,8 @@ def prepare(args: argparse.Namespace) -> None:
         "counts": dict(zip(labels, counts)),
         "frequencies": {label: c / shots for label, c in zip(labels, counts)},
     }
-    _respond(("prepare", m, shots, seed), "prepare.sample", "quantum-circuit", payload,
-             out, args.timing, started, shots, seed)
+    _respond(args, ("prepare", m, shots, seed), "prepare.sample", "quantum-circuit", payload,
+             shots, seed)
 
 
 @_command(("--shots", {"type": int, "default": 1024, "help": _DEFAULT}),
@@ -408,6 +402,7 @@ def main(argv: list[str] | None = None) -> None:
     args, extra = owner.parse_known_args(rest)
     if extra:
         owner.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.started = time.perf_counter()
     try:
         args.run(args)
         sys.stdout.flush()  # a closed pipe is an I/O error here, not at interpreter exit

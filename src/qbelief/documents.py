@@ -5,15 +5,15 @@ is checked on its listed masses alone and carries its focal list (sorted
 subset indices of non-zero mass), so neither parsing, nor the document
 form, nor the input digest scans the 2^n mass vector.  Result documents
 carry the operation name, an input digest, the backend and a numeric
-payload.  All reals are rounded to 12 significant digits at
-serialization, which keeps equal inputs byte-identical on disk while
-staying far below internal tolerances.  A dense vector of the payload,
-and the subset labels that go with it, are each held as one block: the
-JSON texts of their items, one per line, already joined in the indent-2
-layout, so the document copies each block once.  The labels of all 2^n
-subsets are joined from the label runs of the low and the high half of
-the frame, each list built by doubling, with no string per subset; a
-vector's values are formatted once per distinct value.
+payload.  All reals are rounded to 12 significant digits as the
+document is laid out, which keeps equal inputs byte-identical on disk
+while staying far below internal tolerances.  A dense vector of the
+payload is written there too, its values formatted once per distinct
+value; the subset labels that go with it are held as one block, the
+JSON texts of the labels, one per line, already joined in the indent-2
+layout, so the document copies it once.  The labels of all 2^n subsets
+are joined from the label runs of the low and the high half of the
+frame, each list built by doubling, with no string per subset.
 """
 
 from __future__ import annotations
@@ -56,26 +56,6 @@ class JsonTexts:
 
     def __init__(self, block: str):
         self.block = block
-
-
-def _round_payload(value: Any) -> Any:
-    if isinstance(value, (float, np.floating)):
-        return _round_real(value)
-    if isinstance(value, (int, np.integer, str, bool)) or value is None:
-        return value
-    if isinstance(value, np.ndarray):
-        if value.ndim == 1 and value.dtype.kind == "f":
-            if not np.isfinite(value).all():
-                raise ValidationError("payload contains a non-finite value")
-            return JsonTexts(_ITEM_SEP.join(_dense_texts(value)))
-        return [_round_payload(v) for v in value.tolist()]
-    if isinstance(value, JsonTexts):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_round_payload(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _round_payload(v) for k, v in value.items()}
-    raise ValidationError(f"cannot serialize payload value of type {type(value)}")
 
 
 def load_bba_document(path: str | Path) -> MassFunction:
@@ -139,13 +119,9 @@ def parse_bba_document(doc: dict) -> MassFunction:
 
 
 def dump_bba_document(m: MassFunction) -> dict:
-    return {
-        "frame": list(m.frame.elements),
-        "masses": [
-            {"focal": list(m.frame.labels_of(f)), "mass": _round_real(v)}
-            for f, v in zip(m.focal.tolist(), m.masses[m.focal].tolist())
-        ],
-    }
+    """The document form of ``m``: its frame and its focal sets in index
+    order, each with its mass rounded to 12 significant digits."""
+    return json.loads(_canonical_bba(m))
 
 
 _CHUNK = 7  # the widest label chunk: 3 tables of 2^7 runs at the frame cap
@@ -223,7 +199,10 @@ def _real_texts(values: np.ndarray) -> list[str]:
 def _dense_texts(values: np.ndarray) -> list[str]:
     """:func:`_real_texts` of a dense vector, with its zeros written as
     ``0.0`` and ``-0.0``: one gather from a table of texts that holds each
-    distinct non-zero value once."""
+    distinct non-zero value once.  A vector with a non-finite value is
+    refused."""
+    if not np.isfinite(values).all():
+        raise ValidationError("payload contains a non-finite value")
     nonzero = np.flatnonzero(values)
     distinct, inverse = np.unique(values[nonzero], return_inverse=True)
     index = np.signbit(values).astype(np.intp)  # zeros: 0 for 0.0, 1 for -0.0
@@ -232,10 +211,10 @@ def _dense_texts(values: np.ndarray) -> list[str]:
 
 
 def _canonical_bba(m: MassFunction) -> str:
-    """``json.dumps(dump_bba_document(m), sort_keys=True, separators=(",", ":"))``,
-    written straight from the focal list: each label is encoded once, label
-    runs come from per-chunk tables, and the masses, nearly all distinct,
-    are formatted in one pass."""
+    """The compact, key-sorted JSON text of ``m``'s document form, written
+    straight from the focal list: each label is encoded once, label runs
+    come from per-chunk tables, and the masses, nearly all distinct, are
+    formatted in one pass."""
     labels = [json.encoder.encode_basestring_ascii(e) for e in m.frame.elements]
     entries = ",".join([
         f'{{"focal":[{run[:-1]}],"mass":{text}}}'
@@ -272,14 +251,11 @@ def result_document(
     seed: int | None = None,
     wall_time_s: float | None = None,
 ) -> dict:
-    """Assemble a result document; payload reals get 12 significant digits,
-    and a non-finite one is refused before anything is written.  A 1-D
-    float array is checked in one pass and becomes :class:`JsonTexts`.
+    """Assemble a result document, which :func:`dumps_result` writes.
 
     Timing is optional: identical inputs must serialize byte-identically,
     so wall time is only attached when explicitly requested.
     """
-    payload = _round_payload(payload)
     doc: dict[str, Any] = {
         "schema": RESULT_SCHEMA,
         "operation": operation,
@@ -291,20 +267,23 @@ def result_document(
         doc["shots"] = shots
         doc["seed"] = seed
     if wall_time_s is not None:
-        doc["wall_time_s"] = _round_real(wall_time_s)
+        doc["wall_time_s"] = wall_time_s
     return doc
 
 
 def dumps_result(doc: dict) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, with each
-    :class:`JsonTexts` array written as its block."""
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` with every real
+    rounded to 12 significant digits and every key made a string; each
+    :class:`JsonTexts` array is written as its block.  A non-finite real,
+    or a value of another type than ``json``'s own, numpy arrays and
+    numpy numbers, is refused before any text is returned."""
     pieces: list[str] = []
     _lay_out(doc, "\n", pieces)
     pieces.append("\n")
     return "".join(pieces)
 
 
-_CONTAINERS = (JsonTexts, dict, list, tuple)
+_CONTAINERS = (np.ndarray, JsonTexts, dict, list, tuple)
 
 
 def _lay_out(value: Any, newline: str, pieces: list[str]) -> None:
@@ -313,17 +292,23 @@ def _lay_out(value: Any, newline: str, pieces: list[str]) -> None:
     Every container is laid out here, so that each :class:`JsonTexts`
     block is copied once, by the document's one ``"".join``; a block at
     another depth than the payload's arrays has its separators re-indented
-    first.  Keys are strings, as :func:`result_document` makes them; a
-    scalar is written by :func:`_scalar`."""
+    first.  A 1-D float array is written by :func:`_dense_texts`, any other
+    array as its ``tolist()``; a scalar is written by :func:`_scalar`."""
     inner = newline + "  "
-    if isinstance(value, JsonTexts):
+    if isinstance(value, np.ndarray):
+        if value.ndim == 1 and value.dtype.kind == "f":
+            texts = _dense_texts(value)
+            pieces += ("[", inner, ("," + inner).join(texts), newline, "]") if texts else ("[]",)
+        else:
+            _lay_out(value.tolist(), newline, pieces)
+    elif isinstance(value, JsonTexts):
         # a JSON text holds no raw newline, so _ITEM_SEP only ever separates items
         sep = "," + inner
         block = value.block if sep == _ITEM_SEP else value.block.replace(_ITEM_SEP, sep)
         pieces += ("[", inner, block, newline, "]") if block else ("[]",)
     elif isinstance(value, dict):
         opening = "{"
-        for k, v in sorted(value.items()):
+        for k, v in sorted({str(k): v for k, v in value.items()}.items()):
             pieces += (opening, inner, json.encoder.encode_basestring_ascii(k), ": ")
             if isinstance(v, _CONTAINERS):
                 _lay_out(v, inner, pieces)
@@ -331,7 +316,7 @@ def _lay_out(value: Any, newline: str, pieces: list[str]) -> None:
                 pieces.append(_scalar(v))
             opening = ","
         pieces += (newline, "}") if value else ("{}",)
-    elif isinstance(value, (list, tuple)):
+    else:
         opening = "["
         for v in value:
             pieces += (opening, inner)
@@ -345,8 +330,8 @@ def _lay_out(value: Any, newline: str, pieces: list[str]) -> None:
 
 def _scalar(value: Any) -> str:
     """``json.dumps(value)`` of a scalar, from the encoders ``json``'s C
-    writer uses: a string, ``None``, a bool, an int or a finite float.  Any
-    other value goes to ``json.dumps`` itself."""
+    writer uses: a string, ``None``, a bool, an int or a numpy integer, or
+    a real or a numpy real, rounded by :func:`_round_real`."""
     if isinstance(value, str):
         return json.encoder.encode_basestring_ascii(value)
     if value is None:
@@ -355,11 +340,11 @@ def _scalar(value: Any) -> str:
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)
-    return json.dumps(value)
+    if isinstance(value, (int, np.integer)):
+        return int.__repr__(int(value))
+    if isinstance(value, (float, np.floating)):
+        return float.__repr__(_round_real(value))
+    raise ValidationError(f"cannot serialize payload value of type {type(value)}")
 
 
 __all__ = [

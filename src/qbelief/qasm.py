@@ -5,13 +5,17 @@ multiplexor of Möttönen et al. (quant-ph/0407010): 2^k ``ry`` lines
 interleaved with 2^k ``cx`` lines for k controls, with no cap on k.  A
 preparation on n qubits thus prints 2^n - 1 ``ry`` and 2^n - 2 ``cx``
 lines.  Circuit JSON keeps the native multi-controlled form, one RY per
-tree node, and is printed from templates of the layout that
-``json.dumps(..., indent=2)`` gives; no gate object is built for either.
-The tests read the JSON back with ``tests/oracles.py::circuit_from_json``
-and hold its text to a ``json.dumps`` reference byte for byte.
+tree node, and is written to the output as it is made, a block of ops at
+a time, from templates of the layout that ``json.dumps(..., indent=2)``
+gives, so its memory does not grow with its text; no gate object is
+built for either.  The tests read the JSON back with
+``tests/oracles.py::circuit_from_json`` and hold its text to a
+``json.dumps`` reference byte for byte.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -69,45 +73,43 @@ _CLOSE = "\n      "  # before the ] of a control list that is not empty
 _TAIL = "\n  ]\n}\n"
 
 
-def preparation_to_json(tree: PreparationTree) -> str:
-    """Print a preparation tree as circuit JSON: 2^n - 1 multi-controlled
-    RYs, in the bytes of ``json.dumps(..., indent=2)`` of their dicts.
+def preparation_to_json(tree: PreparationTree, write: Callable[[str], object]) -> None:
+    """Write a preparation tree as circuit JSON to ``write``: 2^n - 1
+    multi-controlled RYs, in the bytes of ``json.dumps(..., indent=2)`` of
+    their dicts, one block at a time.
 
     Level l has one op per node path p, in index order, controlled on the
-    l higher qubits, highest first, each paired with its bit of p.  Those
-    control lists are written by doubling: the paths of level l + 1 are
-    the paths of level l, each followed by the new lowest control at 0 and
-    then at 1.  Angles are written by ``float.__repr__``, as ``json`` does.
+    l higher qubits, highest first, each paired with its bit of p.  Path
+    ``hi * 2^k + lo``, with k = floor(l/2), lists the high run of ``hi``
+    and then the low run of ``lo``; each list of runs is made by
+    :func:`_control_runs`, and the 2^k ops of one high run are joined and
+    written together, so no text of a whole level is held.  Angles are
+    written by ``float.__repr__``, as ``json`` does.
     """
-    ops: list[str] = []
-    runs, close = [""], ""
+    write(_HEAD % tree.n)
+    sep = ""
     for target, controls, angles in tree.levels():
-        if controls:
-            sep = "," if runs[0] else ""
-            pairs = [sep + _PAIR % (controls[0], bit) for bit in (0, 1)]
-            runs = [run + pair for run in runs for pair in pairs]
-            close = _CLOSE
-        ops += [_OP % (angle, target, run, close) for angle, run in zip(angles.tolist(), runs)]
-    # the header and the tail join the first and last ops, so the text is
-    # copied once, by the join
-    ops[0] = _HEAD % tree.n + ops[0]
-    ops[-1] += _TAIL
-    return ",\n".join(ops)
+        k = len(controls) // 2
+        lows = _control_runs(controls[:k])
+        close = _CLOSE if controls else ""
+        for hi, high in enumerate(_control_runs(controls[k:])):
+            block = angles[hi << k:(hi + 1) << k].tolist()
+            write(sep + ",\n".join([_OP % (angle, target, high[1:] + low, close)
+                                     for angle, low in zip(block, lows)]))
+            sep = ",\n"
+    write(_TAIL)
 
 
-def circuit_json_floor(n: int) -> int:
-    """A lower bound on the length of :func:`preparation_to_json`'s text on
-    ``n`` qubits, from ``n`` alone: its layout with every number written as
-    one character.
-
-    Level l has 2^l ops with l control pairs each.  The ops are joined by
-    a comma and a newline.  Each op but the root closes its control list
-    on a line of its own and joins its pairs by commas, one fewer than
-    it has pairs.
-    """
-    ops, pairs = (1 << n) - 1, ((n - 2) << n) + 2  # pairs: the sum of l 2^l
-    return (len(_HEAD % 0 + _TAIL) - len(",\n") + ops * len(_OP % (0, 0, "", "") + ",\n")
-            + pairs * len(_PAIR % (0, 0) + ",") + (ops - 1) * (len(_CLOSE) - len(",")))
+def _control_runs(controls: tuple[int, ...]) -> list[str]:
+    """The control pairs of each pattern of ``controls``, in index order,
+    ``controls[b]`` reading bit b: each pair with a comma before it, the
+    highest control first.  Made by doubling: the runs of one more, lower
+    control are those before, each followed by its pair at 0 and then at 1."""
+    runs = [""]
+    for qubit in reversed(controls):
+        pairs = ["," + _PAIR % (qubit, bit) for bit in (0, 1)]
+        runs = [run + pair for run in runs for pair in pairs]
+    return runs
 
 
-__all__ = ["circuit_to_qasm", "preparation_to_json", "circuit_json_floor"]
+__all__ = ["circuit_to_qasm", "preparation_to_json"]

@@ -8,6 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from qbelief.dst import Frame, MassFunction, validate_bba
+from qbelief.qasm import preparation_to_json
 
 
 @pytest.fixture
@@ -77,6 +78,13 @@ def random_mass_function(
 
 def make_frame(n: int) -> Frame:
     return Frame([f"e{i}" for i in range(n)])
+
+
+def circuit_json(tree) -> str:
+    """The circuit JSON text of a preparation tree, gathered from its writer."""
+    parts: list[str] = []
+    preparation_to_json(tree, parts.append)
+    return "".join(parts)
 
 
 def random_bbas(count: int, n: int, seed: int, allow_empty: bool = False):

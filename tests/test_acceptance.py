@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_frame, random_bbas
+from conftest import circuit_json, make_frame, random_bbas
 from oracles import (
     circuit_from_json,
     conjunctive_matrix,
@@ -38,7 +38,6 @@ from qbelief.dst import (
 )
 from qbelief.dst.transforms import subset_sum_inverse, superset_sum_inverse
 from qbelief.errors import TotalConflict
-from qbelief.qasm import preparation_to_json
 from qbelief.qsim import StateVector
 from qbelief.quantum import (
     BeliefQuery,
@@ -272,7 +271,7 @@ def test_criterion_08_gate_counts():
     for n in range(1, 9):
         frame = make_frame(n)
         m = validate_bba(frame, {tuple(frame.elements): 1.0})
-        circ = circuit_from_json(preparation_to_json(build_preparation_tree(m)))
+        circ = circuit_from_json(circuit_json(build_preparation_tree(m)))
         assert circ.gate_count == (1 << n) - 1
         assert all(op.gate.kind == "ry" for op in circ.ops)
         per_level = {}

@@ -775,18 +775,15 @@ def test_dense_allocation_refused_before_it_is_made(tmp_path, n):
     assert json.loads(done.stderr)["error"] == "DenseBudgetExceeded"
 
 
-def test_circuit_json_refused_before_its_ops_are_built(tmp_path):
-    # at n = 20 the text of the 2^20 - 1 ops is at least 1.0 GB: its closed-form
-    # floor exceeds the budget, so the request exits 2 before the tree is
-    # built or any op text is written
+def test_circuit_json_written_at_the_frame_cap(tmp_path):
+    # at n = 20 the text of the 2^20 - 1 ops is 1.0 GB, a third of the
+    # address-space limit: the export writes it a block at a time, so it
+    # needs no more memory than a small document
     frame = make_frame(20)
     m = random_mass_function(frame, np.random.default_rng(20), max_focal=64)
     path = write_doc(tmp_path, m, "n20.json")
-    done = _run_under_3gib(["prepare", "--emit", "circuit-json", path])
-    assert (done.returncode, done.stdout) == (2, ""), done.stderr
-    error = json.loads(done.stderr)
-    assert error["error"] == "DenseBudgetExceeded"
-    assert "the circuit JSON of a preparation on 20 qubits" in error["message"]
+    done = _run_under_3gib(["prepare", "--emit", "circuit-json", "--out", os.devnull, path])
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
 
 
 def _overlapping_pair(tmp_path, n):

@@ -3,12 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from conftest import _count_state_methods, make_frame, random_bbas, random_mass_function
+from conftest import (
+    _count_state_methods,
+    circuit_json,
+    make_frame,
+    random_bbas,
+    random_mass_function,
+)
 from oracles import circuit_from_json
 from qbelief.cli import main
 from qbelief.documents import dump_bba_document
 from qbelief.dst import validate_bba
-from qbelief.qasm import preparation_to_json
 from qbelief.qsim import new_state
 from qbelief.quantum import (
     build_preparation_tree,
@@ -20,7 +25,7 @@ from qbelief.quantum import (
 
 def exported_circuit(m):
     """The preparation circuit, read back from its circuit JSON."""
-    return circuit_from_json(preparation_to_json(build_preparation_tree(m)))
+    return circuit_from_json(circuit_json(build_preparation_tree(m)))
 
 
 class TestTreeValues:

@@ -7,11 +7,11 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_frame, random_bbas
+from conftest import circuit_json, make_frame, random_bbas
 from oracles import circuit_from_json, qasm_replay
 from qbelief.dst import validate_bba
 from qbelief.errors import ValidationError
-from qbelief.qasm import _multiplexed_ry, circuit_to_qasm, preparation_to_json
+from qbelief.qasm import _multiplexed_ry, circuit_to_qasm
 from qbelief.qsim import RY, Circuit, new_state
 from qbelief.quantum import build_preparation_tree
 
@@ -112,7 +112,7 @@ class TestPreparationExport:
     def test_replay_matches_native_circuit(self, n):
         for m in preparation_masses(n):
             tree = build_preparation_tree(m)
-            native = circuit_from_json(preparation_to_json(tree))
+            native = circuit_from_json(circuit_json(tree))
             text = circuit_to_qasm(tree)
             assert count_lines(text, "ry") == (1 << n) - 1
             assert count_lines(text, "cx") == (1 << n) - 2
