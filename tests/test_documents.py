@@ -539,6 +539,20 @@ class TestCircuitSerialization:
             empty_subtrees += sum(int((angles == 0.0).sum()) for angles in tree.angles)
         assert empty_subtrees > 0 or n == 1  # the root alone cannot be empty
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_json_blocks_hold_one_high_run(self, n):
+        # level l (l controls) is written in 2^ceil(l/2) blocks of
+        # 2^floor(l/2) ops, one per pattern of its high controls, so no
+        # block holds a whole level; the head and tail hold no op
+        (m,) = random_bbas(1, n, seed=4100 + n)
+        tree = build_preparation_tree(m)
+        blocks: list[str] = []
+        preparation_to_json(tree, blocks.append)
+        assert "".join(blocks) == preparation_json_oracle(tree)
+        ops = [block.count('"gate"') for block in blocks]
+        assert ops[0] == ops[-1] == 0
+        assert ops[1:-1] == [1 << (l // 2) for l in range(n) for _ in range(1 << (l - l // 2))]
+
     def test_json_export_peak_is_a_small_share_of_its_text(self):
         # the ops are written a block at a time, so the export's own memory
         # stays far below its 52 MB text at n = 16; a writer that builds the
